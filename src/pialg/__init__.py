@@ -15,10 +15,12 @@ from .errors import (
     MissingTableData,
     NotStableRange,
     PialgError,
+    ProblemFormatError,
     TableFormatError,
     UnsupportedRegime,
 )
 from .fgab import (
+    Factorizer,
     FgAbGroup,
     GroupHom,
     HomGroup,

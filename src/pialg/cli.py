@@ -2,8 +2,8 @@
 
 Commands: ``check``, ``gamma-tilde``, ``quad-tensor``, ``tables``,
 ``survey``, ``selftest``. Every command accepts ``--tables`` overlays
-(repeatable), ``--format text|machine`` and ``--parallel N``; reports can
-additionally be written to a file with ``--output``.
+(repeatable) and ``--format text|machine``; reports can additionally be
+written to a file with ``--output``.
 
 Exit codes for ``check``: 0 realizable, 1 non-realizable, 2 undetermined,
 3 and up for errors. All other commands exit 0 on success, 3 on error.
@@ -58,8 +58,6 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
                    help="table overlay file; repeatable, later files win")
     p.add_argument("--format", choices=("text", "machine"), default="text",
                    help="report format (machine = JSON)")
-    p.add_argument("--parallel", type=int, default=1, metavar="N",
-                   help="evaluate gamma completions on N threads")
     p.add_argument("--output", metavar="PATH", default=None,
                    help="also write the report to this path")
 
@@ -162,7 +160,7 @@ def cmd_check(args) -> int:
     if isinstance(problem, ThreeStageProblem):
         _, verdict = three_stage_obstruction(problem)
     else:
-        verdict = check(problem, tables, parallel=args.parallel)
+        verdict = check(problem, tables)
     elapsed = time.perf_counter() - t0
     report = _report_skeleton(args, tables)
     report["elapsed_s"] = round(elapsed, 6)
@@ -262,8 +260,7 @@ def cmd_survey(args) -> int:
     targets = [_group_arg(s) for s in args.targets.split(",") if s.strip()]
     t0 = time.perf_counter()
     rep = survey_stem(args.stem, tables, args.max_order, args.max_summands, targets,
-                      include_free=not args.no_free, max_checks=args.max_checks,
-                      parallel=args.parallel)
+                      include_free=not args.no_free, max_checks=args.max_checks)
     elapsed = time.perf_counter() - t0
     report = _report_skeleton(args, tables)
     report["elapsed_s"] = round(elapsed, 6)

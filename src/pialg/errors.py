@@ -25,6 +25,10 @@ class TableFormatError(PialgError):
     """A table overlay failed to parse; message carries file/line context."""
 
 
+class ProblemFormatError(PialgError):
+    """A problem file is not a JSON object or lacks or garbles a required field."""
+
+
 class InconsistentTables(PialgError):
     """Merged tables violate a consistency invariant (orders, exponent rule)."""
 

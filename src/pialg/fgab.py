@@ -142,9 +142,7 @@ class FgAbGroup:
         if n == 0:
             yield from self.elements()
             return
-        if self.rank > 0:
-            # n*x = 0 forces free coordinates to vanish, so this stays finite.
-            pass
+        # n*x = 0 forces free coordinates to vanish, so this stays finite.
         ranges = []
         for d in self.torsion:
             step = d // gcd(d, n)
@@ -198,10 +196,6 @@ def from_cyclic_orders(orders: Sequence[int], labels: Optional[Sequence[str]] = 
             free_labels = [l for d, l in zip(orders, labels) if d == 0]
             return grp.with_labels(tor_labels + free_labels)
     return grp
-
-
-def direct_sum_group(*groups: FgAbGroup) -> FgAbGroup:
-    return from_cyclic_orders([d for g in groups for d in g.torsion] + [0] * sum(g.rank for g in groups))
 
 
 # -- presentations ------------------------------------------------------
@@ -359,13 +353,13 @@ class CongruenceSystem:
     def add(self, coeffs: dict, rhs: int, modulus: int = 0) -> None:
         self.rows.append((dict(coeffs), int(rhs), int(modulus)))
 
-    def solve(self) -> Optional[list]:
+    def matrix(self) -> IntMatrix:
+        """The coefficient matrix, one slack column per modular row."""
         n_slack = sum(1 for _, _, m in self.rows if m)
         width = self.n + n_slack
         data = []
-        rhs = []
         slack = self.n
-        for coeffs, b, m in self.rows:
+        for coeffs, _, m in self.rows:
             row = [0] * width
             for j, c in coeffs.items():
                 row[j] += c
@@ -373,12 +367,80 @@ class CongruenceSystem:
                 row[slack] = m
                 slack += 1
             data.append(row)
-            rhs.append(b)
-        mat = IntMatrix(len(data), width, data) if data else IntMatrix.zeros(0, width)
-        sol = solve_linear(mat, rhs)
+        return IntMatrix(len(data), width, data) if data else IntMatrix.zeros(0, width)
+
+    def solve(self) -> Optional[list]:
+        sol = solve_linear(self.matrix(), [b for _, b, _ in self.rows])
         if sol is None:
             return None
         return list(sol[: self.n])
+
+
+class Factorizer:
+    """Solve h ∘ through = f for many f, with h: through.target -> target.
+
+    The congruence system of h ∘ through = f has a coefficient matrix that
+    depends only on ``through`` and the target's invariant factors; f
+    enters only through the right-hand side. The matrix is reduced to Smith
+    normal form once, here; each solve then costs ``U·b``, a divisibility
+    check against the diagonal and ``V·z``. The particular solution is the
+    one a fresh reduction of the same system would return.
+
+    >>> g = GroupHom.from_columns(cyclic(12), cyclic(6), [(1,)])
+    >>> fz = Factorizer(g, cyclic(3))
+    >>> [fz.factor(GroupHom.from_columns(cyclic(12), cyclic(3), [(x,)])).matrix.to_lists()
+    ...  for x in range(3)]
+    [[[0]], [[1]], [[2]]]
+    """
+
+    def __init__(self, through: "GroupHom", target: FgAbGroup):
+        self.through = through
+        self.target = target
+        b, c = through.target, target
+        nb, nc = b.dim, c.dim
+        sys = CongruenceSystem(nc * nb)  # unknown i * nb + j is h's entry (i, j)
+        # h ∘ through = f, one congruence per (source generator, target coord)
+        for a in range(through.source.dim):
+            col = through.matrix.col(a)
+            for i in range(nc):
+                sys.add({i * nb + j: col[j] for j in range(nb) if col[j]}, 0, c.coord_order(i))
+        # well-definedness of h on B's torsion generators
+        for j in range(nb):
+            d = b.coord_order(j)
+            if d == 0:
+                continue
+            for i in range(nc):
+                sys.add({i * nb + j: d}, 0, c.coord_order(i))
+        self._n_rows = len(sys.rows)
+        self._snf = smith_normal_form(sys.matrix())
+
+    def solve(self, targets: Sequence) -> Optional["GroupHom"]:
+        """Some h with h(through(e_j)) = targets[j], or None.
+
+        ``targets`` holds one element of the target per source generator of
+        ``through``.
+        """
+        c = self.target
+        rhs = [x for a in range(self.through.source.dim) for x in c.reduce(targets[a])]
+        rhs += [0] * (self._n_rows - len(rhs))
+        sol = self._snf.solve(rhs)
+        if sol is None:
+            return None
+        nb, nc = self.through.target.dim, c.dim
+        rows = [sol[i * nb:(i + 1) * nb] for i in range(nc)]
+        return GroupHom(self.through.target, c, IntMatrix(nc, nb, rows))
+
+    def factor(self, f: "GroupHom") -> Optional["GroupHom"]:
+        """Some h with h ∘ through = f, or None; f must share through's source.
+
+        Every witness is checked by composing it back before it is returned.
+        """
+        if f.source != self.through.source:
+            raise ValueError("factor_through requires a shared source")
+        h = self.solve(f.matrix.columns())
+        if h is not None:
+            assert h @ self.through == f, "solver returned a non-witness"
+        return h
 
 
 def hom_solve(targets: Sequence, through: "GroupHom", target: FgAbGroup) -> Optional["GroupHom"]:
@@ -387,35 +449,10 @@ def hom_solve(targets: Sequence, through: "GroupHom", target: FgAbGroup) -> Opti
     ``targets`` holds one element of ``target`` per source generator of
     ``through``. Returns None when no such homomorphism exists. This is the
     one integer linear system behind factorization, retraction search and
-    structure-map validation.
+    structure-map validation; ``Factorizer`` solves it for many right-hand
+    sides at once.
     """
-    b = through.target
-    c = target
-    nb, nc = b.dim, c.dim
-    sys = CongruenceSystem(nc * nb)
-
-    def hvar(i, j):
-        return i * nb + j
-
-    # h ∘ through = targets, one congruence per (source generator, target coord)
-    for a in range(through.source.dim):
-        col = through.matrix.col(a)
-        want = c.reduce(targets[a])
-        for i in range(nc):
-            coeffs = {hvar(i, j): col[j] for j in range(nb) if col[j]}
-            sys.add(coeffs, want[i], c.coord_order(i))
-    # well-definedness of h on B's torsion generators
-    for j in range(nb):
-        d = b.coord_order(j)
-        if d == 0:
-            continue
-        for i in range(nc):
-            sys.add({hvar(i, j): d}, 0, c.coord_order(i))
-    sol = sys.solve()
-    if sol is None:
-        return None
-    rows = [[sol[hvar(i, j)] for j in range(nb)] for i in range(nc)]
-    return GroupHom(b, c, IntMatrix(nc, nb, rows))
+    return Factorizer(through, target).solve(targets)
 
 
 def factor_through(f: GroupHom, g: GroupHom) -> Optional[GroupHom]:
@@ -430,12 +467,7 @@ def factor_through(f: GroupHom, g: GroupHom) -> Optional[GroupHom]:
     >>> factor_through(f, g).matrix.to_lists()
     [[1]]
     """
-    if f.source != g.source:
-        raise ValueError("factor_through requires a shared source")
-    h = hom_solve([f.matrix.col(j) for j in range(f.source.dim)], g, f.target)
-    if h is not None:
-        assert h @ g == f, "solver returned a non-witness"
-    return h
+    return Factorizer(g, f.target).factor(f)
 
 
 def is_split_injective(f: GroupHom) -> tuple:
@@ -519,8 +551,6 @@ def direct_sum(*groups: FgAbGroup) -> DirectSum:
     dims = [g.dim for g in groups]
     total = sum(dims)
     orders = [d for g in groups for d in g.torsion + (0,) * g.rank]
-    # reorder so all torsion coordinates precede free ones? No: keep the block
-    # layout of the presentation; canonicalize_full handles mixed diagonals.
     pres = Presentation(total, IntMatrix.diagonal(orders, rows=total, cols=total))
     c = canonicalize_full(pres)
     injections = []
@@ -547,7 +577,6 @@ def stack_homs(fs: Sequence[GroupHom]) -> tuple:
         raise ValueError("need at least one homomorphism")
     src = fs[0].source
     ds = direct_sum(*[f.target for f in fs])
-    total = GroupHom.zero(src, ds.group)
     m = IntMatrix.zeros(ds.group.dim, src.dim)
     for f, inj in zip(fs, ds.injections):
         if f.source != src:

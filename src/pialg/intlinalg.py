@@ -228,6 +228,30 @@ class SnfResult:
     def rank(self) -> int:
         return sum(1 for x in self.diagonal() if x != 0)
 
+    def solve(self, rhs: Sequence[int]) -> Optional[tuple]:
+        """One integer solution x of ``m @ x == rhs`` for the reduced ``m``, or None.
+
+        ``m x = b`` becomes ``d z = u b`` with ``x = v z``: each coordinate of
+        ``u b`` must be divisible by its diagonal entry (zero where the entry
+        is zero). Reusing one reduction for many right-hand sides costs two
+        matrix-vector products per solve.
+        """
+        if len(rhs) != self.d.rows:
+            raise ValueError("right-hand side length mismatch")
+        c = self.u.mul_vec(rhs)
+        n = min(self.d.rows, self.d.cols)
+        z = [0] * self.d.cols
+        for i, ci in enumerate(c):
+            d = self.d[i, i] if i < n else 0
+            if d == 0:
+                if ci != 0:
+                    return None
+            else:
+                if ci % d:
+                    return None
+                z[i] = ci // d
+        return self.v.mul_vec(z)
+
 
 def smith_normal_form(m: IntMatrix) -> SnfResult:
     """Exact Smith normal form over Z, total on all shapes including 0x0.
@@ -367,22 +391,7 @@ def solve_linear(m: IntMatrix, rhs: Sequence[int]) -> Optional[tuple]:
     Which solution is returned is unspecified beyond being deterministic
     (the particular solution read off the Smith normal form).
     """
-    if len(rhs) != m.rows:
-        raise ValueError("right-hand side length mismatch")
-    s = smith_normal_form(m)
-    c = s.u.mul_vec(rhs)
-    n = min(m.rows, m.cols)
-    z = [0] * m.cols
-    for i in range(m.rows):
-        d = s.d[i, i] if i < n else 0
-        if d == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % d:
-                return None
-            z[i] = c[i] // d
-    return s.v.mul_vec(z)
+    return smith_normal_form(m).solve(rhs)
 
 
 def kernel_columns(m: IntMatrix) -> IntMatrix:

@@ -41,13 +41,14 @@ from .errors import (
     MalformedStructureMap,
     MissingTableData,
     NotStableRange,
+    ProblemFormatError,
     UnsupportedRegime,
 )
 from .fgab import (
     FgAbGroup,
     GroupHom,
     CongruenceSystem,
-    factor_through,
+    Factorizer,
     from_cyclic_orders,
     hom_group,
     hom_solve,
@@ -62,7 +63,7 @@ from .fgab import (
 )
 from .intlinalg import IntMatrix
 from .pi_functors import GammaTildeResult, gamma_tilde
-from .tables import GammaCompletion, StableTables, admissible_gamma_completions
+from .tables import StableTables, admissible_gamma_completions
 
 
 class Status(str, Enum):
@@ -231,14 +232,74 @@ def _obstruction_from_dead(pa: TwoStagePiAlgebra, gt: GammaTildeResult,
     return Obstruction(element=elem, label=format_semantic(gt, elem), note=note)
 
 
+def _key(g: FgAbGroup) -> tuple:
+    # FgAbGroup equality ignores labels, but labels reach the semantic
+    # generators and the witness JSON, so reuse must not cross them.
+    return g, g.gen_labels
+
+
+class _StableReuse:
+    """The eta-independent work of ``check_stable`` for one tables object.
+
+    ``survey_stem`` keeps one for the length of a call and passes it to
+    every ``check_stable``; a lone ``check_stable`` builds its own. It holds
+    the completions once per stem; gamma_tilde, A_n ⊗ HZ_{k+1}HZ and each
+    gamma_c ⊗ A_n once per A_n; a ``Factorizer`` per (A_n, completion,
+    target); and the kernel inclusion of the stacked gammas once per A_n.
+    """
+
+    def __init__(self, tables: StableTables):
+        self.tables = tables
+        self._memo: dict = {}
+
+    def _get(self, key: tuple, build):
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
+    def gamma_tilde(self, n: int, k: int, a_n: FgAbGroup) -> GammaTildeResult:
+        return self._get(("gamma_tilde", n, k, _key(a_n)),
+                         lambda: gamma_tilde(n, k, a_n, self.tables))
+
+    def completions(self, k: int) -> list:
+        return self._get(("completions", k), lambda: admissible_gamma_completions(k, self.tables))
+
+    def tensor(self, a: FgAbGroup, b: FgAbGroup):
+        return self._get(("tensor", _key(a), _key(b)), lambda: tensor(a, b))
+
+    def gammas(self, n: int, k: int, a_n: FgAbGroup) -> tuple:
+        """gamma_c ⊗ A_n: gamma_tilde -> A_n ⊗ HZ_{k+1}HZ, one per completion."""
+        def build():
+            src_tp = self.gamma_tilde(n, k, a_n)._tensor
+            tgt_tp = self.tensor(a_n, self.tables.em(k + 1))
+            id_a = GroupHom.identity(a_n)
+            return tuple(tensor_induced(id_a, c.hom, source=src_tp, target=tgt_tp)
+                         for c in self.completions(k))
+        return self._get(("gammas", n, k, _key(a_n)), build)
+
+    def factorizer(self, n: int, k: int, a_n: FgAbGroup, index: int,
+                   target: FgAbGroup) -> Factorizer:
+        return self._get(("factorizer", n, k, _key(a_n), index, _key(target)),
+                         lambda: Factorizer(self.gammas(n, k, a_n)[index], target))
+
+    def dead_inclusion(self, n: int, k: int, a_n: FgAbGroup) -> GroupHom:
+        """The subgroup every completion kills: the kernel of the stacked gammas."""
+        def build():
+            stacked, _ = stack_homs(list(self.gammas(n, k, a_n)))
+            return kernel(stacked)[1]
+        return self._get(("dead", n, k, _key(a_n)), build)
+
+
 def check_stable(pa: TwoStagePiAlgebra, tables: StableTables,
-                 parallel: int = 1) -> Verdict:
+                 _reuse: Optional[_StableReuse] = None) -> Verdict:
     """Decide a stable problem (k <= n - 2) by quantifying over completions."""
+    reuse = _reuse if _reuse is not None else _StableReuse(tables)
+    assert reuse.tables is tables, "a reuse context serves one tables object"
     n, k = pa.n, pa.k
     if k > n - 2:
         raise NotStableRange(f"k = {k} is not <= n - 2 = {n - 2}")
     entry = tables.q_stable_entry(k)
-    gt = gamma_tilde(n, k, pa.a_n, tables)
+    gt = reuse.gamma_tilde(n, k, pa.a_n)
     if pa.eta.source != gt.group:
         raise MalformedStructureMap(
             f"eta is defined on {pa.eta.source}, but gamma_tilde is {gt.group}")
@@ -247,13 +308,13 @@ def check_stable(pa: TwoStagePiAlgebra, tables: StableTables,
     if pa.eta.is_zero():
         witness = None
         if cod is not None:
-            witness = GroupHom.zero(tensor(pa.a_n, cod).group, pa.a_nk)
+            witness = GroupHom.zero(reuse.tensor(pa.a_n, cod).group, pa.a_nk)
         return Verdict(Status.REALIZABLE, witness=witness,
                        note="zero structure map; a product of Eilenberg-MacLane "
                             "spaces realizes it")
 
     if entry.complete and cod is not None:
-        return _check_stable_enumerating(pa, gt, tables, parallel)
+        return _check_stable_enumerating(pa, gt, reuse)
 
     # Certificate mode: the codomain is not tabulated (or the stem is
     # partial), so only forced non-realizability is decidable.
@@ -283,46 +344,29 @@ def check_stable(pa: TwoStagePiAlgebra, tables: StableTables,
 
 
 def _check_stable_enumerating(pa: TwoStagePiAlgebra, gt: GammaTildeResult,
-                              tables: StableTables, parallel: int) -> Verdict:
-    k = pa.k
-    cod = tables.em(k + 1)
-    completions = admissible_gamma_completions(k, tables)
+                              reuse: _StableReuse) -> Verdict:
+    n, k = pa.n, pa.k
+    completions = reuse.completions(k)
     if not completions:
         raise InconsistentTables(
             f"no admissible gamma completion exists in stem {k}; the tables are contradictory")
-    src_tp = gt._tensor
-    tgt_tp = tensor(pa.a_n, cod)
-    id_a = GroupHom.identity(pa.a_n)
-
-    def examine(comp: GammaCompletion) -> CompletionOutcome:
-        gamma_a = tensor_induced(id_a, comp.hom, source=src_tp, target=tgt_tp)
-        h = factor_through(pa.eta, gamma_a)
-        return CompletionOutcome(comp.assignment, h is not None, h, gamma_hom=gamma_a)
-
-    if parallel > 1 and len(completions) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            outcomes = tuple(pool.map(examine, completions))
-    else:
-        outcomes = tuple(examine(c) for c in completions)
+    outcomes = []
+    for i, (comp, gamma_a) in enumerate(zip(completions, reuse.gammas(n, k, pa.a_n))):
+        h = reuse.factorizer(n, k, pa.a_n, i, pa.eta.target).factor(pa.eta)
+        outcomes.append(CompletionOutcome(comp.assignment, h is not None, h, gamma_hom=gamma_a))
+    outcomes = tuple(outcomes)
 
     if all(o.factorable for o in outcomes):
-        return Verdict(Status.REALIZABLE,
-                       witness=outcomes[0].witness if outcomes else None,
-                       completions=outcomes)
+        return Verdict(Status.REALIZABLE, witness=outcomes[0].witness, completions=outcomes)
     if not any(o.factorable for o in outcomes):
-        obs = None
-        if outcomes:
-            stacked, _ = stack_homs([o.gamma_hom for o in outcomes])
-            _, incl = kernel(stacked)
-            obs = _obstruction_from_dead(
-                pa, gt, incl, note="killed by every admissible completion")
+        obs = _obstruction_from_dead(pa, gt, reuse.dead_inclusion(n, k, pa.a_n),
+                                     note="killed by every admissible completion")
         if obs is None:
             obs = Obstruction(note="no completion admits a factorization")
         return Verdict(Status.NON_REALIZABLE, obstruction=obs, completions=outcomes)
-    entry = tables.q_stable_entry(k)
+    entry = reuse.tables.q_stable_entry(k)
     return Verdict(Status.UNDETERMINED,
-                   blocking=tuple(_unknown_blockers(entry, tables, k)),
+                   blocking=tuple(_unknown_blockers(entry, reuse.tables, k)),
                    completions=outcomes,
                    note="factorability depends on unknown gamma entries")
 
@@ -356,14 +400,14 @@ def check_k2(pa: TwoStagePiAlgebra, tables: StableTables) -> Verdict:
                    note="all systems concentrated in degrees n, n+2 are realizable")
 
 
-def check(pa: TwoStagePiAlgebra, tables: StableTables, parallel: int = 1) -> Verdict:
+def check(pa: TwoStagePiAlgebra, tables: StableTables) -> Verdict:
     """Dispatch on the regime of (n, k)."""
     if pa.k == 1:
         return check_k1(pa, tables)
     if pa.k == 2:
         return check_k2(pa, tables)
     if pa.k <= pa.n - 2:
-        return check_stable(pa, tables, parallel=parallel)
+        return check_stable(pa, tables)
     gt = _validated_gt(pa, tables)
     if gt.group.is_trivial:
         return Verdict(Status.REALIZABLE, note="trivial operations; a product of "
@@ -533,14 +577,17 @@ class SurveyReport:
 
 def survey_stem(k: int, tables: StableTables, max_cyclic_order: int,
                 max_summands: int, targets: Sequence[FgAbGroup],
-                include_free: bool = True, max_checks: int = 20000,
-                parallel: int = 1) -> SurveyReport:
+                include_free: bool = True, max_checks: int = 20000) -> SurveyReport:
     """Sweep small groups and every structure map, tallying verdicts.
 
     A_n ranges over direct sums of at most ``max_summands`` cyclic groups
     of order up to ``max_cyclic_order`` (plus Z summands unless disabled);
     eta ranges over all of Hom(gamma_tilde, target) for each target. Raises
     BoundExceeded when more than ``max_checks`` checks would run.
+
+    Only eta varies within a row, so a survey reduces each (A_n, completion,
+    target) congruence system once and solves it for every eta; that reuse
+    lives only as long as the call.
     """
     n = k + 2  # minimal stable dimension; stable verdicts do not depend on n
     orders = ([0] if include_free else []) + list(range(2, max_cyclic_order + 1))
@@ -553,8 +600,9 @@ def survey_stem(k: int, tables: StableTables, max_cyclic_order: int,
     rows = []
     totals: Dict[str, int] = {}
     budget = 0
+    reuse = _StableReuse(tables)
     for a_n in groups:
-        gt = gamma_tilde(n, k, a_n, tables)
+        gt = reuse.gamma_tilde(n, k, a_n)
         for target in targets:
             homs = hom_group(gt.group, target)
             if not homs.is_finite:
@@ -567,7 +615,7 @@ def survey_stem(k: int, tables: StableTables, max_cyclic_order: int,
             counts: Dict[str, int] = {}
             for eta in homs:
                 pa = TwoStagePiAlgebra(n, k, a_n, target, eta)
-                v = check_stable(pa, tables, parallel=parallel)
+                v = check_stable(pa, tables, _reuse=reuse)
                 counts[v.status.value] = counts.get(v.status.value, 0) + 1
                 totals[v.status.value] = totals.get(v.status.value, 0) + 1
             rows.append(SurveyRow(a_n, target, tuple(sorted(counts.items()))))
@@ -585,9 +633,10 @@ def group_to_json(g: FgAbGroup) -> dict:
 
 
 def group_from_json(doc: dict) -> FgAbGroup:
-    return FgAbGroup(int(doc.get("rank", 0)),
-                     tuple(int(d) for d in doc.get("torsion", ())),
-                     tuple(doc["labels"]) if "labels" in doc else None)
+    rank, torsion = doc.get("rank", 0), tuple(doc.get("torsion", ()))
+    if type(rank) is not int or any(type(d) is not int for d in torsion):
+        raise ValueError(f"rank and torsion must be integers, got {rank!r} and {list(torsion)!r}")
+    return FgAbGroup(rank, torsion, tuple(doc["labels"]) if "labels" in doc else None)
 
 
 def hom_to_json(h: GroupHom) -> dict:
@@ -645,6 +694,36 @@ def verdict_from_json(doc: dict) -> Verdict:
                    completions=completions, note=doc.get("note", ""))
 
 
+def _problem_fields(doc, int_minima: dict, group_keys: tuple, other_keys: tuple) -> tuple:
+    """(integers, groups) read from a problem file, in key order.
+
+    ``int_minima`` maps each integer key to its least legal value. Raises
+    ProblemFormatError when the document is not a JSON object, lacks a
+    required key, or holds an integer or group field that does not parse
+    or is out of range (for example torsion that is not a divisibility
+    chain).
+    """
+    if not isinstance(doc, dict):
+        problem = f"expected a JSON object, got {type(doc).__name__}"
+    elif missing := [key for key in (*int_minima, *group_keys, *other_keys) if key not in doc]:
+        problem = "missing " + ", ".join(repr(key) for key in missing)
+    elif bad := [f"{key} must be an integer >= {least}, got {doc[key]!r}"
+                 for key, least in int_minima.items()
+                 if type(doc[key]) is not int or doc[key] < least]:
+        problem = "; ".join(bad)
+    else:
+        groups = []
+        for key in group_keys:
+            try:
+                groups.append(group_from_json(doc[key]))
+            except (AttributeError, TypeError, ValueError) as exc:
+                problem = f"{key} is not a group: {exc}"
+                break
+        else:
+            return [doc[key] for key in int_minima], groups
+    raise ProblemFormatError(f"malformed problem file: {problem}")
+
+
 def problem_from_json(doc: dict, tables: StableTables):
     """Parse a problem file into a two- or three-stage problem.
 
@@ -653,24 +732,19 @@ def problem_from_json(doc: dict, tables: StableTables):
     files: {"n", "A_n", "A_n1", "A_n2", "eta1", "eta2"} with the columns
     indexed by the mod-2 reductions of A_n and A_{n+1}.
     """
-    if "A_n2" in doc or "eta2" in doc:
-        a_n = group_from_json(doc["A_n"])
-        a_n1 = group_from_json(doc["A_n1"])
-        a_n2 = group_from_json(doc["A_n2"])
-        n = int(doc["n"])
+    if isinstance(doc, dict) and ("A_n2" in doc or "eta2" in doc):
+        (n,), (a_n, a_n1, a_n2) = _problem_fields(doc, {"n": 4}, ("A_n", "A_n1", "A_n2"),
+                                                  ("eta1", "eta2"))
         tp1, _ = mod_reduction(a_n, 2)
         tp2, _ = mod_reduction(a_n1, 2)
         eta1 = _hom_from_columns_json(doc["eta1"], tp1.group, a_n1)
         eta2 = _hom_from_columns_json(doc["eta2"], tp2.group, a_n2)
         return ThreeStageProblem(n, a_n, a_n1, a_n2, eta1, eta2)
-    n = int(doc["n"])
-    k = int(doc["k"])
-    a_n = group_from_json(doc["A_n"])
-    a_nk = group_from_json(doc["A_nk"])
+    (n, k), (a_n, a_nk) = _problem_fields(doc, {"n": 2, "k": 1}, ("A_n", "A_nk"), ("eta",))
     gt = gamma_tilde(n, k, a_n, tables)
     try:
         m = IntMatrix(a_nk.dim, len(gt.generators), doc["eta"])
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise MalformedStructureMap(
             f"eta must be a {a_nk.dim}x{len(gt.generators)} matrix with columns "
             f"{', '.join(gt.labels())}: {exc}")
@@ -681,5 +755,5 @@ def problem_from_json(doc: dict, tables: StableTables):
 def _hom_from_columns_json(matrix, source: FgAbGroup, target: FgAbGroup) -> GroupHom:
     try:
         return GroupHom(source, target, IntMatrix(target.dim, source.dim, matrix))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise MalformedStructureMap(str(exc))

@@ -53,6 +53,7 @@ from typing import Dict, Iterator, Optional, Tuple
 
 from .errors import InconsistentTables, MissingTableData, TableFormatError
 from .fgab import (
+    Factorizer,
     FgAbGroup,
     GroupHom,
     Presentation,
@@ -60,7 +61,6 @@ from .fgab import (
     canonicalize_full,
     free_group,
     from_cyclic_orders,
-    hom_solve,
 )
 from .intlinalg import IntMatrix
 from .quadratic import (
@@ -487,8 +487,9 @@ def admissible_gamma_completions(k: int, tables: StableTables) -> list:
         know = tables.gamma.get((k, name))
         per_gen.append(_candidate_images(know, d, cod))
     out = []
+    solver = Factorizer(entry.generator_hom(), cod)  # only the images vary
     for combo in itertools.product(*per_gen):
-        hom = hom_solve(list(combo), entry.generator_hom(), cod)
+        hom = solver.solve(list(combo))
         if hom is None:  # cannot happen: image orders divide generator orders
             continue
         out.append(GammaCompletion(k, tuple(zip(entry.names, combo)), hom))

@@ -81,9 +81,17 @@ def test_check_with_overlay(problem_file, tmp_path, capsys):
     assert code == 0
 
 
-def test_check_parallel_flag(problem_file, capsys):
-    code1, out1, _ = run(capsys, ["check", problem_file(SMALLEST), "--parallel", "4"])
-    assert code1 == 1 and "2·nu" in out1
+@pytest.mark.parametrize("doc", [
+    {key: value for key, value in SMALLEST.items() if key != "n"},
+    [SMALLEST],
+    dict(SMALLEST, A_n={"rank": 0, "torsion": [4, 2]}),
+    dict(SMALLEST, n=5.5),
+    dict(SMALLEST, A_nk={"rank": 0, "torsion": [4.5]}),
+], ids=["missing-n", "top-level-array", "torsion-not-a-chain", "fractional-n",
+        "fractional-torsion"])
+def test_malformed_problem_files_exit_three(problem_file, capsys, doc):
+    code, _, err = run(capsys, ["check", problem_file(doc)])
+    assert code == 3 and "malformed problem file" in err
 
 
 def test_determinism(problem_file, capsys):
@@ -162,4 +170,7 @@ def test_usage_errors_exit_above_two(capsys):
     assert exc.value.code == 3
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
+    assert exc.value.code == 3
+    with pytest.raises(SystemExit) as exc:
+        main(["survey", "--stem", "3", "--parallel", "4"])  # removed option
     assert exc.value.code == 3

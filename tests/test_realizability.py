@@ -312,6 +312,39 @@ def test_survey_stem3_contains_non_realizable(tables):
     assert z_rows and dict(z_rows[0].counts).get("non-realizable", 0) > 0
 
 
+def test_survey_reuse_matches_fresh_checks(tables, monkeypatch):
+    # survey_stem decides every case with one shared reuse context; each of
+    # those verdicts, witnesses included, must equal a fresh check_stable's,
+    # and the row counts must be the tally of the fresh verdicts. The two
+    # Z/4 targets differ only in labels, which reach the witness JSON.
+    import json
+    from pialg import realizability
+    decided = []
+
+    def recording(pa, tables, _reuse=None):
+        v = check_stable(pa, tables, _reuse=_reuse)
+        decided.append((pa, v))
+        return v
+
+    monkeypatch.setattr(realizability, "check_stable", recording)
+    targets = [cyclic(2), cyclic(4), cyclic(4, "t"), cyclic(3)]
+    rep = survey_stem(3, tables, max_cyclic_order=4, max_summands=2, targets=targets)
+    assert len(decided) == rep.total_cases() > 0
+    counts: dict = {}
+    for pa, v in decided:
+        fresh = check_stable(pa, tables)
+        assert (json.dumps(verdict_to_json(v), sort_keys=True)
+                == json.dumps(verdict_to_json(fresh), sort_keys=True))
+        row = counts.setdefault((pa.a_n, pa.a_nk.gen_labels, pa.a_nk), {})
+        row[fresh.status.value] = row.get(fresh.status.value, 0) + 1
+    assert [((r.a_n, r.target.gen_labels, r.target), dict(r.counts)) for r in rep.rows] \
+        == list(counts.items())
+    statuses = {v.status for _, v in decided}
+    assert statuses == {Status.REALIZABLE, Status.NON_REALIZABLE, Status.UNDETERMINED}
+    assert any(v.witness is not None and v.witness.target.gen_labels == ("t",)
+               for _, v in decided)
+
+
 def test_survey_bounds_and_empty_targets(tables):
     with pytest.raises(BoundExceeded):
         survey_stem(3, tables, max_cyclic_order=6, max_summands=2,
@@ -364,11 +397,6 @@ def test_format_semantic(tables):
     assert format_semantic(gt, gt.group.smul(2, e.element_of("nu"))) == "2·nu"
     both = gt.group.add(e.element_of("nu"), e.element_of("alpha"))
     assert format_semantic(gt, both) in ("nu + alpha", "alpha + nu")
-
-
-def test_parallel_matches_serial(tables):
-    pa, _ = smallest_problem(tables)
-    assert check_stable(pa, tables, parallel=4) == check_stable(pa, tables)
 
 
 def test_checker_against_exhaustive_factorization(tables):
