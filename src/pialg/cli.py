@@ -19,7 +19,6 @@ from typing import Optional
 
 from . import __version__
 from .errors import PialgError
-from .fgab import FgAbGroup
 from .pi_functors import gamma_tilde
 from .quadratic import (
     BUILTIN_QUADRATIC_MODULES,
@@ -147,10 +146,6 @@ def _verdict_lines(v) -> list:
     return lines
 
 
-def _group_arg(text: str) -> FgAbGroup:
-    return group_from_text(text)
-
-
 def cmd_check(args) -> int:
     tables = load_tables(args.tables)
     t0 = time.perf_counter()
@@ -173,7 +168,7 @@ def cmd_check(args) -> int:
 def cmd_gamma_tilde(args) -> int:
     tables = load_tables(args.tables)
     t0 = time.perf_counter()
-    g = _group_arg(args.group)
+    g = group_from_text(args.group)
     res = gamma_tilde(args.n, args.k, g, tables)
     report = _report_skeleton(args, tables)
     report["elapsed_s"] = round(time.perf_counter() - t0, 6)
@@ -192,7 +187,7 @@ def cmd_gamma_tilde(args) -> int:
 
 def cmd_quad_tensor(args) -> int:
     tables = load_tables(args.tables)
-    g = _group_arg(args.group)
+    g = group_from_text(args.group)
     if args.module.startswith("@"):
         with open(args.module[1:], "r", encoding="utf-8") as fh:
             qm = quadratic_module_from_json(json.load(fh))
@@ -257,7 +252,7 @@ def cmd_tables(args) -> int:
 
 def cmd_survey(args) -> int:
     tables = load_tables(args.tables)
-    targets = [_group_arg(s) for s in args.targets.split(",") if s.strip()]
+    targets = [group_from_text(s) for s in args.targets.split(",") if s.strip()]
     t0 = time.perf_counter()
     rep = survey_stem(args.stem, tables, args.max_order, args.max_summands, targets,
                       include_free=not args.no_free, max_checks=args.max_checks)

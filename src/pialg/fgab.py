@@ -9,7 +9,11 @@ reduced modulo the invariant factors.
 Every operation here reduces to Smith normal form over Z: presentations are
 canonicalized by diagonalizing the relation matrix, and questions like "does
 eta factor through gamma" become integer linear systems with congruence rows,
-solved exactly.
+solved exactly. ``Congruences`` is the one place such a system becomes a
+matrix; it is reduced once and then solved for any number of right-hand
+sides. ``Factorizer``, kernels and the coefficients of an element over a
+generating family all go through it, so every obstruction label spelled
+over one gamma_tilde's semantic generators shares one reduction.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass, field
 from math import gcd, prod
 from typing import Iterator, Optional, Sequence
 
-from .intlinalg import IntMatrix, kernel_columns, smith_normal_form, solve_linear
+from .intlinalg import IntMatrix, smith_normal_form
 
 
 class InfiniteEnumerationError(ValueError):
@@ -110,9 +114,6 @@ class FgAbGroup:
 
     def add(self, x: Sequence[int], y: Sequence[int]) -> tuple:
         return self.reduce([a + b for a, b in zip(x, y)])
-
-    def neg(self, x: Sequence[int]) -> tuple:
-        return self.reduce([-a for a in x])
 
     def smul(self, c: int, x: Sequence[int]) -> tuple:
         return self.reduce([c * a for a in x])
@@ -339,41 +340,48 @@ def multiplication_by(n: int, g: FgAbGroup) -> GroupHom:
 # -- congruence systems -------------------------------------------------
 
 
-class CongruenceSystem:
-    """Linear equations over Z in fixed unknowns, some rows modulo an integer.
+class Congruences:
+    """Integer unknowns x with ``rows[i]·x ≡ rhs[i] (mod moduli[i])``, reduced once.
 
-    Modular rows get their own slack unknown, after which everything is one
-    exact integer system decided by Smith normal form.
+    Modulus 0 makes a row an exact equation. Every nonzero modulus gets its
+    own slack unknown, in row order, so the system is the one integer
+    matrix ``[rows | slack]``; it is reduced to Smith normal form here, and
+    each ``solve`` then costs ``U·b``, a divisibility check against the
+    diagonal and ``V·z``. This is the only place that turns congruences
+    into a matrix.
+
+    >>> Congruences([[2]], [6], 1).solve([4])  # 2x ≡ 4 (mod 6)
+    (2,)
+    >>> Congruences([[2]], [6], 1).solve([3]) is None
+    True
     """
 
-    def __init__(self, n_unknowns: int):
+    def __init__(self, rows: Sequence[Sequence[int]], moduli: Sequence[int], n_unknowns: int):
         self.n = n_unknowns
-        self.rows: list = []
-
-    def add(self, coeffs: dict, rhs: int, modulus: int = 0) -> None:
-        self.rows.append((dict(coeffs), int(rhs), int(modulus)))
-
-    def matrix(self) -> IntMatrix:
-        """The coefficient matrix, one slack column per modular row."""
-        n_slack = sum(1 for _, _, m in self.rows if m)
-        width = self.n + n_slack
-        data = []
-        slack = self.n
-        for coeffs, _, m in self.rows:
-            row = [0] * width
-            for j, c in coeffs.items():
-                row[j] += c
+        width = n_unknowns + sum(1 for m in moduli if m)
+        data, slack = [], n_unknowns
+        for row, m in zip(rows, moduli):
+            data.append(list(row) + [0] * (width - n_unknowns))
             if m:
-                row[slack] = m
+                data[-1][slack] = m
                 slack += 1
-            data.append(row)
-        return IntMatrix(len(data), width, data) if data else IntMatrix.zeros(0, width)
+        self._snf = smith_normal_form(IntMatrix(len(data), width, data))
 
-    def solve(self) -> Optional[list]:
-        sol = solve_linear(self.matrix(), [b for _, b, _ in self.rows])
-        if sol is None:
-            return None
-        return list(sol[: self.n])
+    @staticmethod
+    def spanning(group: FgAbGroup, generators: IntMatrix) -> "Congruences":
+        """Coefficients x with ``sum x_j·generators[:, j]`` equal to an element of ``group``."""
+        return Congruences(generators.data, [group.coord_order(i) for i in range(group.dim)],
+                           generators.cols)
+
+    def solve(self, rhs: Sequence[int]) -> Optional[tuple]:
+        """The particular solution read off the Smith normal form, or None."""
+        sol = self._snf.solve(rhs)
+        return None if sol is None else sol[: self.n]
+
+    def kernel(self) -> IntMatrix:
+        """Columns generating the solutions of the homogeneous system."""
+        ker = self._snf.kernel()
+        return IntMatrix(self.n, ker.cols, ker.data[: self.n])
 
 
 class Factorizer:
@@ -398,21 +406,27 @@ class Factorizer:
         self.target = target
         b, c = through.target, target
         nb, nc = b.dim, c.dim
-        sys = CongruenceSystem(nc * nb)  # unknown i * nb + j is h's entry (i, j)
+
+        def in_row(i: int, block: list) -> list:  # unknown i * nb + j is h's entry (i, j)
+            return [0] * (i * nb) + block + [0] * ((nc - 1 - i) * nb)
+
+        rows, moduli = [], []
         # h ∘ through = f, one congruence per (source generator, target coord)
         for a in range(through.source.dim):
-            col = through.matrix.col(a)
+            col = list(through.matrix.col(a))
             for i in range(nc):
-                sys.add({i * nb + j: col[j] for j in range(nb) if col[j]}, 0, c.coord_order(i))
+                rows.append(in_row(i, col))
+                moduli.append(c.coord_order(i))
         # well-definedness of h on B's torsion generators
         for j in range(nb):
             d = b.coord_order(j)
             if d == 0:
                 continue
             for i in range(nc):
-                sys.add({i * nb + j: d}, 0, c.coord_order(i))
-        self._n_rows = len(sys.rows)
-        self._snf = smith_normal_form(sys.matrix())
+                rows.append(in_row(i, [d if u == j else 0 for u in range(nb)]))
+                moduli.append(c.coord_order(i))
+        self._n_rows = len(rows)
+        self._system = Congruences(rows, moduli, nc * nb)
 
     def solve(self, targets: Sequence) -> Optional["GroupHom"]:
         """Some h with h(through(e_j)) = targets[j], or None.
@@ -423,7 +437,7 @@ class Factorizer:
         c = self.target
         rhs = [x for a in range(self.through.source.dim) for x in c.reduce(targets[a])]
         rhs += [0] * (self._n_rows - len(rhs))
-        sol = self._snf.solve(rhs)
+        sol = self._system.solve(rhs)
         if sol is None:
             return None
         nb, nc = self.through.target.dim, c.dim
@@ -441,18 +455,6 @@ class Factorizer:
         if h is not None:
             assert h @ self.through == f, "solver returned a non-witness"
         return h
-
-
-def hom_solve(targets: Sequence, through: "GroupHom", target: FgAbGroup) -> Optional["GroupHom"]:
-    """Find h: through.target -> target with h(through(e_j)) = targets[j].
-
-    ``targets`` holds one element of ``target`` per source generator of
-    ``through``. Returns None when no such homomorphism exists. This is the
-    one integer linear system behind factorization, retraction search and
-    structure-map validation; ``Factorizer`` solves it for many right-hand
-    sides at once.
-    """
-    return Factorizer(through, target).solve(targets)
 
 
 def factor_through(f: GroupHom, g: GroupHom) -> Optional[GroupHom]:
@@ -484,17 +486,7 @@ def is_split_injective(f: GroupHom) -> tuple:
 
 def hom_kernel_lattice(f: GroupHom) -> IntMatrix:
     """Columns generating {x in Z^dim(A) : f(x) = 0 in B}."""
-    a, b = f.source, f.target
-    tt = len(b.torsion)
-    m = f.matrix
-    if tt:
-        slack = IntMatrix.from_columns(
-            [[b.torsion[i] if r == i else 0 for r in range(b.dim)] for i in range(tt)],
-            rows=b.dim)
-        m = m.hstack(slack)
-    ker = kernel_columns(m)
-    return IntMatrix.from_rows([ker.row(i) for i in range(a.dim)], cols=ker.cols) if ker.cols \
-        else IntMatrix.zeros(a.dim, 0)
+    return Congruences.spanning(f.target, f.matrix).kernel()
 
 
 def subgroup(ambient: FgAbGroup, generators: Sequence) -> tuple:
@@ -702,9 +694,6 @@ class HomGroup:
             per_gen.append(list(b.elements_killed_by(d)))
         for combo in itertools.product(*per_gen):
             yield GroupHom.from_columns(a, b, list(combo))
-
-    def count(self) -> Optional[int]:
-        return self.group.order()
 
 
 def hom_group(a: FgAbGroup, b: FgAbGroup) -> HomGroup:

@@ -132,26 +132,12 @@ class IntMatrix:
         return IntMatrix(self.rows, self.cols,
                          [[a - b for a, b in zip(r, s)] for r, s in zip(self.data, other.data)])
 
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, [[-a for a in r] for r in self.data])
-
     def scale(self, c: int) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols, [[c * a for a in r] for r in self.data])
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(self.cols, self.rows,
                          [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
-
-    def hstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.rows != other.rows:
-            raise ValueError("row count mismatch in hstack")
-        return IntMatrix(self.rows, self.cols + other.cols,
-                         [list(r) + list(s) for r, s in zip(self.data, other.data)])
-
-    def vstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.cols:
-            raise ValueError("column count mismatch in vstack")
-        return IntMatrix(self.rows + other.rows, self.cols, list(self.data) + list(other.data))
 
     # -- predicates -----------------------------------------------------
 
@@ -225,9 +211,6 @@ class SnfResult:
         n = min(self.d.rows, self.d.cols)
         return [self.d[i, i] for i in range(n)]
 
-    def rank(self) -> int:
-        return sum(1 for x in self.diagonal() if x != 0)
-
     def solve(self, rhs: Sequence[int]) -> Optional[tuple]:
         """One integer solution x of ``m @ x == rhs`` for the reduced ``m``, or None.
 
@@ -251,6 +234,12 @@ class SnfResult:
                     return None
                 z[i] = ci // d
         return self.v.mul_vec(z)
+
+    def kernel(self) -> IntMatrix:
+        """A basis of the integer kernel lattice of the reduced ``m``, as columns."""
+        n = min(self.d.rows, self.d.cols)
+        free = [j for j in range(self.d.cols) if j >= n or self.d[j, j] == 0]
+        return IntMatrix.from_columns([self.v.col(j) for j in free], rows=self.d.cols)
 
 
 def smith_normal_form(m: IntMatrix) -> SnfResult:
@@ -396,20 +385,7 @@ def solve_linear(m: IntMatrix, rhs: Sequence[int]) -> Optional[tuple]:
 
 def kernel_columns(m: IntMatrix) -> IntMatrix:
     """A basis of the integer kernel lattice of ``m``, as matrix columns."""
-    s = smith_normal_form(m)
-    n = min(m.rows, m.cols)
-    free = [j for j in range(m.cols) if j >= n or s.d[j, j] == 0]
-    return IntMatrix.from_columns([s.v.col(j) for j in free], rows=m.cols)
-
-
-def invariant_factors(m: IntMatrix) -> list:
-    """Nontrivial invariant factors of coker(m) acting on Z^rows.
-
-    Returns the diagonal of the SNF restricted to entries >= 2; the caller
-    reconstructs the free rank as ``rows - rank``.
-    """
-    s = smith_normal_form(m)
-    return [x for x in s.diagonal() if x >= 2]
+    return smith_normal_form(m).kernel()
 
 
 # -- sparse presentation reduction -------------------------------------

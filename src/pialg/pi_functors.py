@@ -22,10 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Optional
 
 from .errors import MissingTableData
-from .fgab import FgAbGroup, GroupHom, TRIVIAL, cyclic, tensor, tensor_induced
+from .fgab import Congruences, FgAbGroup, GroupHom, TRIVIAL, cyclic, tensor, tensor_induced
 from .quadratic import (
     QuadTensorResult,
     Z_GAMMA,
@@ -74,6 +75,11 @@ class GammaTildeResult:
         return GroupHom.from_columns(
             free_group(len(self.generators)), self.group,
             [g.element for g in self.generators])
+
+    @cached_property
+    def spanning(self) -> Congruences:
+        """Coefficients over the semantic generators: one reduction serves every element."""
+        return Congruences.spanning(self.group, self.generator_hom().matrix)
 
 
 def _eta_coefficient_group() -> FgAbGroup:

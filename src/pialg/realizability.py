@@ -47,11 +47,9 @@ from .errors import (
 from .fgab import (
     FgAbGroup,
     GroupHom,
-    CongruenceSystem,
     Factorizer,
     from_cyclic_orders,
     hom_group,
-    hom_solve,
     is_split_injective,
     kernel,
     mod_reduction,
@@ -63,7 +61,7 @@ from .fgab import (
 )
 from .intlinalg import IntMatrix
 from .pi_functors import GammaTildeResult, gamma_tilde
-from .tables import StableTables, admissible_gamma_completions
+from .tables import StableTables, admissible_gamma_completions, prime_factors
 
 
 class Status(str, Enum):
@@ -145,7 +143,7 @@ def build_structure_map(gt: GammaTildeResult, columns: Sequence[Sequence[int]],
         raise MalformedStructureMap(
             f"expected {len(gt.generators)} columns ({', '.join(gt.labels())}), "
             f"got {len(columns)}")
-    h = hom_solve(list(columns), gt.generator_hom(), target)
+    h = Factorizer(gt.generator_hom(), target).solve(list(columns))
     if h is None:
         raise MalformedStructureMap(
             "requested generator images do not define a homomorphism on "
@@ -158,13 +156,7 @@ def format_semantic(gt: GammaTildeResult, element: Sequence[int]) -> str:
     elem = gt.group.reduce(element)
     if all(x == 0 for x in elem):
         return "0"
-    m = len(gt.generators)
-    sys = CongruenceSystem(m)
-    for i in range(gt.group.dim):
-        coeffs = {j: gt.generators[j].element[i] for j in range(m)
-                  if gt.generators[j].element[i]}
-        sys.add(coeffs, elem[i], gt.group.coord_order(i))
-    sol = sys.solve()
+    sol = gt.spanning.solve(elem)
     if sol is None:
         return str(list(elem))
     terms = []
@@ -182,18 +174,17 @@ def format_semantic(gt: GammaTildeResult, element: Sequence[int]) -> str:
 
 
 def _forced_kill_generators(entry, tables: StableTables, k: int):
-    """(multiplier, name, element) for generators gamma must annihilate."""
+    """(multiplier, element) for generators gamma must annihilate."""
     cod = tables.em(k + 1)
     out = []
     for d, name in entry.summands:
         know = tables.gamma.get((k, name))
         if know is None:
             continue
-        m = know.kill_multiplier(cod)
-        eff = gcd(m, d) if d else m
-        if d and eff == d:
+        m = know.kill_multiplier(cod, d)
+        if d and m == d:
             continue  # kills only the whole cyclic summand's zero
-        out.append((eff, name, entry.element_of(name)))
+        out.append((m, entry.element_of(name)))
     return out
 
 
@@ -299,10 +290,7 @@ def check_stable(pa: TwoStagePiAlgebra, tables: StableTables,
     if k > n - 2:
         raise NotStableRange(f"k = {k} is not <= n - 2 = {n - 2}")
     entry = tables.q_stable_entry(k)
-    gt = reuse.gamma_tilde(n, k, pa.a_n)
-    if pa.eta.source != gt.group:
-        raise MalformedStructureMap(
-            f"eta is defined on {pa.eta.source}, but gamma_tilde is {gt.group}")
+    gt = _validated_gt(pa, tables, reuse)
     cod = tables.em(k + 1)
 
     if pa.eta.is_zero():
@@ -320,7 +308,7 @@ def check_stable(pa: TwoStagePiAlgebra, tables: StableTables,
     # partial), so only forced non-realizability is decidable.
     forced = _forced_kill_generators(entry, tables, k)
     dead_gens = []
-    for mult, _, q_elem in forced:
+    for mult, q_elem in forced:
         scaled = entry.group.smul(mult, q_elem)
         if not any(scaled):
             continue
@@ -374,8 +362,10 @@ def _check_stable_enumerating(pa: TwoStagePiAlgebra, gt: GammaTildeResult,
 # -- low stems and dispatch ----------------------------------------------
 
 
-def _validated_gt(pa: TwoStagePiAlgebra, tables: StableTables) -> GammaTildeResult:
-    gt = gamma_tilde(pa.n, pa.k, pa.a_n, tables)
+def _validated_gt(pa: TwoStagePiAlgebra, tables: StableTables,
+                  reuse: Optional[_StableReuse] = None) -> GammaTildeResult:
+    gt = (reuse.gamma_tilde(pa.n, pa.k, pa.a_n) if reuse is not None
+          else gamma_tilde(pa.n, pa.k, pa.a_n, tables))
     if pa.eta.source != gt.group:
         raise MalformedStructureMap(
             f"eta is defined on {pa.eta.source}, but gamma_tilde is {gt.group}")
@@ -475,8 +465,7 @@ def all_realizable_in_stem(k: int, tables: StableTables) -> StemVerdict:
         know = tables.gamma.get((k, name))
         if know is None:
             continue
-        mult = know.kill_multiplier(cod)
-        eff = gcd(mult, d) if d else mult
+        eff = know.kill_multiplier(cod, d)
         if d == 0 or eff < d:
             return StemVerdict(
                 k, StemAnswer.NO,
@@ -486,7 +475,7 @@ def all_realizable_in_stem(k: int, tables: StableTables) -> StemVerdict:
         orders = [d for d, _ in entry.summands]
         exact = all(
             (know := tables.gamma.get((k, name))) is not None
-            and know.state == "nonzero" and know.order == d and _is_prime(d)
+            and know.state == "nonzero" and know.order == d and list(prime_factors(d)) == [d]
             for d, name in entry.summands)
         coprime = all(gcd(a, b) == 1 for a, b in itertools.combinations(orders, 2))
         if exact and coprime:
@@ -496,17 +485,6 @@ def all_realizable_in_stem(k: int, tables: StableTables) -> StemVerdict:
                      "abelian torsion, which splits off")
     raise MissingTableData(
         f"cannot settle stem {k}: HZ_{k + 1}HZ is untabulated and no rule applies")
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return False
-        p += 1
-    return True
 
 
 # -- three-stage obstruction ----------------------------------------------

@@ -49,10 +49,12 @@ import json
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import gcd
 from typing import Dict, Iterator, Optional, Tuple
 
 from .errors import InconsistentTables, MissingTableData, TableFormatError
 from .fgab import (
+    Congruences,
     Factorizer,
     FgAbGroup,
     GroupHom,
@@ -127,22 +129,16 @@ class TabulatedGroup:
         """The map from the free group on the named generators onto the group."""
         return GroupHom(free_group(len(self.summands)), self.group, self._canon.quotient.matrix)
 
+    @cached_property
+    def _spanning(self) -> Congruences:
+        return Congruences.spanning(self.group, self._canon.quotient.matrix)
+
     def express(self, element) -> Optional[tuple]:
         """Coefficients over the named generators hitting ``element``, if any."""
-        from .intlinalg import solve_linear
-        elem = self.group.reduce(element)
-        m = self._canon.quotient.matrix
-        tt = len(self.group.torsion)
-        if tt:
-            slack = IntMatrix.from_columns(
-                [[self.group.torsion[i] if r == i else 0 for r in range(self.group.dim)]
-                 for i in range(tt)], rows=self.group.dim)
-            m = m.hstack(slack)
-        sol = solve_linear(m, list(elem))
+        sol = self._spanning.solve(self.group.reduce(element))
         if sol is None:
             return None
-        coeffs = sol[: len(self.summands)]
-        return tuple(c % d if d else c for c, (d, _) in zip(coeffs, self.summands))
+        return tuple(c % d if d else c for c, (d, _) in zip(sol, self.summands))
 
     def __str__(self) -> str:
         if not self.summands:
@@ -183,16 +179,22 @@ class GammaKnowledge:
             raise InconsistentTables("unknown(b) needs b >= 1")
         return GammaKnowledge("unknown", bound=int(bound))
 
-    def kill_multiplier(self, codomain: Optional[FgAbGroup]) -> int:
-        """Smallest m such that m * gamma(gen) = 0 in every admissible world."""
+    def kill_multiplier(self, codomain: Optional[FgAbGroup], order: int) -> int:
+        """Smallest m with m * gamma(gen) = 0 in every admissible world.
+
+        ``order`` is the generator's own order (0 for infinite), which also
+        annihilates its image.
+        """
         if self.state == "zero":
-            return 1
-        if self.state == "nonzero":
-            return self.order
-        if self.state == "unknown":
-            return self.bound
-        assert self.state == "known" and codomain is not None
-        return codomain.element_order(self.value) or 1
+            m = 1
+        elif self.state == "nonzero":
+            m = self.order
+        elif self.state == "unknown":
+            m = self.bound
+        else:
+            assert self.state == "known" and codomain is not None
+            m = codomain.element_order(self.value) or 1
+        return gcd(m, order) if order else m
 
     def __str__(self) -> str:
         if self.state == "known":
@@ -269,7 +271,7 @@ def validate_tables(t: StableTables) -> None:
         for m, g in t.em_homology.items():
             if g.torsion:
                 e = g.torsion[-1]
-                for p in _prime_factors(e):
+                for p in prime_factors(e):
                     if e % (p * p) == 0:
                         raise InconsistentTables(
                             f"em_homology[{m}] = {g} has p^2-torsion at p={p}; "
@@ -316,7 +318,8 @@ def validate_tables(t: StableTables) -> None:
                 f"pi product {i}.{ga} * {j}.{gb} needs {i + j}-stem coordinates")
 
 
-def _prime_factors(n: int) -> Iterator[int]:
+def prime_factors(n: int) -> Iterator[int]:
+    """The distinct primes dividing n, ascending; just n itself exactly when n is prime."""
     n = abs(n)
     p = 2
     while p * p <= n:
@@ -403,7 +406,7 @@ def alpha_family_overlay(p: int, i_max: int) -> StableTables:
     with bound p (p times it must die since the Eilenberg-MacLane torsion
     is annihilated by a single power of p).
     """
-    if p < 5 or any(p % q == 0 for q in range(2, p)):
+    if p < 5 or list(prime_factors(p)) != [p]:
         raise InconsistentTables("alpha_family_overlay expects a prime p >= 5; "
                                  "the 3-primary family ships with the defaults")
     defaults = load_defaults()
@@ -446,9 +449,6 @@ class GammaCompletion:
     stem: int
     assignment: tuple  # ((generator name, element coords in the codomain), ...)
     hom: GroupHom
-
-    def describe(self) -> str:
-        return ", ".join(f"γ({n}) = {list(v)}" for n, v in self.assignment) or "γ = 0"
 
 
 def _candidate_images(know: Optional[GammaKnowledge], d: int, cod: FgAbGroup) -> list:

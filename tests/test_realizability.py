@@ -1,5 +1,7 @@
 """The checker: verdicts, certificates, quantification over completions."""
 
+import itertools
+
 import pytest
 
 from pialg import (
@@ -345,6 +347,49 @@ def test_survey_reuse_matches_fresh_checks(tables, monkeypatch):
                for _, v in decided)
 
 
+def _verdicts_digest(verdicts) -> str:
+    import hashlib
+    import json
+    doc = json.dumps([verdict_to_json(v) for v in verdicts], sort_keys=True)
+    return hashlib.sha256(doc.encode()).hexdigest()
+
+
+def test_survey_verdict_bytes_pinned(tables, monkeypatch):
+    # Every verdict the 717-case stem-3 survey decides, witnesses and
+    # obstruction labels included, in decision order. Refactors of the
+    # solver path must keep these bytes.
+    from pialg import realizability
+    decided = []
+
+    def recording(pa, tables, _reuse=None):
+        v = check_stable(pa, tables, _reuse=_reuse)
+        decided.append(v)
+        return v
+
+    monkeypatch.setattr(realizability, "check_stable", recording)
+    survey_stem(3, tables, max_cyclic_order=6, max_summands=2,
+                targets=[cyclic(2), cyclic(4), cyclic(12)])
+    assert len(decided) == 717
+    assert _verdicts_digest(decided) == \
+        "2358f521fa366820cc7b7371b346dc06e404a79e73e55417c5b2954c5e6f940b"
+
+
+def test_certificate_mode_verdict_bytes_pinned(tables):
+    # Partially tabulated stems 7 and 11 decide in certificate mode; every
+    # eta is checked fresh, in hom_group order.
+    verdicts = []
+    for k in (7, 11):
+        for a_n in (Z, cyclic(3), cyclic(9), from_cyclic_orders([3, 9])):
+            gt = gamma_tilde(k + 2, k, a_n, tables)
+            for target in (cyclic(3), cyclic(9)):
+                for eta in hom_group(gt.group, target):
+                    verdicts.append(check_stable(
+                        TwoStagePiAlgebra(k + 2, k, a_n, target, eta), tables))
+    assert len(verdicts) == 102
+    assert _verdicts_digest(verdicts) == \
+        "fc44158304c4d4100334ff07c90227ac548d5d5560190f30d2b335fbeb920947"
+
+
 def test_survey_bounds_and_empty_targets(tables):
     with pytest.raises(BoundExceeded):
         survey_stem(3, tables, max_cyclic_order=6, max_summands=2,
@@ -397,6 +442,24 @@ def test_format_semantic(tables):
     assert format_semantic(gt, gt.group.smul(2, e.element_of("nu"))) == "2·nu"
     both = gt.group.add(e.element_of("nu"), e.element_of("alpha"))
     assert format_semantic(gt, both) in ("nu + alpha", "alpha + nu")
+    # Every element of a few finite gamma_tilde groups, labelled through one
+    # shared reduction per group, must read back as itself: parse each label
+    # into c·label terms and add c·generator without going near the solver.
+    for k, a_n in itertools.product((3, 7, 11), (from_cyclic_orders([4, 6]),
+                                                 from_cyclic_orders([3, 9]))):
+        gt = gamma_tilde(k + 2, k, a_n, tables)
+        by_label = {g.label[2:] if g.label.startswith("1⊗") else g.label: g.element
+                    for g in gt.generators}
+        elements = list(gt.group.elements())
+        assert len(elements) > 1
+        for x in elements:
+            label = format_semantic(gt, x)
+            assert not label.startswith("["), (k, a_n, x, label)
+            total = gt.group.zero()
+            for term in label.split(" + ") if label != "0" else ():
+                c, _, name = term.rpartition("·")
+                total = gt.group.add(total, gt.group.smul(int(c or 1), by_label[name]))
+            assert total == x, (k, a_n, x, label)
 
 
 def test_checker_against_exhaustive_factorization(tables):
