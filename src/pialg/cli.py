@@ -12,6 +12,7 @@ Exit codes for ``check``: 0 realizable, 1 non-realizable, 2 undetermined,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -27,6 +28,7 @@ from .quadratic import (
 )
 from .realizability import (
     ThreeStageProblem,
+    _StableReuse,
     check,
     group_to_json,
     problem_from_json,
@@ -151,11 +153,12 @@ def cmd_check(args) -> int:
     t0 = time.perf_counter()
     with open(args.problem, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    problem = problem_from_json(doc, tables)
+    reuse = _StableReuse(tables)  # one gamma_tilde for parsing and deciding
+    problem = problem_from_json(doc, tables, _reuse=reuse)
     if isinstance(problem, ThreeStageProblem):
         _, verdict = three_stage_obstruction(problem)
     else:
-        verdict = check(problem, tables)
+        verdict = check(problem, tables, _reuse=reuse)
     elapsed = time.perf_counter() - t0
     report = _report_skeleton(args, tables)
     report["elapsed_s"] = round(elapsed, 6)
@@ -291,9 +294,15 @@ def cmd_selftest(args) -> int:
     return 0 if n_fail == 0 else 3
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # The tree holds no per-call state (parse_args copies list defaults), so
+    # one per process serves every main() call.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     handlers = {
         "check": cmd_check,
         "gamma-tilde": cmd_gamma_tilde,

@@ -280,12 +280,9 @@ class GroupHom:
         if m.rows != self.target.dim or m.cols != self.source.dim:
             raise ValueError(
                 f"matrix is {m.rows}x{m.cols}, expected {self.target.dim}x{self.source.dim}")
-        tt = len(self.target.torsion)
-        reduced = [
-            [x % self.target.torsion[i] if i < tt else x for x in m.row(i)]
-            for i in range(m.rows)
-        ]
-        rm = IntMatrix(m.rows, m.cols, reduced)
+        tor = self.target.torsion
+        rm = IntMatrix._of(m.rows, m.cols, tuple(
+            tuple(x % tor[i] for x in r) if i < len(tor) else r for i, r in enumerate(m.data)))
         object.__setattr__(self, "matrix", rm)
         for j in range(self.source.dim):
             d = self.source.coord_order(j)
@@ -381,7 +378,7 @@ class Congruences:
     def kernel(self) -> IntMatrix:
         """Columns generating the solutions of the homogeneous system."""
         ker = self._snf.kernel()
-        return IntMatrix(self.n, ker.cols, ker.data[: self.n])
+        return IntMatrix._of(self.n, ker.cols, ker.data[: self.n])
 
 
 class Factorizer:

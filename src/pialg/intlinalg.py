@@ -11,8 +11,14 @@ overflow anywhere and no floating point.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
+
+
+def _check_dims(rows: int, cols: int) -> None:
+    if rows < 0 or cols < 0:
+        raise ValueError("negative matrix dimension")
 
 
 class IntMatrix:
@@ -32,14 +38,27 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, rows: int, cols: int, data: Sequence[Sequence[int]]):
-        if rows < 0 or cols < 0:
-            raise ValueError("negative matrix dimension")
+        _check_dims(rows, cols)
         tup = tuple(tuple(int(x) for x in r) for r in data)
         if len(tup) != rows or any(len(r) != cols for r in tup):
             raise ValueError(f"data does not match shape {rows}x{cols}")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "data", tup)
+
+    @classmethod
+    def _of(cls, rows: int, cols: int, data: tuple) -> "IntMatrix":
+        """Trusted construction, for data this package built itself.
+
+        ``data`` must already be a tuple of ``rows`` tuples of ``cols`` ints;
+        nothing is checked or copied. Anything read from outside goes
+        through the validating constructor instead.
+        """
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "data", data)
+        return m
 
     def __setattr__(self, *_):
         raise AttributeError("IntMatrix is immutable")
@@ -57,11 +76,14 @@ class IntMatrix:
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        _check_dims(n, n)
+        return IntMatrix._of(n, n, tuple(tuple(1 if i == j else 0 for j in range(n))
+                                         for i in range(n)))
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix(rows, cols, [[0] * cols for _ in range(rows)])
+        _check_dims(rows, cols)
+        return IntMatrix._of(rows, cols, ((0,) * cols,) * rows)
 
     @staticmethod
     def diagonal(entries: Sequence[int], rows: Optional[int] = None, cols: Optional[int] = None) -> "IntMatrix":
@@ -69,10 +91,27 @@ class IntMatrix:
         n = len(entries)
         rows = n if rows is None else rows
         cols = n if cols is None else cols
+        _check_dims(rows, cols)
         data = [[0] * cols for _ in range(rows)]
         for i, d in enumerate(entries):
-            data[i][i] = d
-        return IntMatrix(rows, cols, data)
+            data[i][i] = int(d)
+        return IntMatrix._of(rows, cols, tuple(map(tuple, data)))
+
+    @staticmethod
+    def from_json(rows: int, cols: int, doc) -> "IntMatrix":
+        """A matrix read from a JSON document: ``rows`` lists of ``cols`` integers.
+
+        The constructor converts entries with ``int()``, which reads 1.7 as 1
+        and "0" as 0; a document from outside must hold JSON integers only
+        (bools are refused too). Raises ValueError.
+        """
+        try:
+            bad = [x for r in doc for x in r if type(x) is not int]
+        except TypeError:
+            raise ValueError(f"expected a list of {rows} rows, got {doc!r}") from None
+        if bad:
+            raise ValueError(f"matrix entries must be JSON integers, got {bad[0]!r}")
+        return IntMatrix(rows, cols, doc)
 
     @staticmethod
     def from_columns(cols: Sequence[Sequence[int]], rows: Optional[int] = None) -> "IntMatrix":
@@ -115,7 +154,7 @@ class IntMatrix:
                     orow = other.data[k]
                     for j in range(ocols):
                         row_out[j] += a * orow[j]
-        return IntMatrix(self.rows, ocols, out)
+        return IntMatrix._of(self.rows, ocols, tuple(map(tuple, out)))
 
     def mul_vec(self, v: Sequence[int]) -> tuple:
         if len(v) != self.cols:
@@ -124,20 +163,23 @@ class IntMatrix:
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         self._same_shape(other)
-        return IntMatrix(self.rows, self.cols,
-                         [[a + b for a, b in zip(r, s)] for r, s in zip(self.data, other.data)])
+        return IntMatrix._of(self.rows, self.cols,
+                             tuple(tuple(a + b for a, b in zip(r, s))
+                                   for r, s in zip(self.data, other.data)))
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         self._same_shape(other)
-        return IntMatrix(self.rows, self.cols,
-                         [[a - b for a, b in zip(r, s)] for r, s in zip(self.data, other.data)])
+        return IntMatrix._of(self.rows, self.cols,
+                             tuple(tuple(a - b for a, b in zip(r, s))
+                                   for r, s in zip(self.data, other.data)))
 
     def scale(self, c: int) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, [[c * a for a in r] for r in self.data])
+        c = operator.index(c)
+        return IntMatrix._of(self.rows, self.cols, tuple(tuple(c * a for a in r) for r in self.data))
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows,
-                         [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
+        return IntMatrix._of(self.cols, self.rows,
+                             tuple(zip(*self.data)) if self.rows else ((),) * self.cols)
 
     # -- predicates -----------------------------------------------------
 
@@ -239,7 +281,8 @@ class SnfResult:
         """A basis of the integer kernel lattice of the reduced ``m``, as columns."""
         n = min(self.d.rows, self.d.cols)
         free = [j for j in range(self.d.cols) if j >= n or self.d[j, j] == 0]
-        return IntMatrix.from_columns([self.v.col(j) for j in free], rows=self.d.cols)
+        return IntMatrix._of(self.d.cols, len(free),
+                             tuple(tuple(r[j] for j in free) for r in self.v.data))
 
 
 def smith_normal_form(m: IntMatrix) -> SnfResult:
@@ -252,10 +295,11 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
     """
     rows, cols = m.rows, m.cols
     a = m.to_lists()
-    u = IntMatrix.identity(rows).to_lists()
-    uinv = IntMatrix.identity(rows).to_lists()
-    v = IntMatrix.identity(cols).to_lists()
-    vinv = IntMatrix.identity(cols).to_lists()
+
+    def identity(n):
+        return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    u, uinv, v, vinv = identity(rows), identity(rows), identity(cols), identity(cols)
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -365,13 +409,11 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
             if t >= rows or t >= cols:
                 break
 
-    return SnfResult(
-        u=IntMatrix(rows, rows, u),
-        d=IntMatrix(rows, cols, a),
-        v=IntMatrix(cols, cols, v),
-        u_inv=IntMatrix(rows, rows, uinv),
-        v_inv=IntMatrix(cols, cols, vinv),
-    )
+    def frozen(r, c, data):
+        return IntMatrix._of(r, c, tuple(map(tuple, data)))
+
+    return SnfResult(u=frozen(rows, rows, u), d=frozen(rows, cols, a), v=frozen(cols, cols, v),
+                     u_inv=frozen(rows, rows, uinv), v_inv=frozen(cols, cols, vinv))
 
 
 def solve_linear(m: IntMatrix, rhs: Sequence[int]) -> Optional[tuple]:

@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from .errors import BoundExceeded
+from .errors import BoundExceeded, MalformedStructureMap
 from .fgab import (
     FgAbGroup,
     GroupHom,
@@ -484,6 +484,9 @@ def quadratic_module_to_json(m: QuadraticModule) -> dict:
 def quadratic_module_from_json(doc: dict) -> QuadraticModule:
     me = FgAbGroup(int(doc["Me"]["rank"]), tuple(doc["Me"].get("torsion", ())))
     mee = FgAbGroup(int(doc["Mee"]["rank"]), tuple(doc["Mee"].get("torsion", ())))
-    h = GroupHom(me, mee, IntMatrix(mee.dim, me.dim, doc["H"]))
-    p = GroupHom(mee, me, IntMatrix(me.dim, mee.dim, doc["P"]))
+    try:
+        h = GroupHom(me, mee, IntMatrix.from_json(mee.dim, me.dim, doc["H"]))
+        p = GroupHom(mee, me, IntMatrix.from_json(me.dim, mee.dim, doc["P"]))
+    except ValueError as exc:
+        raise MalformedStructureMap(f"quadratic module: {exc}")
     return QuadraticModule(me, mee, h, p)

@@ -233,10 +233,12 @@ class _StableReuse:
     """The eta-independent work of ``check_stable`` for one tables object.
 
     ``survey_stem`` keeps one for the length of a call and passes it to
-    every ``check_stable``; a lone ``check_stable`` builds its own. It holds
-    the completions once per stem; gamma_tilde, A_n ⊗ HZ_{k+1}HZ and each
-    gamma_c ⊗ A_n once per A_n; a ``Factorizer`` per (A_n, completion,
-    target); and the kernel inclusion of the stacked gammas once per A_n.
+    every ``check_stable``; ``pialg check`` keeps one for one problem, from
+    ``problem_from_json`` through ``check``; a lone call builds its own. It
+    holds the completions once per stem; gamma_tilde, A_n ⊗ HZ_{k+1}HZ and
+    each gamma_c ⊗ A_n once per A_n; a ``Factorizer`` per (A_n, completion,
+    target); and, once per A_n, the kernel inclusion of the stacked gammas
+    and certificate mode's forced-dead subgroup.
     """
 
     def __init__(self, tables: StableTables):
@@ -280,17 +282,44 @@ class _StableReuse:
             return kernel(stacked)[1]
         return self._get(("dead", n, k, _key(a_n)), build)
 
+    def forced_dead_inclusion(self, n: int, k: int, a_n: FgAbGroup) -> Optional[GroupHom]:
+        """Certificate mode's subgroup every admissible gamma must kill, or None.
+
+        It is spanned by x ⊗ m·q for each canonical generator x of A_n and
+        each forced kill (m, q) of the tables; None when nothing is forced.
+        """
+        def build():
+            entry = self.tables.q_stable_entry(k)
+            gt = self.gamma_tilde(n, k, a_n)
+            dead_gens = []
+            for mult, q_elem in _forced_kill_generators(entry, self.tables, k):
+                scaled = entry.group.smul(mult, q_elem)
+                if not any(scaled):
+                    continue
+                for i in range(a_n.dim):
+                    unit = [1 if r == i else 0 for r in range(a_n.dim)]
+                    dead_gens.append(gt._tensor.pure(unit, scaled))
+            return subgroup(gt.group, dead_gens)[1] if dead_gens else None
+        return self._get(("forced_dead", n, k, _key(a_n)), build)
+
+
+def _reuse_for(tables: StableTables, reuse: Optional[_StableReuse]) -> _StableReuse:
+    """The caller's reuse context, or a fresh one scoped to this call."""
+    if reuse is None:
+        return _StableReuse(tables)
+    assert reuse.tables is tables, "a reuse context serves one tables object"
+    return reuse
+
 
 def check_stable(pa: TwoStagePiAlgebra, tables: StableTables,
                  _reuse: Optional[_StableReuse] = None) -> Verdict:
     """Decide a stable problem (k <= n - 2) by quantifying over completions."""
-    reuse = _reuse if _reuse is not None else _StableReuse(tables)
-    assert reuse.tables is tables, "a reuse context serves one tables object"
+    reuse = _reuse_for(tables, _reuse)
     n, k = pa.n, pa.k
     if k > n - 2:
         raise NotStableRange(f"k = {k} is not <= n - 2 = {n - 2}")
     entry = tables.q_stable_entry(k)
-    gt = _validated_gt(pa, tables, reuse)
+    gt = _validated_gt(pa, reuse)
     cod = tables.em(k + 1)
 
     if pa.eta.is_zero():
@@ -306,18 +335,8 @@ def check_stable(pa: TwoStagePiAlgebra, tables: StableTables,
 
     # Certificate mode: the codomain is not tabulated (or the stem is
     # partial), so only forced non-realizability is decidable.
-    forced = _forced_kill_generators(entry, tables, k)
-    dead_gens = []
-    for mult, q_elem in forced:
-        scaled = entry.group.smul(mult, q_elem)
-        if not any(scaled):
-            continue
-        tp = gt._tensor
-        for i in range(pa.a_n.dim):
-            unit = [1 if r == i else 0 for r in range(pa.a_n.dim)]
-            dead_gens.append(tp.pure(unit, scaled))
-    if dead_gens:
-        dead, incl = subgroup(gt.group, dead_gens)
+    incl = reuse.forced_dead_inclusion(n, k, pa.a_n)
+    if incl is not None:
         obs = _obstruction_from_dead(pa, gt, incl,
                                      note="killed by every admissible completion")
         if obs is not None:
@@ -362,43 +381,49 @@ def _check_stable_enumerating(pa: TwoStagePiAlgebra, gt: GammaTildeResult,
 # -- low stems and dispatch ----------------------------------------------
 
 
-def _validated_gt(pa: TwoStagePiAlgebra, tables: StableTables,
-                  reuse: Optional[_StableReuse] = None) -> GammaTildeResult:
-    gt = (reuse.gamma_tilde(pa.n, pa.k, pa.a_n) if reuse is not None
-          else gamma_tilde(pa.n, pa.k, pa.a_n, tables))
+def _validated_gt(pa: TwoStagePiAlgebra, reuse: _StableReuse) -> GammaTildeResult:
+    gt = reuse.gamma_tilde(pa.n, pa.k, pa.a_n)
     if pa.eta.source != gt.group:
         raise MalformedStructureMap(
             f"eta is defined on {pa.eta.source}, but gamma_tilde is {gt.group}")
     return gt
 
 
-def check_k1(pa: TwoStagePiAlgebra, tables: StableTables) -> Verdict:
+def check_k1(pa: TwoStagePiAlgebra, tables: StableTables,
+             _reuse: Optional[_StableReuse] = None) -> Verdict:
     """Degrees (n, n+1): always realizable once eta is well-formed."""
     if pa.k != 1:
         raise ValueError("check_k1 expects k = 1")
-    _validated_gt(pa, tables)
+    _validated_gt(pa, _reuse_for(tables, _reuse))
     return Verdict(Status.REALIZABLE,
                    note="all systems concentrated in consecutive degrees are realizable")
 
 
-def check_k2(pa: TwoStagePiAlgebra, tables: StableTables) -> Verdict:
+def check_k2(pa: TwoStagePiAlgebra, tables: StableTables,
+             _reuse: Optional[_StableReuse] = None) -> Verdict:
     """Degrees (n, n+2): always realizable once eta is well-formed."""
     if pa.k != 2:
         raise ValueError("check_k2 expects k = 2")
-    _validated_gt(pa, tables)
+    _validated_gt(pa, _reuse_for(tables, _reuse))
     return Verdict(Status.REALIZABLE,
                    note="all systems concentrated in degrees n, n+2 are realizable")
 
 
-def check(pa: TwoStagePiAlgebra, tables: StableTables) -> Verdict:
-    """Dispatch on the regime of (n, k)."""
+def check(pa: TwoStagePiAlgebra, tables: StableTables,
+          _reuse: Optional[_StableReuse] = None) -> Verdict:
+    """Dispatch on the regime of (n, k).
+
+    ``_reuse`` is the context ``problem_from_json`` was given, if any, so
+    that a problem's gamma_tilde is computed once.
+    """
+    reuse = _reuse_for(tables, _reuse)
     if pa.k == 1:
-        return check_k1(pa, tables)
+        return check_k1(pa, tables, _reuse=reuse)
     if pa.k == 2:
-        return check_k2(pa, tables)
+        return check_k2(pa, tables, _reuse=reuse)
     if pa.k <= pa.n - 2:
-        return check_stable(pa, tables)
-    gt = _validated_gt(pa, tables)
+        return check_stable(pa, tables, _reuse=reuse)
+    gt = _validated_gt(pa, reuse)
     if gt.group.is_trivial:
         return Verdict(Status.REALIZABLE, note="trivial operations; a product of "
                                                "Eilenberg-MacLane spaces realizes it")
@@ -625,7 +650,7 @@ def hom_to_json(h: GroupHom) -> dict:
 def hom_from_json(doc: dict) -> GroupHom:
     src = group_from_json(doc["source"])
     tgt = group_from_json(doc["target"])
-    return GroupHom(src, tgt, IntMatrix(tgt.dim, src.dim, doc["matrix"]))
+    return _hom_from_json_matrix(doc["matrix"], src, tgt, "homomorphism matrix")
 
 
 def verdict_to_json(v: Verdict) -> dict:
@@ -702,36 +727,39 @@ def _problem_fields(doc, int_minima: dict, group_keys: tuple, other_keys: tuple)
     raise ProblemFormatError(f"malformed problem file: {problem}")
 
 
-def problem_from_json(doc: dict, tables: StableTables):
+def problem_from_json(doc: dict, tables: StableTables,
+                      _reuse: Optional[_StableReuse] = None):
     """Parse a problem file into a two- or three-stage problem.
 
     Two-stage files: {"n", "k", "A_n", "A_nk", "eta"} with eta columns
     indexed by the documented gamma_tilde generator order. Three-stage
     files: {"n", "A_n", "A_n1", "A_n2", "eta1", "eta2"} with the columns
-    indexed by the mod-2 reductions of A_n and A_{n+1}.
+    indexed by the mod-2 reductions of A_n and A_{n+1}. Matrix entries
+    must be JSON integers. Pass the same ``_reuse`` to ``check`` to compute
+    gamma_tilde once.
     """
     if isinstance(doc, dict) and ("A_n2" in doc or "eta2" in doc):
         (n,), (a_n, a_n1, a_n2) = _problem_fields(doc, {"n": 4}, ("A_n", "A_n1", "A_n2"),
                                                   ("eta1", "eta2"))
         tp1, _ = mod_reduction(a_n, 2)
         tp2, _ = mod_reduction(a_n1, 2)
-        eta1 = _hom_from_columns_json(doc["eta1"], tp1.group, a_n1)
-        eta2 = _hom_from_columns_json(doc["eta2"], tp2.group, a_n2)
+        eta1 = _hom_from_json_matrix(doc["eta1"], tp1.group, a_n1, "malformed problem file: eta1")
+        eta2 = _hom_from_json_matrix(doc["eta2"], tp2.group, a_n2, "malformed problem file: eta2")
         return ThreeStageProblem(n, a_n, a_n1, a_n2, eta1, eta2)
     (n, k), (a_n, a_nk) = _problem_fields(doc, {"n": 2, "k": 1}, ("A_n", "A_nk"), ("eta",))
-    gt = gamma_tilde(n, k, a_n, tables)
+    gt = _reuse_for(tables, _reuse).gamma_tilde(n, k, a_n)
     try:
-        m = IntMatrix(a_nk.dim, len(gt.generators), doc["eta"])
-    except (TypeError, ValueError) as exc:
+        m = IntMatrix.from_json(a_nk.dim, len(gt.generators), doc["eta"])
+    except ValueError as exc:
         raise MalformedStructureMap(
-            f"eta must be a {a_nk.dim}x{len(gt.generators)} matrix with columns "
-            f"{', '.join(gt.labels())}: {exc}")
-    eta = build_structure_map(gt, [list(m.col(j)) for j in range(m.cols)], a_nk)
+            f"malformed problem file: eta must be a {a_nk.dim}x{len(gt.generators)} matrix "
+            f"with columns {', '.join(gt.labels())}: {exc}")
+    eta = build_structure_map(gt, m.columns(), a_nk)
     return TwoStagePiAlgebra(n, k, a_n, a_nk, eta)
 
 
-def _hom_from_columns_json(matrix, source: FgAbGroup, target: FgAbGroup) -> GroupHom:
+def _hom_from_json_matrix(matrix, source: FgAbGroup, target: FgAbGroup, what: str) -> GroupHom:
     try:
-        return GroupHom(source, target, IntMatrix(target.dim, source.dim, matrix))
-    except (TypeError, ValueError) as exc:
-        raise MalformedStructureMap(str(exc))
+        return GroupHom(source, target, IntMatrix.from_json(target.dim, source.dim, matrix))
+    except ValueError as exc:
+        raise MalformedStructureMap(f"{what}: {exc}")

@@ -52,7 +52,7 @@ from functools import cached_property
 from math import gcd
 from typing import Dict, Iterator, Optional, Tuple
 
-from .errors import InconsistentTables, MissingTableData, TableFormatError
+from .errors import InconsistentTables, MalformedStructureMap, MissingTableData, TableFormatError
 from .fgab import (
     Congruences,
     Factorizer,
@@ -635,7 +635,7 @@ def loads_tables(text: str, name: str = "<string>") -> StableTables:
             if str(exc).startswith(f"{name}:"):
                 raise
             fail(str(exc))
-        except (ValueError, KeyError) as exc:
+        except (ValueError, KeyError, MalformedStructureMap) as exc:
             fail(str(exc))
     return StableTables(provenance=(name,), **fields)
 

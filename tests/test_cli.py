@@ -1,11 +1,13 @@
 """CLI: exit codes, report round-trips, determinism."""
 
 import json
+import re
 
 import pytest
 
-from pialg import check, load_tables, problem_from_json, verdict_from_json
+from pialg import check, load_tables, problem_from_json, realizability, verdict_from_json
 from pialg.cli import main
+from pialg.pi_functors import gamma_tilde
 
 SMALLEST = {
     "n": 5, "k": 3,
@@ -51,13 +53,17 @@ def test_check_exit_codes(problem_file, capsys):
     assert code == 3 and "error" in err
 
 
+THREE_STAGE = {
+    "n": 4,
+    "A_n": {"rank": 0, "torsion": [2]},
+    "A_n1": {"rank": 0, "torsion": [2]},
+    "A_n2": {"rank": 0, "torsion": [2]},
+    "eta1": [[1]], "eta2": [[1]],
+}
+
+
 def test_check_three_stage(problem_file, capsys):
-    doc = {"n": 4,
-           "A_n": {"rank": 0, "torsion": [2]},
-           "A_n1": {"rank": 0, "torsion": [2]},
-           "A_n2": {"rank": 0, "torsion": [2]},
-           "eta1": [[1]], "eta2": [[1]]}
-    code, out, _ = run(capsys, ["check", problem_file(doc, "t.json")])
+    code, out, _ = run(capsys, ["check", problem_file(THREE_STAGE, "t.json")])
     assert code == 1 and "non-realizable" in out
 
 
@@ -87,8 +93,13 @@ def test_check_with_overlay(problem_file, tmp_path, capsys):
     dict(SMALLEST, A_n={"rank": 0, "torsion": [4, 2]}),
     dict(SMALLEST, n=5.5),
     dict(SMALLEST, A_nk={"rank": 0, "torsion": [4.5]}),
+    {"n": 5, "k": 3, "A_n": {"rank": 0, "torsion": [2]}, "A_nk": {"rank": 0, "torsion": [2]},
+     "eta": [[1.7, "0"]]},
+    dict(SMALLEST, eta=[[1, "0"]]),
+    dict(SMALLEST, eta=[[True, 0]]),
+    dict(THREE_STAGE, eta1=[[1.0]]),
 ], ids=["missing-n", "top-level-array", "torsion-not-a-chain", "fractional-n",
-        "fractional-torsion"])
+        "fractional-torsion", "fractional-eta", "string-eta", "bool-eta", "fractional-eta1"])
 def test_malformed_problem_files_exit_three(problem_file, capsys, doc):
     code, _, err = run(capsys, ["check", problem_file(doc)])
     assert code == 3 and "malformed problem file" in err
@@ -101,6 +112,55 @@ def test_determinism(problem_file, capsys):
     r1, r2 = json.loads(out1), json.loads(out2)
     del r1["elapsed_s"], r2["elapsed_s"]
     assert r1 == r2
+
+
+def _without_elapsed(out):
+    return re.sub(r'"elapsed_s": [0-9.e-]+', '"elapsed_s": _', out)
+
+
+def test_repeated_main_calls_in_one_process(problem_file, capsys):
+    # main() reuses one parser per process; later calls must not see earlier ones.
+    argvs = [["check", problem_file(SMALLEST), "--format", "machine"],
+             ["check", problem_file(THREE_STAGE, "t.json")],
+             ["gamma-tilde", "--n", "5", "--k", "3", "--group", "Z/4", "--format", "machine"],
+             ["tables", "show", "--stem", "3"]]
+    first = [run(capsys, argv) for argv in argvs]
+    for _ in range(2):
+        for argv, (code, out, err) in zip(argvs, first):
+            again = run(capsys, argv)
+            assert again[0] == code and again[2] == err
+            assert _without_elapsed(again[1]) == _without_elapsed(out)
+
+
+def test_tables_overlay_does_not_leak_into_next_call(problem_file, tmp_path, capsys):
+    path = problem_file(dict(SMALLEST, A_nk={"rank": 0, "torsion": [2]}, eta=[[1, 0]]))
+    overlay = tmp_path / "fix.tbl"
+    overlay.write_text("[gamma]\n3.nu = known [3]\n")
+    code, out, _ = run(capsys, ["check", path, "--tables", str(overlay), "--format", "machine"])
+    assert code == 0 and json.loads(out)["tables"] == ["defaults", str(overlay)]
+    code, out, _ = run(capsys, ["check", path, "--format", "machine"])
+    assert code == 2 and json.loads(out)["tables"] == ["defaults"]
+
+
+def test_check_computes_gamma_tilde_once(problem_file, capsys, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return gamma_tilde(*args)
+
+    monkeypatch.setattr(realizability, "gamma_tilde", counting)
+    code, _, _ = run(capsys, ["check", problem_file(SMALLEST)])
+    assert code == 1 and len(calls) == 1
+
+
+def test_module_file_entries_must_be_integers(tmp_path, capsys):
+    mod = tmp_path / "m.json"
+    mod.write_text(json.dumps({"Me": {"rank": 0, "torsion": [2]},
+                               "Mee": {"rank": 1, "torsion": []},
+                               "H": [[0.0]], "P": [[0]]}))
+    code, _, err = run(capsys, ["quad-tensor", "--group", "Z/2", "--module", f"@{mod}"])
+    assert code == 3 and "JSON integers" in err
 
 
 def test_output_flag(problem_file, tmp_path, capsys):

@@ -73,6 +73,27 @@ matrices = st.integers(0, 4).flatmap(
             min_size=r, max_size=r).map(lambda rows: IntMatrix(r, c, rows))))
 
 
+def matrices_of(rows, cols):
+    return st.lists(st.lists(st.integers(-30, 30), min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows).map(lambda data: IntMatrix(rows, cols, data))
+
+
+@given(matrices, st.data(), st.integers(-5, 5), st.integers(0, 4), st.integers(0, 4))
+@settings(max_examples=200, deadline=None)
+def test_trusted_construction_equals_validated(m, data, c, n, k):
+    same = data.draw(matrices_of(m.rows, m.cols))
+    right = data.draw(matrices_of(m.cols, k))
+    diag = data.draw(st.lists(st.integers(-30, 30), max_size=min(m.rows, m.cols)))
+    s = smith_normal_form(m)
+    for out in (m * right, m + same, m - same, m.scale(c), m.transpose(),
+                IntMatrix.identity(n), IntMatrix.zeros(m.rows, m.cols),
+                IntMatrix.diagonal(diag, rows=m.rows, cols=m.cols), IntMatrix.diagonal(diag),
+                s.u, s.d, s.v, s.u_inv, s.v_inv, s.kernel()):
+        assert type(out.data) is tuple and all(type(r) is tuple for r in out.data)
+        assert all(type(x) is int for r in out.data for x in r)
+        assert out == IntMatrix(out.rows, out.cols, out.data)
+
+
 @given(matrices)
 @settings(max_examples=300, deadline=None)
 def test_snf_properties(m):
