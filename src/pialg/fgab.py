@@ -199,6 +199,19 @@ def from_cyclic_orders(orders: Sequence[int], labels: Optional[Sequence[str]] = 
     return grp
 
 
+def group_from_json(doc: dict) -> FgAbGroup:
+    """A group read from ``{"rank": r, "torsion": [...], "labels": [...]}``.
+
+    Rank and torsion must be JSON integers; a missing rank or torsion reads
+    as 0 or (). Raises ValueError (or TypeError, AttributeError for a
+    document of the wrong shape).
+    """
+    rank, torsion = doc.get("rank", 0), tuple(doc.get("torsion", ()))
+    if type(rank) is not int or any(type(d) is not int for d in torsion):
+        raise ValueError(f"rank and torsion must be integers, got {rank!r} and {list(torsion)!r}")
+    return FgAbGroup(rank, torsion, tuple(doc["labels"]) if "labels" in doc else None)
+
+
 # -- presentations ------------------------------------------------------
 
 

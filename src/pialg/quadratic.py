@@ -45,6 +45,7 @@ from .fgab import (
     Z,
     canonicalize_full,
     cyclic,
+    group_from_json,
     multiplication_by,
 )
 from .intlinalg import IntMatrix, cokernel_invariants_sparse
@@ -482,11 +483,16 @@ def quadratic_module_to_json(m: QuadraticModule) -> dict:
 
 
 def quadratic_module_from_json(doc: dict) -> QuadraticModule:
-    me = FgAbGroup(int(doc["Me"]["rank"]), tuple(doc["Me"].get("torsion", ())))
-    mee = FgAbGroup(int(doc["Mee"]["rank"]), tuple(doc["Mee"].get("torsion", ())))
+    """The inverse of ``quadratic_module_to_json``; raises MalformedStructureMap."""
     try:
-        h = GroupHom(me, mee, IntMatrix.from_json(mee.dim, me.dim, doc["H"]))
-        p = GroupHom(mee, me, IntMatrix.from_json(me.dim, mee.dim, doc["P"]))
+        me, mee, h, p = group_from_json(doc["Me"]), group_from_json(doc["Mee"]), doc["H"], doc["P"]
+    except KeyError as exc:
+        raise MalformedStructureMap(f"quadratic module: missing {exc}")
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise MalformedStructureMap(f"quadratic module: Me and Mee must be groups: {exc}")
+    try:
+        h = GroupHom(me, mee, IntMatrix.from_json(mee.dim, me.dim, h))
+        p = GroupHom(mee, me, IntMatrix.from_json(me.dim, mee.dim, p))
     except ValueError as exc:
         raise MalformedStructureMap(f"quadratic module: {exc}")
     return QuadraticModule(me, mee, h, p)

@@ -49,6 +49,7 @@ from .fgab import (
     GroupHom,
     Factorizer,
     from_cyclic_orders,
+    group_from_json,
     hom_group,
     is_split_injective,
     kernel,
@@ -633,13 +634,6 @@ def group_to_json(g: FgAbGroup) -> dict:
     if g.gen_labels is not None:
         doc["labels"] = list(g.gen_labels)
     return doc
-
-
-def group_from_json(doc: dict) -> FgAbGroup:
-    rank, torsion = doc.get("rank", 0), tuple(doc.get("torsion", ()))
-    if type(rank) is not int or any(type(d) is not int for d in torsion):
-        raise ValueError(f"rank and torsion must be integers, got {rank!r} and {list(torsion)!r}")
-    return FgAbGroup(rank, torsion, tuple(doc["labels"]) if "labels" in doc else None)
 
 
 def hom_to_json(h: GroupHom) -> dict:

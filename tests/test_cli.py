@@ -155,12 +155,19 @@ def test_check_computes_gamma_tilde_once(problem_file, capsys, monkeypatch):
 
 
 def test_module_file_entries_must_be_integers(tmp_path, capsys):
+    good = {"Me": {"rank": 0, "torsion": [2]}, "Mee": {"rank": 1, "torsion": []},
+            "H": [[0]], "P": [[0]]}
     mod = tmp_path / "m.json"
-    mod.write_text(json.dumps({"Me": {"rank": 0, "torsion": [2]},
-                               "Mee": {"rank": 1, "torsion": []},
-                               "H": [[0.0]], "P": [[0]]}))
-    code, _, err = run(capsys, ["quad-tensor", "--group", "Z/2", "--module", f"@{mod}"])
-    assert code == 3 and "JSON integers" in err
+    for key, value, message in (("H", [[0.0]], "JSON integers"),
+                                ("Me", {"rank": 1.5, "torsion": [2]}, "must be integers"),
+                                ("Me", {"rank": 0, "torsion": [2.5]}, "must be integers"),
+                                ("Mee", None, "missing 'Mee'")):
+        doc = dict(good, **{key: value})
+        if value is None:
+            del doc[key]
+        mod.write_text(json.dumps(doc))
+        code, _, err = run(capsys, ["quad-tensor", "--group", "Z/2", "--module", f"@{mod}"])
+        assert code == 3 and message in err, (key, value, code, err)
 
 
 def test_output_flag(problem_file, tmp_path, capsys):

@@ -110,6 +110,46 @@ def test_solve_linear_finds_constructed_solutions(m, data):
     assert m.mul_vec(sol) == tuple(b)
 
 
+def _seeded(seed, rows, cols, bound=100):
+    rng = random.Random(seed)
+    return [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
+
+
+def test_snf_matches_sympy_invariant_factors():
+    # An independent oracle: SymPy's invariant factors, on dense, rectangular
+    # and rank-deficient inputs.
+    pytest.importorskip("sympy")
+    from sympy import Matrix, ZZ
+    from sympy.matrices.normalforms import invariant_factors
+
+    cases = [_seeded(n, n, n) for n in range(1, 13)]
+    cases += [_seeded(100 + r * 13 + c, r, c) for r, c in ((3, 7), (7, 3), (5, 12), (12, 5), (1, 9))]
+    for seed in range(3):
+        dense = _seeded(200 + seed, 6, 8)
+        cases.append(dense[:5] + [dense[1]])  # a duplicated row
+        cases.append([r[:3] + [0] + r[4:] for r in dense])  # a zero column
+        cases.append([[x * (seed + 2) for x in r] for r in dense[:3]] + dense[3:5] * 2)
+    for data in cases:
+        m = IntMatrix(len(data), len(data[0]), data)
+        s = smith_normal_form(m)
+        assert_valid_snf(m, s)
+        theirs = [int(x) for x in invariant_factors(Matrix(data), domain=ZZ) if x != 0]
+        assert [x for x in s.diagonal() if x] == theirs, data
+
+
+@pytest.mark.parametrize("n", [24, 32])
+def test_snf_witness_growth_is_bounded(n):
+    # Kannan-Bachem reduction keeps u, v and their inverses within a small
+    # multiple of the size of |det m|; plain elimination reaches 18x and 29x
+    # here.
+    m = IntMatrix(n, n, _seeded(n, n, n))
+    s = smith_normal_form(m)
+    assert s.u * m * s.v == s.d
+    bound = 3 * len(str(abs(m.det())))
+    for w in (s.u, s.v, s.u_inv, s.v_inv):
+        assert max(len(str(abs(x))) for r in w.data for x in r) <= bound
+
+
 def test_solve_linear_reports_unsolvable():
     m = IntMatrix.from_rows([[2, 0], [0, 3]])
     assert solve_linear(m, (1, 0)) is None
