@@ -28,7 +28,6 @@ from .quadratic import (
 )
 from .realizability import (
     ThreeStageProblem,
-    _StableReuse,
     check,
     group_to_json,
     problem_from_json,
@@ -153,12 +152,11 @@ def cmd_check(args) -> int:
     t0 = time.perf_counter()
     with open(args.problem, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    reuse = _StableReuse(tables)  # one gamma_tilde for parsing and deciding
-    problem = problem_from_json(doc, tables, _reuse=reuse)
+    problem = problem_from_json(doc, tables)
     if isinstance(problem, ThreeStageProblem):
         _, verdict = three_stage_obstruction(problem)
     else:
-        verdict = check(problem, tables, _reuse=reuse)
+        verdict = check(problem, tables)
     elapsed = time.perf_counter() - t0
     report = _report_skeleton(args, tables)
     report["elapsed_s"] = round(elapsed, 6)

@@ -488,20 +488,6 @@ def _hermite(a: list, t: list, ti: list, ncols: int) -> list:
     return [a[k] for k in order]
 
 
-def solve_linear(m: IntMatrix, rhs: Sequence[int]) -> Optional[tuple]:
-    """One integer solution x of ``m @ x == rhs``, or None if there is none.
-
-    Which solution is returned is unspecified beyond being deterministic
-    (the particular solution read off the Smith normal form).
-    """
-    return smith_normal_form(m).solve(rhs)
-
-
-def kernel_columns(m: IntMatrix) -> IntMatrix:
-    """A basis of the integer kernel lattice of ``m``, as matrix columns."""
-    return smith_normal_form(m).kernel()
-
-
 # -- sparse presentation reduction -------------------------------------
 #
 # The brute-force quadratic-tensor oracle instantiates relations over all

@@ -231,20 +231,20 @@ def _key(g: FgAbGroup) -> tuple:
 
 
 class _StableReuse:
-    """The eta-independent work of ``check_stable`` for one tables object.
+    """The eta-independent work of ``check_stable``, memoized on its tables.
 
-    ``survey_stem`` keeps one for the length of a call and passes it to
-    every ``check_stable``; ``pialg check`` keeps one for one problem, from
-    ``problem_from_json`` through ``check``; a lone call builds its own. It
-    holds the completions once per stem; gamma_tilde, A_n ⊗ HZ_{k+1}HZ and
-    each gamma_c ⊗ A_n once per A_n; a ``Factorizer`` per (A_n, completion,
+    That work is a function of the tables and (n, k, A_n, target) alone, so
+    it lives in the tables object's memo for as long as the object does;
+    this class is the one place that knows the memo's keys. The memo holds
+    the completions once per stem; gamma_tilde, A_n ⊗ HZ_{k+1}HZ and each
+    gamma_c ⊗ A_n once per A_n; a ``Factorizer`` per (A_n, completion,
     target); and, once per A_n, the kernel inclusion of the stacked gammas
     and certificate mode's forced-dead subgroup.
     """
 
     def __init__(self, tables: StableTables):
         self.tables = tables
-        self._memo: dict = {}
+        self._memo = tables._memo
 
     def _get(self, key: tuple, build):
         if key not in self._memo:
@@ -304,23 +304,14 @@ class _StableReuse:
         return self._get(("forced_dead", n, k, _key(a_n)), build)
 
 
-def _reuse_for(tables: StableTables, reuse: Optional[_StableReuse]) -> _StableReuse:
-    """The caller's reuse context, or a fresh one scoped to this call."""
-    if reuse is None:
-        return _StableReuse(tables)
-    assert reuse.tables is tables, "a reuse context serves one tables object"
-    return reuse
-
-
-def check_stable(pa: TwoStagePiAlgebra, tables: StableTables,
-                 _reuse: Optional[_StableReuse] = None) -> Verdict:
+def check_stable(pa: TwoStagePiAlgebra, tables: StableTables) -> Verdict:
     """Decide a stable problem (k <= n - 2) by quantifying over completions."""
-    reuse = _reuse_for(tables, _reuse)
+    reuse = _StableReuse(tables)
     n, k = pa.n, pa.k
     if k > n - 2:
         raise NotStableRange(f"k = {k} is not <= n - 2 = {n - 2}")
     entry = tables.q_stable_entry(k)
-    gt = _validated_gt(pa, reuse)
+    gt = _validated_gt(pa, tables)
     cod = tables.em(k + 1)
 
     if pa.eta.is_zero():
@@ -382,49 +373,46 @@ def _check_stable_enumerating(pa: TwoStagePiAlgebra, gt: GammaTildeResult,
 # -- low stems and dispatch ----------------------------------------------
 
 
-def _validated_gt(pa: TwoStagePiAlgebra, reuse: _StableReuse) -> GammaTildeResult:
-    gt = reuse.gamma_tilde(pa.n, pa.k, pa.a_n)
+def _validated_gt(pa: TwoStagePiAlgebra, tables: StableTables) -> GammaTildeResult:
+    gt = _StableReuse(tables).gamma_tilde(pa.n, pa.k, pa.a_n)
     if pa.eta.source != gt.group:
         raise MalformedStructureMap(
             f"eta is defined on {pa.eta.source}, but gamma_tilde is {gt.group}")
     return gt
 
 
-def check_k1(pa: TwoStagePiAlgebra, tables: StableTables,
-             _reuse: Optional[_StableReuse] = None) -> Verdict:
+def check_k1(pa: TwoStagePiAlgebra, tables: StableTables) -> Verdict:
     """Degrees (n, n+1): always realizable once eta is well-formed."""
     if pa.k != 1:
         raise ValueError("check_k1 expects k = 1")
-    _validated_gt(pa, _reuse_for(tables, _reuse))
+    _validated_gt(pa, tables)
     return Verdict(Status.REALIZABLE,
                    note="all systems concentrated in consecutive degrees are realizable")
 
 
-def check_k2(pa: TwoStagePiAlgebra, tables: StableTables,
-             _reuse: Optional[_StableReuse] = None) -> Verdict:
+def check_k2(pa: TwoStagePiAlgebra, tables: StableTables) -> Verdict:
     """Degrees (n, n+2): always realizable once eta is well-formed."""
     if pa.k != 2:
         raise ValueError("check_k2 expects k = 2")
-    _validated_gt(pa, _reuse_for(tables, _reuse))
+    _validated_gt(pa, tables)
     return Verdict(Status.REALIZABLE,
                    note="all systems concentrated in degrees n, n+2 are realizable")
 
 
-def check(pa: TwoStagePiAlgebra, tables: StableTables,
-          _reuse: Optional[_StableReuse] = None) -> Verdict:
+def check(pa: TwoStagePiAlgebra, tables: StableTables) -> Verdict:
     """Dispatch on the regime of (n, k).
 
-    ``_reuse`` is the context ``problem_from_json`` was given, if any, so
-    that a problem's gamma_tilde is computed once.
+    gamma_tilde and the other eta-independent work are memoized on
+    ``tables``, so a problem parsed by ``problem_from_json`` against the
+    same tables object reuses its gamma_tilde.
     """
-    reuse = _reuse_for(tables, _reuse)
     if pa.k == 1:
-        return check_k1(pa, tables, _reuse=reuse)
+        return check_k1(pa, tables)
     if pa.k == 2:
-        return check_k2(pa, tables, _reuse=reuse)
+        return check_k2(pa, tables)
     if pa.k <= pa.n - 2:
-        return check_stable(pa, tables, _reuse=reuse)
-    gt = _validated_gt(pa, reuse)
+        return check_stable(pa, tables)
+    gt = _validated_gt(pa, tables)
     if gt.group.is_trivial:
         return Verdict(Status.REALIZABLE, note="trivial operations; a product of "
                                                "Eilenberg-MacLane spaces realizes it")
@@ -470,7 +458,7 @@ def all_realizable_in_stem(k: int, tables: StableTables) -> StemVerdict:
         return StemVerdict(k, StemAnswer.YES, note="trivial operations in this stem")
     cod = tables.em(k + 1)
     if entry.complete and cod is not None:
-        comps = admissible_gamma_completions(k, tables)
+        comps = _StableReuse(tables).completions(k)
         if not comps:
             raise InconsistentTables(
                 f"no admissible gamma completion exists in stem {k}; the tables are contradictory")
@@ -590,8 +578,9 @@ def survey_stem(k: int, tables: StableTables, max_cyclic_order: int,
     BoundExceeded when more than ``max_checks`` checks would run.
 
     Only eta varies within a row, so a survey reduces each (A_n, completion,
-    target) congruence system once and solves it for every eta; that reuse
-    lives only as long as the call.
+    target) congruence system once and solves it for every eta. That work
+    is memoized on ``tables``: a second survey on the same tables object
+    reuses it.
     """
     n = k + 2  # minimal stable dimension; stable verdicts do not depend on n
     orders = ([0] if include_free else []) + list(range(2, max_cyclic_order + 1))
@@ -604,9 +593,8 @@ def survey_stem(k: int, tables: StableTables, max_cyclic_order: int,
     rows = []
     totals: Dict[str, int] = {}
     budget = 0
-    reuse = _StableReuse(tables)
     for a_n in groups:
-        gt = reuse.gamma_tilde(n, k, a_n)
+        gt = _StableReuse(tables).gamma_tilde(n, k, a_n)
         for target in targets:
             homs = hom_group(gt.group, target)
             if not homs.is_finite:
@@ -619,7 +607,7 @@ def survey_stem(k: int, tables: StableTables, max_cyclic_order: int,
             counts: Dict[str, int] = {}
             for eta in homs:
                 pa = TwoStagePiAlgebra(n, k, a_n, target, eta)
-                v = check_stable(pa, tables, _reuse=reuse)
+                v = check_stable(pa, tables)
                 counts[v.status.value] = counts.get(v.status.value, 0) + 1
                 totals[v.status.value] = totals.get(v.status.value, 0) + 1
             rows.append(SurveyRow(a_n, target, tuple(sorted(counts.items()))))
@@ -721,16 +709,15 @@ def _problem_fields(doc, int_minima: dict, group_keys: tuple, other_keys: tuple)
     raise ProblemFormatError(f"malformed problem file: {problem}")
 
 
-def problem_from_json(doc: dict, tables: StableTables,
-                      _reuse: Optional[_StableReuse] = None):
+def problem_from_json(doc: dict, tables: StableTables):
     """Parse a problem file into a two- or three-stage problem.
 
     Two-stage files: {"n", "k", "A_n", "A_nk", "eta"} with eta columns
     indexed by the documented gamma_tilde generator order. Three-stage
     files: {"n", "A_n", "A_n1", "A_n2", "eta1", "eta2"} with the columns
     indexed by the mod-2 reductions of A_n and A_{n+1}. Matrix entries
-    must be JSON integers. Pass the same ``_reuse`` to ``check`` to compute
-    gamma_tilde once.
+    must be JSON integers. The gamma_tilde built here is memoized on
+    ``tables``, so ``check`` on the same tables object does not rebuild it.
     """
     if isinstance(doc, dict) and ("A_n2" in doc or "eta2" in doc):
         (n,), (a_n, a_n1, a_n2) = _problem_fields(doc, {"n": 4}, ("A_n", "A_n1", "A_n2"),
@@ -741,7 +728,7 @@ def problem_from_json(doc: dict, tables: StableTables,
         eta2 = _hom_from_json_matrix(doc["eta2"], tp2.group, a_n2, "malformed problem file: eta2")
         return ThreeStageProblem(n, a_n, a_n1, a_n2, eta1, eta2)
     (n, k), (a_n, a_nk) = _problem_fields(doc, {"n": 2, "k": 1}, ("A_n", "A_nk"), ("eta",))
-    gt = _reuse_for(tables, _reuse).gamma_tilde(n, k, a_n)
+    gt = _StableReuse(tables).gamma_tilde(n, k, a_n)
     try:
         m = IntMatrix.from_json(a_nk.dim, len(gt.generators), doc["eta"])
     except ValueError as exc:

@@ -50,11 +50,11 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
-from typing import Dict, Iterator, Optional, Tuple
+from types import MappingProxyType
+from typing import Iterator, Mapping, Optional, Tuple
 
 from .errors import InconsistentTables, MalformedStructureMap, MissingTableData, TableFormatError
 from .fgab import (
-    Congruences,
     Factorizer,
     FgAbGroup,
     GroupHom,
@@ -129,17 +129,6 @@ class TabulatedGroup:
         """The map from the free group on the named generators onto the group."""
         return GroupHom(free_group(len(self.summands)), self.group, self._canon.quotient.matrix)
 
-    @cached_property
-    def _spanning(self) -> Congruences:
-        return Congruences.spanning(self.group, self._canon.quotient.matrix)
-
-    def express(self, element) -> Optional[tuple]:
-        """Coefficients over the named generators hitting ``element``, if any."""
-        sol = self._spanning.solve(self.group.reduce(element))
-        if sol is None:
-            return None
-        return tuple(c % d if d else c for c, (d, _) in zip(sol, self.summands))
-
     def __str__(self) -> str:
         if not self.summands:
             return "0"
@@ -208,15 +197,29 @@ class GammaKnowledge:
 
 @dataclass(frozen=True)
 class StableTables:
-    pi_stable: Dict[int, TabulatedGroup] = field(default_factory=dict)
-    q_stable: Dict[int, TabulatedGroup] = field(default_factory=dict)
-    q_unstable: Dict[Tuple[int, int], FgAbGroup] = field(default_factory=dict)
-    em_homology: Dict[int, FgAbGroup] = field(default_factory=dict)
-    metastable_qm: Dict[int, QuadraticModule] = field(default_factory=dict)
-    gamma: Dict[Tuple[int, str], GammaKnowledge] = field(default_factory=dict)
-    pi_products: Dict[Tuple[Tuple[int, str], Tuple[int, str]], tuple] = field(default_factory=dict)
+    """Tabulated values, held as read-only mappings, and a memo of derived work.
+
+    Each mapping field is stored as a read-only copy, so nothing derived
+    from a tables object can go stale. ``_memo`` holds that derived work
+    (``realizability`` owns its keys) for the life of the object; ``merge``
+    and the loaders return new objects, each with an empty memo.
+    """
+
+    pi_stable: Mapping[int, TabulatedGroup] = field(default_factory=dict)
+    q_stable: Mapping[int, TabulatedGroup] = field(default_factory=dict)
+    q_unstable: Mapping[Tuple[int, int], FgAbGroup] = field(default_factory=dict)
+    em_homology: Mapping[int, FgAbGroup] = field(default_factory=dict)
+    metastable_qm: Mapping[int, QuadraticModule] = field(default_factory=dict)
+    gamma: Mapping[Tuple[int, str], GammaKnowledge] = field(default_factory=dict)
+    pi_products: Mapping[Tuple[Tuple[int, str], Tuple[int, str]], tuple] = field(default_factory=dict)
     torsion_exponent_rule: Optional[bool] = None
     provenance: tuple = field(default=(), compare=False)
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        for name in ("pi_stable", "q_stable", "q_unstable", "em_homology", "metastable_qm",
+                     "gamma", "pi_products"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
 
     @property
     def exponent_rule_enabled(self) -> bool:

@@ -27,6 +27,7 @@ from pialg import (
     gamma_tilde,
     gamma_tilde_induced,
     hom_group,
+    load_defaults,
     loads_tables,
     merge,
     mod_reduction,
@@ -315,16 +316,17 @@ def test_survey_stem3_contains_non_realizable(tables):
 
 
 def test_survey_reuse_matches_fresh_checks(tables, monkeypatch):
-    # survey_stem decides every case with one shared reuse context; each of
-    # those verdicts, witnesses included, must equal a fresh check_stable's,
-    # and the row counts must be the tally of the fresh verdicts. The two
-    # Z/4 targets differ only in labels, which reach the witness JSON.
+    # survey_stem decides every case through the memo on its tables; each of
+    # those verdicts, witnesses included, must equal check_stable's on a new
+    # tables object, whose memo is empty, and the row counts must be the
+    # tally of the fresh verdicts. The two Z/4 targets differ only in labels,
+    # which reach the witness JSON.
     import json
     from pialg import realizability
     decided = []
 
-    def recording(pa, tables, _reuse=None):
-        v = check_stable(pa, tables, _reuse=_reuse)
+    def recording(pa, tables):
+        v = check_stable(pa, tables)
         decided.append((pa, v))
         return v
 
@@ -334,7 +336,7 @@ def test_survey_reuse_matches_fresh_checks(tables, monkeypatch):
     assert len(decided) == rep.total_cases() > 0
     counts: dict = {}
     for pa, v in decided:
-        fresh = check_stable(pa, tables)
+        fresh = check_stable(pa, load_defaults())
         assert (json.dumps(verdict_to_json(v), sort_keys=True)
                 == json.dumps(verdict_to_json(fresh), sort_keys=True))
         row = counts.setdefault((pa.a_n, pa.a_nk.gen_labels, pa.a_nk), {})
@@ -345,6 +347,75 @@ def test_survey_reuse_matches_fresh_checks(tables, monkeypatch):
     assert statuses == {Status.REALIZABLE, Status.NON_REALIZABLE, Status.UNDETERMINED}
     assert any(v.witness is not None and v.witness.target.gen_labels == ("t",)
                for _, v in decided)
+
+
+def test_merged_tables_decide_with_their_own_gamma():
+    # The memo lives on the tables object; an overlay merged onto tables that
+    # already decided a problem starts empty and decides with its own gamma.
+    t = load_defaults()
+    pa, _ = smallest_problem(t, target=cyclic(2))
+    assert check(pa, t).status is Status.UNDETERMINED and t._memo
+    merged = merge(t, loads_tables("[gamma]\n3.nu = known [3]\n", "fix"))
+    assert merged._memo == {}
+    assert check(pa, merged).status is Status.REALIZABLE
+    assert check(pa, t).status is Status.UNDETERMINED
+
+
+def _counting(monkeypatch, name):
+    from pialg import realizability
+    calls = []
+    original = getattr(realizability, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(realizability, name, counting)
+    return calls
+
+
+def test_tables_memoize_gamma_tilde(monkeypatch):
+    calls = _counting(monkeypatch, "gamma_tilde")
+    t = load_defaults()
+    pa, _ = smallest_problem(t)
+    assert check(pa, t) == check(pa, t)
+    assert len(calls) == 1
+    calls.clear()
+    t = load_defaults()
+    bounds = dict(max_cyclic_order=3, max_summands=1, targets=[cyclic(2), cyclic(4)])
+    assert survey_stem(3, t, **bounds) == survey_stem(3, t, **bounds)
+    assert [a for _, _, a, _ in calls] == [Z, cyclic(2), cyclic(3)]
+
+
+def test_stem_answer_and_checks_share_completions(monkeypatch):
+    calls = _counting(monkeypatch, "admissible_gamma_completions")
+    t = load_defaults()
+    assert all_realizable_in_stem(3, t).answer is StemAnswer.NO
+    pa, _ = smallest_problem(t)
+    assert check_stable(pa, t).status is Status.NON_REALIZABLE
+    assert [k for k, _ in calls] == [3]
+
+
+def test_threads_sharing_tables_get_equal_verdicts():
+    # Threads may race to build the same memo entry; every build is equal.
+    import sys
+    import threading
+    t = load_defaults()
+    pa, _ = smallest_problem(t)
+    expected = check(pa, load_defaults())
+    results = []
+    threads = [threading.Thread(target=lambda: results.append(check(pa, t))) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert results == [expected] * 4
 
 
 def _verdicts_digest(verdicts) -> str:
@@ -361,8 +432,8 @@ def test_survey_verdict_bytes_pinned(tables, monkeypatch):
     from pialg import realizability
     decided = []
 
-    def recording(pa, tables, _reuse=None):
-        v = check_stable(pa, tables, _reuse=_reuse)
+    def recording(pa, tables):
+        v = check_stable(pa, tables)
         decided.append(v)
         return v
 
@@ -376,7 +447,7 @@ def test_survey_verdict_bytes_pinned(tables, monkeypatch):
 
 def test_certificate_mode_verdict_bytes_pinned(tables):
     # Partially tabulated stems 7 and 11 decide in certificate mode; every
-    # eta is checked fresh, in hom_group order.
+    # eta is decided by its own check_stable call, in hom_group order.
     verdicts = []
     for k in (7, 11):
         for a_n in (Z, cyclic(3), cyclic(9), from_cyclic_orders([3, 9])):
