@@ -53,6 +53,16 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(3)
 
 
+def _int_at_least(least: int):
+    """An argparse type: an integer no smaller than ``least``."""
+    def int_(text: str) -> int:
+        if (value := int(text)) < least:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {least}, got {value}")
+        return value
+    int_.__name__ = "int"  # argparse names the type in "invalid int value: ..."
+    return int_
+
+
 def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tables", action="append", default=[], metavar="PATH",
                    help="table overlay file; repeatable, later files win")
@@ -73,8 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(p)
 
     p = sub.add_parser("gamma-tilde", help="compute the homotopy-operation functor")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(2), required=True)
+    p.add_argument("--k", type=_int_at_least(1), required=True)
     p.add_argument("--group", required=True,
                    help="group literal, JSON or text (e.g. '{\"rank\":1,\"torsion\":[]}' or 'Z/4')")
     _common_flags(p)
@@ -91,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(p)
 
     p = sub.add_parser("survey", help="sweep a stem over small groups and all structure maps")
-    p.add_argument("--stem", type=int, required=True)
+    p.add_argument("--stem", type=_int_at_least(1), required=True)
     p.add_argument("--max-order", type=int, default=4)
     p.add_argument("--max-summands", type=int, default=1)
     p.add_argument("--targets", default="Z/2,Z/4",

@@ -293,9 +293,7 @@ class GroupHom:
         if m.rows != self.target.dim or m.cols != self.source.dim:
             raise ValueError(
                 f"matrix is {m.rows}x{m.cols}, expected {self.target.dim}x{self.source.dim}")
-        tor = self.target.torsion
-        rm = IntMatrix._of(m.rows, m.cols, tuple(
-            tuple(x % tor[i] for x in r) if i < len(tor) else r for i, r in enumerate(m.data)))
+        rm = GroupHom._of(self.source, self.target, m.data).matrix  # reduced, not yet checked
         object.__setattr__(self, "matrix", rm)
         for j in range(self.source.dim):
             d = self.source.coord_order(j)
@@ -308,6 +306,23 @@ class GroupHom:
                     raise ValueError(
                         f"not a homomorphism: generator {j} has order {d} but its "
                         f"image is not killed by {d}")
+
+    @classmethod
+    def _of(cls, source: FgAbGroup, target: FgAbGroup, rows: Sequence[tuple]) -> "GroupHom":
+        """Trusted construction, for data that is a homomorphism by construction.
+
+        ``rows`` (``target.dim`` tuples of ``source.dim`` ints) is reduced
+        modulo the target's torsion; shape and well-definedness are not
+        checked. Legal for a ``Factorizer`` solution, a composite, or columns
+        from ``elements_killed_by`` their generator's order.
+        """
+        tor = target.torsion
+        h = object.__new__(cls)
+        object.__setattr__(h, "source", source)
+        object.__setattr__(h, "target", target)
+        object.__setattr__(h, "matrix", IntMatrix._of(target.dim, source.dim, tuple(
+            tuple(x % tor[i] for x in r) if i < len(tor) else r for i, r in enumerate(rows))))
+        return h
 
     @staticmethod
     def identity(g: FgAbGroup) -> "GroupHom":
@@ -328,7 +343,7 @@ class GroupHom:
         """self ∘ other."""
         if other.target != self.source:
             raise ValueError("composition mismatch")
-        return GroupHom(other.source, self.target, self.matrix * other.matrix)
+        return GroupHom._of(other.source, self.target, (self.matrix * other.matrix).data)
 
     def __matmul__(self, other: "GroupHom") -> "GroupHom":
         return self.compose(other)
@@ -355,10 +370,12 @@ class Congruences:
 
     Modulus 0 makes a row an exact equation. Every nonzero modulus gets its
     own slack unknown, in row order, so the system is the one integer
-    matrix ``[rows | slack]``; it is reduced to Smith normal form here, and
-    each ``solve`` then costs ``U·b``, a divisibility check against the
-    diagonal and ``V·z``. This is the only place that turns congruences
-    into a matrix.
+    matrix ``[rows | slack]``, reduced to ``U·M·V = D`` here. Only what
+    ``solve`` and ``kernel`` read is kept: ``U``, the diagonal, and the first
+    ``n_unknowns`` rows of ``V`` (slack values are never returned). Each
+    ``solve`` costs ``U·b`` and ``V·z`` over the nonzero entries of b and z
+    and a divisibility check; its solution is the full reduction's, exactly.
+    This is the only place that turns congruences into a matrix.
 
     >>> Congruences([[2]], [6], 1).solve([4])  # 2x ≡ 4 (mod 6)
     (2,)
@@ -375,7 +392,11 @@ class Congruences:
             if m:
                 data[-1][slack] = m
                 slack += 1
-        self._snf = smith_normal_form(IntMatrix(len(data), width, data))
+        snf = smith_normal_form(IntMatrix(len(data), width, data))
+        diag = snf.diagonal()
+        self._u_cols = tuple(zip(*snf.u.data))
+        self._diag = tuple(diag) + (0,) * (len(data) - len(diag))
+        self._v_cols = tuple(tuple(r[j] for r in snf.v.data[:n_unknowns]) for j in range(width))
 
     @staticmethod
     def spanning(group: FgAbGroup, generators: IntMatrix) -> "Congruences":
@@ -385,13 +406,27 @@ class Congruences:
 
     def solve(self, rhs: Sequence[int]) -> Optional[tuple]:
         """The particular solution read off the Smith normal form, or None."""
-        sol = self._snf.solve(rhs)
-        return None if sol is None else sol[: self.n]
+        if len(rhs) != len(self._diag):
+            raise ValueError("right-hand side length mismatch")
+        c = [0] * len(self._diag)
+        for b, u in zip(rhs, self._u_cols):
+            if b:
+                c = [ci + b * x for ci, x in zip(c, u)]
+        x = [0] * self.n
+        for i, ci in enumerate(c):
+            if ci:
+                d = self._diag[i]
+                if not d or ci % d:
+                    return None
+                z = ci // d
+                x = [xi + z * y for xi, y in zip(x, self._v_cols[i])]
+        return tuple(x)
 
     def kernel(self) -> IntMatrix:
         """Columns generating the solutions of the homogeneous system."""
-        ker = self._snf.kernel()
-        return IntMatrix._of(self.n, ker.cols, ker.data[: self.n])
+        free = [v for j, v in enumerate(self._v_cols) if j >= len(self._diag) or not self._diag[j]]
+        return IntMatrix._of(self.n, len(free), tuple(tuple(v[i] for v in free)
+                                                      for i in range(self.n)))
 
 
 class Factorizer:
@@ -444,15 +479,18 @@ class Factorizer:
         ``targets`` holds one element of the target per source generator of
         ``through``.
         """
-        c = self.target
-        rhs = [x for a in range(self.through.source.dim) for x in c.reduce(targets[a])]
-        rhs += [0] * (self._n_rows - len(rhs))
-        sol = self._system.solve(rhs)
+        reduce = self.target.reduce
+        return self._solve([x for a in range(self.through.source.dim) for x in reduce(targets[a])])
+
+    def _solve(self, rhs: list) -> Optional["GroupHom"]:
+        # rhs: the reduced target coordinates of each source generator's image
+        sol = self._system.solve(rhs + [0] * (self._n_rows - len(rhs)))
         if sol is None:
             return None
-        nb, nc = self.through.target.dim, c.dim
-        rows = [sol[i * nb:(i + 1) * nb] for i in range(nc)]
-        return GroupHom(self.through.target, c, IntMatrix(nc, nb, rows))
+        # The system holds h's well-definedness rows, so h is a homomorphism.
+        nb = self.through.target.dim
+        rows = [sol[i * nb:(i + 1) * nb] for i in range(self.target.dim)]
+        return GroupHom._of(self.through.target, self.target, rows)
 
     def factor(self, f: "GroupHom") -> Optional["GroupHom"]:
         """Some h with h ∘ through = f, or None; f must share through's source.
@@ -461,7 +499,7 @@ class Factorizer:
         """
         if f.source != self.through.source:
             raise ValueError("factor_through requires a shared source")
-        h = self.solve(f.matrix.columns())
+        h = self._solve([x for col in zip(*f.matrix.data) for x in col])
         if h is not None:
             assert h @ self.through == f, "solver returned a non-witness"
         return h
@@ -698,12 +736,10 @@ class HomGroup:
         a, b = self.source, self.target
         if not self.is_finite:
             raise InfiniteEnumerationError(f"Hom({a}, {b}) is infinite")
-        per_gen = []
-        for j in range(a.dim):
-            d = a.coord_order(j)
-            per_gen.append(list(b.elements_killed_by(d)))
+        per_gen = [list(b.elements_killed_by(a.coord_order(j))) for j in range(a.dim)]
         for combo in itertools.product(*per_gen):
-            yield GroupHom.from_columns(a, b, list(combo))
+            # Each column is killed by its generator's order: a homomorphism.
+            yield GroupHom._of(a, b, [tuple(c[i] for c in combo) for i in range(b.dim)])
 
 
 def hom_group(a: FgAbGroup, b: FgAbGroup) -> HomGroup:

@@ -198,29 +198,18 @@ def _unknown_blockers(entry, tables: StableTables, k: int) -> list:
     return out
 
 
-def _obstruction_from_dead(pa: TwoStagePiAlgebra, gt: GammaTildeResult,
-                           dead_incl: GroupHom, note: str) -> Optional[Obstruction]:
-    """An element of the forced-dead subgroup with nonzero eta, if any."""
-    composite = pa.eta @ dead_incl
-    if composite.is_zero():
+def _obstruction_from_dead(pa: TwoStagePiAlgebra, gt: GammaTildeResult, candidates: tuple,
+                           note: str) -> Optional[Obstruction]:
+    """An element of a dead subgroup with nonzero eta, if any.
+
+    ``candidates`` is the subgroup's ``_StableReuse.candidates``: the first
+    sorted element eta does not kill is the lightest such, the first
+    enumerated among equals. Unlisted subgroups report a generator.
+    """
+    gens, elements = candidates
+    if not any(any(pa.eta.apply(y)) for y in gens):
         return None
-    dead = dead_incl.source
-    best = None
-    if dead.rank == 0 and (dead.order() or 0) <= 4096:
-        for x in dead.elements():
-            if any(composite.apply(x)):
-                y = dead_incl.apply(x)
-                weight = sum(abs(c) for c in y)
-                if best is None or weight < best[0]:
-                    best = (weight, y)
-    else:
-        for j in range(dead.dim):
-            unit = [1 if r == j else 0 for r in range(dead.dim)]
-            if any(composite.apply(unit)):
-                best = (0, dead_incl.apply(unit))
-                break
-    assert best is not None
-    elem = best[1]
+    elem = next(y for y in (gens if elements is None else elements) if any(pa.eta.apply(y)))
     return Obstruction(element=elem, label=format_semantic(gt, elem), note=note)
 
 
@@ -237,9 +226,10 @@ class _StableReuse:
     it lives in the tables object's memo for as long as the object does;
     this class is the one place that knows the memo's keys. The memo holds
     the completions once per stem; gamma_tilde, A_n ⊗ HZ_{k+1}HZ and each
-    gamma_c ⊗ A_n once per A_n; a ``Factorizer`` per (A_n, completion,
-    target); and, once per A_n, the kernel inclusion of the stacked gammas
-    and certificate mode's forced-dead subgroup.
+    gamma_c ⊗ A_n once per A_n; the ``Factorizer``s once per (A_n,
+    target); once per A_n, the kernel inclusion of the stacked gammas and
+    certificate mode's forced-dead subgroup; and once per such subgroup,
+    its elements sorted as obstruction candidates.
     """
 
     def __init__(self, tables: StableTables):
@@ -271,10 +261,10 @@ class _StableReuse:
                          for c in self.completions(k))
         return self._get(("gammas", n, k, _key(a_n)), build)
 
-    def factorizer(self, n: int, k: int, a_n: FgAbGroup, index: int,
-                   target: FgAbGroup) -> Factorizer:
-        return self._get(("factorizer", n, k, _key(a_n), index, _key(target)),
-                         lambda: Factorizer(self.gammas(n, k, a_n)[index], target))
+    def factorizers(self, n: int, k: int, a_n: FgAbGroup, target: FgAbGroup) -> tuple:
+        """One ``Factorizer`` per completion, in completion order."""
+        return self._get(("factorizers", n, k, _key(a_n), _key(target)),
+                         lambda: tuple(Factorizer(g, target) for g in self.gammas(n, k, a_n)))
 
     def dead_inclusion(self, n: int, k: int, a_n: FgAbGroup) -> GroupHom:
         """The subgroup every completion kills: the kernel of the stacked gammas."""
@@ -303,6 +293,19 @@ class _StableReuse:
             return subgroup(gt.group, dead_gens)[1] if dead_gens else None
         return self._get(("forced_dead", n, k, _key(a_n)), build)
 
+    def candidates(self, incl: GroupHom) -> tuple:
+        """(generators, elements) of a dead subgroup, as images incl(x) in gamma_tilde.
+
+        ``elements`` is stably sorted by weight (the sum of absolute
+        coordinates); None for an infinite subgroup or one over 4096 elements.
+        """
+        def build():
+            dead = incl.source
+            elements = None if dead.rank or dead.order() > 4096 else tuple(
+                sorted(map(incl.apply, dead.elements()), key=lambda y: sum(map(abs, y))))
+            return tuple(incl.matrix.columns()), elements
+        return self._get(("candidates", incl), build)
+
 
 def check_stable(pa: TwoStagePiAlgebra, tables: StableTables) -> Verdict:
     """Decide a stable problem (k <= n - 2) by quantifying over completions."""
@@ -329,7 +332,7 @@ def check_stable(pa: TwoStagePiAlgebra, tables: StableTables) -> Verdict:
     # partial), so only forced non-realizability is decidable.
     incl = reuse.forced_dead_inclusion(n, k, pa.a_n)
     if incl is not None:
-        obs = _obstruction_from_dead(pa, gt, incl,
+        obs = _obstruction_from_dead(pa, gt, reuse.candidates(incl),
                                      note="killed by every admissible completion")
         if obs is not None:
             return Verdict(Status.NON_REALIZABLE, obstruction=obs)
@@ -350,15 +353,15 @@ def _check_stable_enumerating(pa: TwoStagePiAlgebra, gt: GammaTildeResult,
         raise InconsistentTables(
             f"no admissible gamma completion exists in stem {k}; the tables are contradictory")
     outcomes = []
-    for i, (comp, gamma_a) in enumerate(zip(completions, reuse.gammas(n, k, pa.a_n))):
-        h = reuse.factorizer(n, k, pa.a_n, i, pa.eta.target).factor(pa.eta)
-        outcomes.append(CompletionOutcome(comp.assignment, h is not None, h, gamma_hom=gamma_a))
+    for comp, fz in zip(completions, reuse.factorizers(n, k, pa.a_n, pa.eta.target)):
+        h = fz.factor(pa.eta)
+        outcomes.append(CompletionOutcome(comp.assignment, h is not None, h, gamma_hom=fz.through))
     outcomes = tuple(outcomes)
 
     if all(o.factorable for o in outcomes):
         return Verdict(Status.REALIZABLE, witness=outcomes[0].witness, completions=outcomes)
     if not any(o.factorable for o in outcomes):
-        obs = _obstruction_from_dead(pa, gt, reuse.dead_inclusion(n, k, pa.a_n),
+        obs = _obstruction_from_dead(pa, gt, reuse.candidates(reuse.dead_inclusion(n, k, pa.a_n)),
                                      note="killed by every admissible completion")
         if obs is None:
             obs = Obstruction(note="no completion admits a factorization")

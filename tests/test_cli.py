@@ -115,7 +115,8 @@ def test_determinism(problem_file, capsys):
 
 
 def _without_elapsed(out):
-    return re.sub(r'"elapsed_s": [0-9.e-]+', '"elapsed_s": _', out)
+    # Both the machine report's "elapsed_s" and the text report's "elapsed: 0.000s".
+    return re.sub(r'"elapsed_s": [0-9.e-]+|elapsed: [0-9.]+s', "elapsed", out)
 
 
 def test_repeated_main_calls_in_one_process(problem_file, capsys):
@@ -241,3 +242,17 @@ def test_usage_errors_exit_above_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["survey", "--stem", "3", "--parallel", "4"])  # removed option
     assert exc.value.code == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["gamma-tilde", "--n", "1", "--k", "3", "--group", "Z/2"],
+    ["gamma-tilde", "--n", "5", "--k", "0", "--group", "Z/2"],
+    ["survey", "--stem", "0"],
+    ["survey", "--stem", "-1"],
+])
+def test_out_of_range_degrees_are_usage_errors(argv, capsys):
+    # An uncaught error would exit 1, which reads as "non-realizable".
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 3
+    assert "must be an integer >=" in capsys.readouterr().err

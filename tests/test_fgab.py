@@ -1,6 +1,7 @@
 """Groups, homomorphisms, and the derived functors."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -29,8 +30,8 @@ from pialg import (
     tor,
     two_torsion_subgroup,
 )
-from pialg.fgab import canonicalize_full, stack_homs, subgroup
-from pialg.intlinalg import IntMatrix
+from pialg.fgab import Congruences, canonicalize_full, stack_homs, subgroup
+from pialg.intlinalg import IntMatrix, smith_normal_form
 
 from helpers import (
     all_abelian_group_orders_up_to,
@@ -322,6 +323,85 @@ def test_factor_through_agrees_with_exhaustive_search():
             assert (mine is not None) == (theirs is not False)
             if mine is not None:
                 assert mine @ g == f
+
+
+# -- trusted homomorphisms and lean congruence solves ----------------------
+
+@st.composite
+def hom_matrices(draw):
+    """(A, B, rows): the rows of a homomorphism A -> B, entries not yet reduced."""
+    a, b = draw(small_groups), draw(small_groups)
+    cols = []
+    for j in range(a.dim):
+        d = a.coord_order(j)
+        col = []
+        for i in range(b.dim):
+            e = b.coord_order(i)
+            # d·x must vanish in the i-th coordinate's Z/e (in Z when e = 0)
+            step = e // math.gcd(d, e) if e else (0 if d else 1)
+            col.append(step * draw(st.integers(-5, 5)))
+        cols.append(col)
+    return a, b, tuple(tuple(col[i] for col in cols) for i in range(b.dim))
+
+
+@given(hom_matrices())
+@settings(max_examples=150, deadline=None)
+def test_trusted_hom_equals_validated(case):
+    a, b, rows = case
+    trusted = GroupHom._of(a, b, rows)
+    checked = GroupHom(a, b, IntMatrix(b.dim, a.dim, rows))
+    assert trusted == checked
+    assert (trusted.source.gen_labels, trusted.target.gen_labels) == \
+        (checked.source.gen_labels, checked.target.gen_labels)
+    assert (trusted.matrix.rows, trusted.matrix.cols, trusted.matrix.data) == \
+        (checked.matrix.rows, checked.matrix.cols, checked.matrix.data)
+
+
+def test_trusted_solver_homs_compose_like_validated_ones():
+    # Factorizer witnesses, their composites and the maps hom_group lists
+    # are built without validation; each must equal the validated build.
+    rng = random.Random(47)
+    for _ in range(40):
+        a, b, c, d = (random_group(rng, 8, allow_free=False) for _ in range(4))
+        g, e = random_hom(rng, a, b), random_hom(rng, c, d)
+        fz = Factorizer(g, c)
+        for f in hom_group(a, c):
+            assert f == GroupHom.from_columns(a, c, f.matrix.columns())
+            h = fz.factor(f)
+            if h is None:
+                continue
+            assert h == GroupHom(b, c, h.matrix)
+            assert h @ g == GroupHom(a, c, h.matrix * g.matrix) == f
+            assert e @ h == GroupHom(b, d, e.matrix * h.matrix)
+            assert e @ h @ g == GroupHom(a, d, e.matrix * h.matrix * g.matrix)
+
+
+@st.composite
+def congruence_systems(draw):
+    n = draw(st.integers(0, 4))
+    rows = draw(st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n), max_size=5))
+    moduli = [draw(st.sampled_from([0, 0, 2, 3, 4, 6, 12])) for _ in rows]
+    rhs = [draw(st.integers(-12, 12)) for _ in rows]
+    x = [draw(st.integers(-3, 3)) for _ in range(n)]
+    return rows, moduli, n, rhs, x
+
+
+@given(congruence_systems())
+@settings(max_examples=200, deadline=None)
+def test_lean_congruences_match_the_plain_snf_path(case):
+    rows, moduli, n, rhs, x = case
+    slack = [m for m in moduli if m]
+    plain = IntMatrix(len(rows), n + len(slack), [
+        r + [m if m and s == sum(1 for p in moduli[:i] if p) else 0 for s in range(len(slack))]
+        for i, (r, m) in enumerate(zip(rows, moduli))])
+    snf, lean = smith_normal_form(plain), Congruences(rows, moduli, n)
+    solvable = [sum(a * b for a, b in zip(r, x)) + 7 * m for r, m in zip(rows, moduli)]
+    for b in (rhs, solvable):
+        sol = snf.solve(b)
+        assert lean.solve(b) == (None if sol is None else sol[:n])
+    assert lean.solve(solvable) is not None
+    ker = snf.kernel()
+    assert lean.kernel() == IntMatrix(n, ker.cols, ker.data[:n])
 
 
 def test_split_injective_examples():

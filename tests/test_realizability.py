@@ -461,6 +461,54 @@ def test_certificate_mode_verdict_bytes_pinned(tables):
         "fc44158304c4d4100334ff07c90227ac548d5d5560190f30d2b335fbeb920947"
 
 
+def _obstruction_by_full_scan(eta, dead_incl):
+    """The obstruction element as found before candidates were sorted once:
+    scan every dead element, keep the lightest image eta does not kill (the
+    first found among equals), or the first such generator's image."""
+    composite = eta @ dead_incl
+    if composite.is_zero():
+        return None
+    dead, best = dead_incl.source, None
+    if dead.rank == 0 and (dead.order() or 0) <= 4096:
+        for x in dead.elements():
+            if any(composite.apply(x)):
+                y = dead_incl.apply(x)
+                if best is None or sum(abs(c) for c in y) < best[0]:
+                    best = (sum(abs(c) for c in y), y)
+        return best[1]
+    for j in range(dead.dim):
+        unit = [1 if r == j else 0 for r in range(dead.dim)]
+        if any(composite.apply(unit)):
+            return dead_incl.apply(unit)
+
+
+def test_sorted_obstruction_candidates_match_the_full_scan(tables, monkeypatch):
+    from pialg import realizability
+    reuse = realizability._StableReuse(tables)
+    decided = []
+
+    def recording(pa, tables):
+        v = check_stable(pa, tables)
+        decided.append((pa, v, reuse.dead_inclusion(pa.n, pa.k, pa.a_n)))
+        return v
+
+    monkeypatch.setattr(realizability, "check_stable", recording)
+    survey_stem(3, tables, max_cyclic_order=6, max_summands=2,
+                targets=[cyclic(2), cyclic(4), cyclic(12)])
+    for k in (7, 11):  # certificate mode: the forced-dead subgroup
+        for a_n in (Z, cyclic(3), cyclic(9), from_cyclic_orders([3, 9])):
+            gt = gamma_tilde(k + 2, k, a_n, tables)
+            incl = reuse.forced_dead_inclusion(k + 2, k, a_n)
+            for target in (cyclic(3), cyclic(9)):
+                for eta in hom_group(gt.group, target):
+                    pa = TwoStagePiAlgebra(k + 2, k, a_n, target, eta)
+                    decided.append((pa, check_stable(pa, tables), incl))
+    obstructed = [(pa, v, incl) for pa, v, incl in decided if v.status is Status.NON_REALIZABLE]
+    assert len(obstructed) > 100
+    for pa, v, incl in obstructed:
+        assert v.obstruction.element == _obstruction_by_full_scan(pa.eta, incl)
+
+
 def test_survey_bounds_and_empty_targets(tables):
     with pytest.raises(BoundExceeded):
         survey_stem(3, tables, max_cyclic_order=6, max_summands=2,
