@@ -102,12 +102,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("survey", help="sweep a stem over small groups and all structure maps")
     p.add_argument("--stem", type=_int_at_least(1), required=True)
-    p.add_argument("--max-order", type=int, default=4)
-    p.add_argument("--max-summands", type=int, default=1)
+    p.add_argument("--max-order", type=_int_at_least(1), default=4)
+    p.add_argument("--max-summands", type=_int_at_least(1), default=1)
     p.add_argument("--targets", default="Z/2,Z/4",
                    help="comma-separated target group literals")
     p.add_argument("--no-free", action="store_true", help="exclude Z summands from A_n")
-    p.add_argument("--max-checks", type=int, default=20000)
+    p.add_argument("--max-checks", type=_int_at_least(1), default=20000)
     _common_flags(p)
 
     p = sub.add_parser("selftest", help="run the built-in regression examples")

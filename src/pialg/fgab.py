@@ -370,7 +370,7 @@ class Congruences:
 
     Modulus 0 makes a row an exact equation. Every nonzero modulus gets its
     own slack unknown, in row order, so the system is the one integer
-    matrix ``[rows | slack]``, reduced to ``U·M·V = D`` here. Only what
+    matrix ``[rows | slack]``, reduced (inverse-free) to ``U·M·V = D``. Only what
     ``solve`` and ``kernel`` read is kept: ``U``, the diagonal, and the first
     ``n_unknowns`` rows of ``V`` (slack values are never returned). Each
     ``solve`` costs ``U·b`` and ``V·z`` over the nonzero entries of b and z
@@ -392,7 +392,7 @@ class Congruences:
             if m:
                 data[-1][slack] = m
                 slack += 1
-        snf = smith_normal_form(IntMatrix(len(data), width, data))
+        snf = smith_normal_form(IntMatrix(len(data), width, data), inverses=False)
         diag = snf.diagonal()
         self._u_cols = tuple(zip(*snf.u.data))
         self._diag = tuple(diag) + (0,) * (len(data) - len(diag))
@@ -649,10 +649,6 @@ class TensorProduct:
         vec = [a[i] * b[j] for (i, j) in self.pairs]
         return self.group.reduce(self._canon.quotient.matrix.mul_vec(vec))
 
-    def gen_pair_element(self, i: int, j: int) -> tuple:
-        vec = [1 if (i, j) == p else 0 for p in self.pairs]
-        return self.group.reduce(self._canon.quotient.matrix.mul_vec(vec))
-
 
 def tensor(a: FgAbGroup, b: FgAbGroup) -> TensorProduct:
     """Canonical A ⊗ B.
@@ -679,28 +675,17 @@ def tensor(a: FgAbGroup, b: FgAbGroup) -> TensorProduct:
 def tensor_induced(f: GroupHom, g: GroupHom,
                    source: Optional[TensorProduct] = None,
                    target: Optional[TensorProduct] = None) -> GroupHom:
-    """The map f ⊗ g between tensor products."""
+    """The map f ⊗ g between tensor products.
+
+    One product, target quotient · (f ⊗ g on pair coordinates) · source
+    section, reduced modulo torsion once (the reduction is additive).
+    """
     src = source if source is not None else tensor(f.source, g.source)
     tgt = target if target is not None else tensor(f.target, g.target)
-    cols = []
-    for cgen in range(src.group.dim):
-        lift = src._canon.section.col(cgen)
-        out = tgt.group.zero()
-        for k, (i, j) in enumerate(src.pairs):
-            c = lift[k]
-            if not c:
-                continue
-            fi = f.matrix.col(i)
-            gj = g.matrix.col(j)
-            for ki, a in enumerate(fi):
-                if not a:
-                    continue
-                for kj, bb in enumerate(gj):
-                    if not bb:
-                        continue
-                    out = tgt.group.add(out, tgt.group.smul(c * a * bb, tgt.gen_pair_element(ki, kj)))
-        cols.append(out)
-    return GroupHom.from_columns(src.group, tgt.group, cols)
+    fm, gm = f.matrix.data, g.matrix.data
+    on_pairs = IntMatrix._of(len(tgt.pairs), len(src.pairs), tuple(
+        tuple(fm[ki][i] * gm[kj][j] for (i, j) in src.pairs) for (ki, kj) in tgt.pairs))
+    return GroupHom(src.group, tgt.group, tgt._canon.quotient.matrix * on_pairs * src._canon.section)
 
 
 def mod_reduction(a: FgAbGroup, n: int) -> tuple:

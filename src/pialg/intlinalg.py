@@ -244,14 +244,14 @@ class SnfResult:
     ``d`` is diagonal with non-negative entries satisfying the divisibility
     chain d[0] | d[1] | ...; ``u_inv`` and ``v_inv`` are the exact inverses,
     maintained during the reduction so callers never have to invert a
-    unimodular matrix themselves.
+    unimodular matrix themselves; both are None after ``inverses=False``.
     """
 
     u: IntMatrix
     d: IntMatrix
     v: IntMatrix
-    u_inv: IntMatrix
-    v_inv: IntMatrix
+    u_inv: Optional[IntMatrix]
+    v_inv: Optional[IntMatrix]
 
     def diagonal(self) -> list:
         n = min(self.d.rows, self.d.cols)
@@ -289,7 +289,7 @@ class SnfResult:
                              tuple(tuple(r[j] for j in free) for r in self.v.data))
 
 
-def smith_normal_form(m: IntMatrix) -> SnfResult:
+def smith_normal_form(m: IntMatrix, inverses: bool = True) -> SnfResult:
     """Exact Smith normal form over Z, total on all shapes including 0x0.
 
     Hermite reductions in the manner of Kannan and Bachem (SIAM J. Comput.
@@ -303,17 +303,20 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
     fixed is what bounds coefficient growth: Kannan and Bachem bound every
     intermediate number by a polynomial in the size of the input, and on
     dense 32x32 inputs with entries in [-100, 100] the witnesses stay within
-    twice the digits of ``|det m|``. The output is deterministic.
+    twice the digits of ``|det m|``. The output is deterministic; with
+    ``inverses=False`` no step is mirrored on the inverses, which are None.
     """
     rows, cols = m.rows, m.cols
     a = m.to_lists()
     u, v_cols = _identity_lists(rows), _identity_lists(cols)
-    u_inv_cols, v_inv = list(map(list.copy, u)), list(map(list.copy, v_cols))
+    u_inv_cols, v_inv = (list(map(list.copy, u)), list(map(list.copy, v_cols))) if inverses \
+        else (None, None)
     # A pass reduces the rows of ``a``, acting on t and mirroring each step
     # on ti; ``a`` is then transposed, so the next pass reduces the columns.
     # The row pass has t = u and ti = the columns of u_inv; the column pass
     # has t = the columns of v and ti = v_inv.
     sides = [(u, u_inv_cols, cols), (v_cols, v_inv, rows)]
+    mirrored = (u, u_inv_cols, v_cols, v_inv) if inverses else (u, v_cols)
     diagonal = _is_diagonal(a)
     while not diagonal:
         t, ti, width = sides[0]
@@ -327,8 +330,8 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
     for i, x in enumerate(d):
         if x < 0:
             d[i] = -x
-            u[i] = [-y for y in u[i]]
-            u_inv_cols[i] = [-y for y in u_inv_cols[i]]
+            for t in mirrored[:1 + inverses]:  # u, and u_inv when kept
+                t[i] = [-y for y in t[i]]
     for i in range(len(d)):
         for j in range(i + 1, len(d)):
             x, y = d[i], d[j]
@@ -336,7 +339,7 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
                 continue
             if x == 0 or x % y == 0:
                 d[i], d[j] = y, x
-                for t in (u, u_inv_cols, v_cols, v_inv):
+                for t in mirrored:
                     t[i], t[j] = t[j], t[i]
                 continue
             # diag(x, y) -> diag(g, l): add row j to row i, mix columns i
@@ -344,11 +347,12 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
             g, s, e = _xgcd(x, y)
             q, yg, xg = y * e // g, y // g, x // g
             _add(u, i, j, 1)
-            _add(u_inv_cols, j, i, -1)
             _mix(v_cols, i, j, s, e, yg, xg)
-            _mix(v_inv, i, j, xg, yg, e, s)
             _add(u, j, i, -q)
-            _add(u_inv_cols, i, j, q)
+            if inverses:
+                _add(u_inv_cols, j, i, -1)
+                _mix(v_inv, i, j, xg, yg, e, s)
+                _add(u_inv_cols, i, j, q)
             d[i], d[j] = g, x * y // g
 
     def frozen(r, c, data):
@@ -356,8 +360,9 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
 
     return SnfResult(u=frozen(rows, rows, u), d=IntMatrix.diagonal(d, rows, cols),
                      v=IntMatrix._of(cols, cols, tuple(zip(*v_cols)) if cols else ()),
-                     u_inv=IntMatrix._of(rows, rows, tuple(zip(*u_inv_cols)) if rows else ()),
-                     v_inv=frozen(cols, cols, v_inv))
+                     u_inv=IntMatrix._of(rows, rows, tuple(zip(*u_inv_cols)) if rows else ())
+                     if inverses else None,
+                     v_inv=frozen(cols, cols, v_inv) if inverses else None)
 
 
 def _identity_lists(n: int) -> list:
@@ -417,21 +422,30 @@ def _hermite(a: list, t: list, ti: list, ncols: int) -> list:
     """Row-reduce ``a`` (``ncols`` columns) to Hermite normal form.
 
     Rows are inserted in order into the echelon basis of the rows before
-    them; ``t`` (by rows) and ``ti`` (its inverse, by columns) follow every
-    row operation. Each time a pivot (k, c) is set, the entries above it are
-    reduced modulo it, and row k's entries in later pivot columns modulo
-    those pivots; pivots are positive. Returns the rows reordered: pivot
-    rows in column order, then the zero rows; ``t`` and ``ti`` are reordered
-    in place to match.
+    them; ``t`` (by rows) and ``ti`` (its inverse, by columns, or None)
+    follow every row operation. Each time a pivot (k, c) is set, the entries
+    above it are reduced modulo it, and row k's entries in later pivot
+    columns modulo those pivots; pivots are positive. Returns the rows
+    reordered: pivot rows in column order, then the zero rows; ``t`` and
+    ``ti`` are reordered in place to match.
     """
     pivot = [-1] * ncols  # pivot[c]: the row whose leading entry is in column c
     pcols, prows = [], []  # the pivot columns in order, and their rows
     zero = []
 
-    def add(i, k, q):  # row i += q * row k
-        _add(a, i, k, q)
-        _add(t, i, k, q)
-        _add(ti, k, i, -q)
+    if ti is None:
+        mats = (a, t)
+
+        def add(i, k, q):  # row i += q * row k
+            _add(a, i, k, q)
+            _add(t, i, k, q)
+    else:
+        mats = (a, t, ti)
+
+        def add(i, k, q):  # row i += q * row k
+            _add(a, i, k, q)
+            _add(t, i, k, q)
+            _add(ti, k, i, -q)
 
     for i in range(len(a)):
         row = a[i]
@@ -447,7 +461,7 @@ def _hermite(a: list, t: list, ti: list, ncols: int) -> list:
             k = pivot[c]
             if k < 0:
                 if x < 0:
-                    for rows in (a, t, ti):
+                    for rows in mats:
                         rows[i] = [-y for y in rows[i]]
                     row = a[i]
                 k = pivot[c] = i
@@ -465,7 +479,8 @@ def _hermite(a: list, t: list, ti: list, ncols: int) -> list:
                 xg, pg = x // g, p // g
                 _mix(a, k, i, s, e, xg, pg)
                 _mix(t, k, i, s, e, xg, pg)
-                _mix(ti, k, i, pg, xg, e, s)
+                if ti is not None:
+                    _mix(ti, k, i, pg, xg, e, s)
                 pos = bisect_left(pcols, c)
             p = a[k][c]
             for k2 in prows[:pos]:
@@ -483,8 +498,8 @@ def _hermite(a: list, t: list, ti: list, ncols: int) -> list:
     order = prows + zero
     if order == list(range(len(a))):
         return a
-    t[:] = [t[k] for k in order]
-    ti[:] = [ti[k] for k in order]
+    for rows in mats[1:]:
+        rows[:] = [rows[k] for k in order]
     return [a[k] for k in order]
 
 

@@ -227,9 +227,9 @@ class _StableReuse:
     this class is the one place that knows the memo's keys. The memo holds
     the completions once per stem; gamma_tilde, A_n ⊗ HZ_{k+1}HZ and each
     gamma_c ⊗ A_n once per A_n; the ``Factorizer``s once per (A_n,
-    target); once per A_n, the kernel inclusion of the stacked gammas and
-    certificate mode's forced-dead subgroup; and once per such subgroup,
-    its elements sorted as obstruction candidates.
+    target, gamma map); once per A_n, the kernel inclusion of the stacked
+    gammas and certificate mode's forced-dead subgroup; and once per such
+    subgroup, its elements sorted as obstruction candidates.
     """
 
     def __init__(self, tables: StableTables):
@@ -262,9 +262,12 @@ class _StableReuse:
         return self._get(("gammas", n, k, _key(a_n)), build)
 
     def factorizers(self, n: int, k: int, a_n: FgAbGroup, target: FgAbGroup) -> tuple:
-        """One ``Factorizer`` per completion, in completion order."""
-        return self._get(("factorizers", n, k, _key(a_n), _key(target)),
-                         lambda: tuple(Factorizer(g, target) for g in self.gammas(n, k, a_n)))
+        """One ``Factorizer`` per completion, in order; equal gamma maps share one."""
+        def build():
+            gammas = self.gammas(n, k, a_n)
+            built = {g: Factorizer(g, target) for g in dict.fromkeys(gammas)}
+            return tuple(built[g] for g in gammas)
+        return self._get(("factorizers", n, k, _key(a_n), _key(target)), build)
 
     def dead_inclusion(self, n: int, k: int, a_n: FgAbGroup) -> GroupHom:
         """The subgroup every completion kills: the kernel of the stacked gammas."""

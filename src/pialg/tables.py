@@ -47,8 +47,8 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field, replace
+from functools import cache, cached_property
 from math import gcd
 from types import MappingProxyType
 from typing import Iterator, Mapping, Optional, Tuple
@@ -343,7 +343,14 @@ def load_defaults() -> StableTables:
 
     Stems 7, 11 and 15 carry only their 3-primary alpha-family generators
     and are marked partial; nothing else about those stems is assumed.
+    Built and validated once per process; each call returns a new object
+    with its own empty memo, sharing the (once canonicalized) groups.
     """
+    return replace(_defaults())
+
+
+@cache
+def _defaults() -> StableTables:
     tg = TabulatedGroup
     t = StableTables(
         pi_stable={
@@ -412,7 +419,7 @@ def alpha_family_overlay(p: int, i_max: int) -> StableTables:
     if p < 5 or list(prime_factors(p)) != [p]:
         raise InconsistentTables("alpha_family_overlay expects a prime p >= 5; "
                                  "the 3-primary family ships with the defaults")
-    defaults = load_defaults()
+    defaults = _defaults()
     q_stable = {}
     gamma = {}
     for i in range(1, i_max + 1):
@@ -509,12 +516,18 @@ def parse_group_text(text: str):
     """Parse a group literal into (order, name) summands.
 
     Accepts the text grammar ("Z/4<nu> + Z/3<alpha>", "Z^2", "0") and, for
-    convenience, the JSON object form {"rank": r, "torsion": [...]}.
+    convenience, the JSON object form {"rank": r, "torsion": [...]}: a JSON
+    integer r >= 0 and a list of JSON integers >= 2, which need not form a
+    divisibility chain ({"torsion": [2, 3]} is Z/6).
     """
     text = text.strip()
     if text.startswith("{"):
         doc = json.loads(text)
-        return [(0, None)] * int(doc.get("rank", 0)) + [(int(d), None) for d in doc.get("torsion", ())]
+        rank, torsion = doc.get("rank", 0), doc.get("torsion", [])
+        if (type(rank) is not int or rank < 0 or type(torsion) is not list
+                or any(type(d) is not int or d < 2 for d in torsion)):
+            raise TableFormatError(f"JSON group needs integers: rank >= 0, torsion >= 2; got {text}")
+        return [(0, None)] * rank + [(d, None) for d in torsion]
     if text == "0":
         return []
     summands = []

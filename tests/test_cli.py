@@ -249,6 +249,9 @@ def test_usage_errors_exit_above_two(capsys):
     ["gamma-tilde", "--n", "5", "--k", "0", "--group", "Z/2"],
     ["survey", "--stem", "0"],
     ["survey", "--stem", "-1"],
+    ["survey", "--stem", "3", "--max-summands", "0"],
+    ["survey", "--stem", "3", "--max-order", "-3"],
+    ["survey", "--stem", "3", "--max-checks", "-1"],
 ])
 def test_out_of_range_degrees_are_usage_errors(argv, capsys):
     # An uncaught error would exit 1, which reads as "non-realizable".
@@ -256,3 +259,9 @@ def test_out_of_range_degrees_are_usage_errors(argv, capsys):
         main(argv)
     assert exc.value.code == 3
     assert "must be an integer >=" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("literal", ['{"rank": 1.5}', '{"torsion": 4}'])
+def test_non_integer_json_groups_exit_three(literal, capsys):
+    code, out, err = run(capsys, ["gamma-tilde", "--n", "5", "--k", "3", "--group", literal])
+    assert code == 3 and out == "" and "integer" in err

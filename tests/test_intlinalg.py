@@ -98,6 +98,23 @@ def test_snf_properties(m):
     assert_valid_snf(m, smith_normal_form(m))
 
 
+# shapes 0..5, and products through an inner dimension 0..5: rank-deficient
+# whenever the inner dimension is below both sides
+shapes = st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5))
+snf_inputs = st.one_of(
+    shapes.flatmap(lambda s: matrices_of(s[0], s[1])),
+    shapes.flatmap(lambda s: st.tuples(matrices_of(s[0], s[2]), matrices_of(s[2], s[1])))
+    .map(lambda ab: ab[0] * ab[1]))
+
+
+@given(snf_inputs)
+@settings(max_examples=300, deadline=None)
+def test_snf_without_inverses_keeps_u_d_v(m):
+    full, lean = smith_normal_form(m), smith_normal_form(m, inverses=False)
+    assert (lean.u, lean.d, lean.v) == (full.u, full.d, full.v)
+    assert lean.u_inv is None and lean.v_inv is None
+
+
 @given(matrices, st.data())
 @settings(max_examples=150, deadline=None)
 def test_solve_linear_finds_constructed_solutions(m, data):

@@ -396,6 +396,23 @@ def test_stem_answer_and_checks_share_completions(monkeypatch):
     assert [k for k, _ in calls] == [3]
 
 
+def test_one_factorizer_per_distinct_gamma_map(monkeypatch):
+    # What-if stem 5 = Z/2 + Z/3 with unconstrained gamma into Z/6 has six
+    # completions; gamma_c ⊗ A_n forgets the part of gamma_c that A_n kills.
+    from pialg.realizability import _StableReuse
+    t = merge(load_defaults(), loads_tables(
+        "[q_stable]\n5 = Z/2<x> + Z/3<y>\n[em_homology]\n6 = Z/6\n", "what-if"))
+    calls = _counting(monkeypatch, "Factorizer")
+    reuse = _StableReuse(t)
+    for a_n, distinct in ((Z, 6), (cyclic(3), 3), (cyclic(2), 2)):
+        calls.clear()
+        gammas = reuse.gammas(7, 5, a_n)
+        fzs = reuse.factorizers(7, 5, a_n, cyclic(6))
+        assert len(gammas) == 6 and len(set(gammas)) == distinct
+        assert len(calls) == distinct and len(set(map(id, fzs))) == distinct
+        assert [fz.through for fz in fzs] == list(gammas)
+
+
 def test_threads_sharing_tables_get_equal_verdicts():
     # Threads may race to build the same memo entry; every build is equal.
     import sys

@@ -198,6 +198,46 @@ def test_group_literal_grammar():
         group_from_text("Z^2<x>")
 
 
+@pytest.mark.parametrize("literal", [
+    '{"rank": 1.5}', '{"rank": -1}', '{"rank": true}', '{"rank": "1"}',
+    '{"torsion": 4}', '{"torsion": [2.0]}', '{"torsion": [1]}', '{"torsion": [0]}',
+    '{"torsion": [true]}',
+])
+def test_json_group_literals_must_hold_integers(literal):
+    from pialg.tables import group_from_text
+    with pytest.raises(TableFormatError):
+        group_from_text(literal)
+    with pytest.raises(TableFormatError):
+        loads_tables(f"[em_homology]\n4 = {literal}\n", "f")
+
+
+def test_json_group_literal_orders_need_not_chain():
+    from pialg.tables import group_from_text
+    assert group_from_text('{"torsion": [2, 3]}') == cyclic(6)
+    assert group_from_text('{"rank": 2}') == FgAbGroup(2, ())
+
+
+def test_defaults_are_built_once_per_process(monkeypatch):
+    from pialg import fgab, load_defaults, tables as tables_module
+
+    def groups(t):
+        return ([e.group for e in (*t.pi_stable.values(), *t.q_stable.values())]
+                + list(t.em_homology.values()))
+
+    first = load_defaults()
+    groups(first)
+    calls = []
+    for module in (fgab, tables_module):
+        original = module.canonicalize_full
+        monkeypatch.setattr(module, "canonicalize_full",
+                            lambda p, original=original: calls.append(p) or original(p))
+    second = load_defaults()
+    assert groups(second) == groups(first)
+    assert calls == []
+    assert second == first and second is not first
+    assert second._memo == {} and first._memo is not second._memo
+
+
 def test_alpha_family_overlay(tables):
     with pytest.raises(InconsistentTables):
         alpha_family_overlay(3, 2)
