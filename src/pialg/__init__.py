@@ -27,7 +27,6 @@ from .fgab import (
     Presentation,
     TRIVIAL,
     Z,
-    canonicalize,
     cokernel,
     cyclic,
     direct_sum,
@@ -60,9 +59,7 @@ from .quadratic import (
     Z_LAMBDA,
     brute_force_quad_tensor,
     exterior_square,
-    involution,
     quad_tensor,
-    quad_tensor_free,
     quad_tensor_induced,
     whitehead_gamma,
 )
@@ -77,8 +74,6 @@ from .realizability import (
     all_realizable_in_stem,
     build_structure_map,
     check,
-    check_k1,
-    check_k2,
     check_stable,
     problem_from_json,
     survey_stem,

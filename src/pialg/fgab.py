@@ -187,8 +187,7 @@ def from_cyclic_orders(orders: Sequence[int], labels: Optional[Sequence[str]] = 
     coincide with the given summands (use TabulatedGroup in tables to keep
     named non-canonical summands).
     """
-    pres = Presentation(len(orders), IntMatrix.diagonal(list(orders), rows=len(orders), cols=len(orders)))
-    grp, _ = canonicalize(pres)
+    grp = _cyclic_sum(orders).group
     if labels is not None:
         chain = [d for d in orders if d >= 2]
         free = [d for d in orders if d == 0]
@@ -241,18 +240,15 @@ class Canonicalized:
     section: IntMatrix
 
 
-def canonicalize(p: Presentation) -> tuple:
-    """Canonical form of coker(relations) plus the quotient map.
+def canonicalize_full(p: Presentation) -> Canonicalized:
+    """Canonical form of coker(relations), its quotient map and a section.
 
-    >>> g, q = canonicalize(Presentation(2, IntMatrix.from_rows([[2, 0]], cols=2)))
-    >>> str(g)
+    The quotient is the kept rows of U and the section the matching columns
+    of U⁻¹, from one Smith normal form of the relations.
+
+    >>> str(canonicalize_full(Presentation(2, IntMatrix.from_rows([[2, 0]], cols=2))).group)
     'Z/2 ⊕ Z'
     """
-    c = canonicalize_full(p)
-    return c.group, c.quotient
-
-
-def canonicalize_full(p: Presentation) -> Canonicalized:
     n = p.n_generators
     m = p.relations.transpose()  # columns = relators inside Z^n
     s = smith_normal_form(m)
@@ -263,11 +259,14 @@ def canonicalize_full(p: Presentation) -> Canonicalized:
     # Torsion positions always precede free ones in `kept` because the SNF
     # diagonal is sorted by divisibility (1s, then >=2s, then 0s).
     group = FgAbGroup(rank, tuple(torsion))
-    qmatrix = IntMatrix.from_rows([s.u.row(i) for i in kept], cols=n) if kept else IntMatrix.zeros(0, n)
-    quotient = GroupHom(free_group(n), group, qmatrix)
-    section = IntMatrix.from_columns([s.u_inv.col(i) for i in kept], rows=n) if kept \
-        else IntMatrix.zeros(n, 0)
+    quotient = GroupHom._of(free_group(n), group, tuple(s.u.row(i) for i in kept))
+    section = IntMatrix._of(n, len(kept), tuple(tuple(r[i] for i in kept) for r in s.u_inv.data))
     return Canonicalized(group, quotient, section)
+
+
+def _cyclic_sum(orders: Sequence[int]) -> Canonicalized:
+    """The canonical form of the direct sum of Z/d over ``orders`` (0 meaning Z)."""
+    return canonicalize_full(Presentation(len(orders), IntMatrix.diagonal(orders)))
 
 
 # -- homomorphisms ------------------------------------------------------
@@ -540,13 +539,11 @@ def hom_kernel_lattice(f: GroupHom) -> IntMatrix:
 def subgroup(ambient: FgAbGroup, generators: Sequence) -> tuple:
     """(S, inclusion) for the subgroup of ``ambient`` the elements generate."""
     cols = [ambient.reduce(g) for g in generators]
-    phi = GroupHom.from_columns(free_group(len(cols)), ambient, cols) if cols \
-        else GroupHom.zero(TRIVIAL, ambient)
+    phi = GroupHom.from_columns(free_group(len(cols)), ambient, cols)
     lat = hom_kernel_lattice(phi)
     pres = Presentation(len(cols), lat.transpose())
     c = canonicalize_full(pres)
-    gen_mat = IntMatrix.from_columns(cols, rows=ambient.dim) if cols else IntMatrix.zeros(ambient.dim, 0)
-    incl = GroupHom(c.group, ambient, gen_mat * c.section)
+    incl = GroupHom(c.group, ambient, IntMatrix.from_columns(cols, rows=ambient.dim) * c.section)
     return c.group, incl
 
 
@@ -567,9 +564,7 @@ def cokernel(f: GroupHom) -> tuple:
     tt = len(b.torsion)
     rel_rows = [[b.torsion[i] if j == i else 0 for j in range(b.dim)] for i in range(tt)]
     rel_rows += [list(f.matrix.col(j)) for j in range(f.source.dim)]
-    pres = Presentation(b.dim, IntMatrix.from_rows(rel_rows, cols=b.dim) if rel_rows
-                        else IntMatrix.zeros(0, b.dim))
-    c = canonicalize_full(pres)
+    c = canonicalize_full(Presentation(b.dim, IntMatrix.from_rows(rel_rows, cols=b.dim)))
     proj = GroupHom(b, c.group, c.quotient.matrix)
     return c.group, proj
 
@@ -588,23 +583,16 @@ class DirectSum:
 
 def direct_sum(*groups: FgAbGroup) -> DirectSum:
     """Canonical direct sum with its injections and projections."""
-    dims = [g.dim for g in groups]
-    total = sum(dims)
-    orders = [d for g in groups for d in g.torsion + (0,) * g.rank]
-    pres = Presentation(total, IntMatrix.diagonal(orders, rows=total, cols=total))
-    c = canonicalize_full(pres)
+    c = _cyclic_sum([d for g in groups for d in g.torsion + (0,) * g.rank])
     injections = []
     projections = []
     off = 0
-    for g, d in zip(groups, dims):
-        block_cols = [c.quotient.matrix.col(off + j) for j in range(d)]
-        injections.append(GroupHom.from_columns(g, c.group, block_cols)
-                          if d else GroupHom.zero(g, c.group))
-        proj_rows = [c.section.row(off + j) for j in range(d)]
-        projections.append(GroupHom(c.group, g,
-                                    IntMatrix.from_rows(proj_rows, cols=c.group.dim) if d
-                                    else IntMatrix.zeros(0, c.group.dim)))
-        off += d
+    for g in groups:
+        block = range(off, off + g.dim)
+        injections.append(GroupHom.from_columns(g, c.group, [c.quotient.matrix.col(j) for j in block]))
+        projections.append(GroupHom(c.group, g, IntMatrix.from_rows(
+            [c.section.row(j) for j in block], cols=c.group.dim)))
+        off += g.dim
     return DirectSum(c.group, tuple(injections), tuple(projections))
 
 
@@ -666,9 +654,7 @@ def tensor(a: FgAbGroup, b: FgAbGroup) -> TensorProduct:
             rows.append([d if idx[(i, j)] == k else 0 for k in range(len(pairs))])
         if e:
             rows.append([e if idx[(i, j)] == k else 0 for k in range(len(pairs))])
-    pres = Presentation(len(pairs), IntMatrix.from_rows(rows, cols=len(pairs)) if rows
-                        else IntMatrix.zeros(0, len(pairs)))
-    c = canonicalize_full(pres)
+    c = canonicalize_full(Presentation(len(pairs), IntMatrix.from_rows(rows, cols=len(pairs))))
     return TensorProduct(a, b, c.group, tuple(pairs), c)
 
 

@@ -600,8 +600,7 @@ def cokernel_invariants_sparse(n_gens: int, rows: Iterable[dict]) -> tuple:
             seen.add(key)
             dense_rows.append(vec)
     if remaining_cols:
-        rel = IntMatrix.from_rows(dense_rows, cols=len(remaining_cols)) if dense_rows \
-            else IntMatrix.zeros(0, len(remaining_cols))
+        rel = IntMatrix.from_rows(dense_rows, cols=len(remaining_cols))
         s = smith_normal_form(rel.transpose())
         diag = s.diagonal()
         torsion = [x for x in diag if x >= 2]

@@ -29,8 +29,6 @@ from .errors import MissingTableData
 from .fgab import Congruences, FgAbGroup, GroupHom, TRIVIAL, cyclic, tensor, tensor_induced
 from .quadratic import (
     QuadTensorResult,
-    Z_GAMMA,
-    Z_LAMBDA,
     exterior_square,
     quad_tensor,
     quad_tensor_induced,
@@ -80,10 +78,6 @@ class GammaTildeResult:
     def spanning(self) -> Congruences:
         """Coefficients over the semantic generators: one reduction serves every element."""
         return Congruences.spanning(self.group, self.generator_hom().matrix)
-
-
-def _eta_coefficient_group() -> FgAbGroup:
-    return cyclic(2, "eta")
 
 
 def _resolve_regime(n: int, k: int) -> Regime:
@@ -142,8 +136,7 @@ def gamma_tilde(n: int, k: int, a: FgAbGroup, tables: StableTables) -> GammaTild
     if regime is Regime.K1:
         if n == 2:
             return _from_quad(whitehead_gamma(a), regime, n, k)
-        c2 = _eta_coefficient_group()
-        return _from_tensor(a, c2, [("eta", (1,))], regime, n, k)
+        return _from_tensor(a, cyclic(2, "eta"), [("eta", (1,))], regime, n, k)
     if regime is Regime.K2:
         if n == 3:
             return _from_quad(exterior_square(a), regime, n, k)
@@ -163,28 +156,15 @@ def gamma_tilde(n: int, k: int, a: FgAbGroup, tables: StableTables) -> GammaTild
 def gamma_tilde_induced(n: int, k: int, f: GroupHom, tables: StableTables) -> GroupHom:
     """The functor on morphisms, compatible with composition.
 
-    In the additive regimes this is f ⊗ id; in the quadratic regimes it is
-    the induced map on quadratic tensor products (quadratic in f: doubling
-    a generator multiplies its gamma-class by four).
+    The regime is ``gamma_tilde``'s: the map is induced along the tensor
+    (f ⊗ id) or quadratic tensor product that ``gamma_tilde`` built for
+    f's source and target, and is zero where it built neither. Quadratic
+    in f there: doubling a generator multiplies its gamma-class by four.
     """
-    if n < 2 or k < 1:
-        raise ValueError("need n >= 2 and k >= 1")
-    regime = _resolve_regime(n, k)
-    if regime is Regime.K1:
-        if n == 2:
-            return quad_tensor_induced(f, Z_GAMMA)
-        c2 = _eta_coefficient_group()
-        return tensor_induced(f, GroupHom.identity(c2))
-    if regime is Regime.K2:
-        if n == 3:
-            return quad_tensor_induced(f, Z_LAMBDA)
-        return GroupHom.zero(TRIVIAL, TRIVIAL)
-    if regime is Regime.METASTABLE:
-        return quad_tensor_induced(f, tables.metastable_module(n))
-    if regime is Regime.STABLE:
-        entry = tables.q_stable_entry(k)
-        return tensor_induced(f, GroupHom.identity(entry.group))
-    qg = tables.q_unstable_group(k, n)
-    if qg is None:
-        raise MissingTableData(f"Q_{{{k},{n}}} is not tabulated")
-    return tensor_induced(f, GroupHom.identity(qg))
+    src, tgt = gamma_tilde(n, k, f.source, tables), gamma_tilde(n, k, f.target, tables)
+    if src._quad is not None:
+        return quad_tensor_induced(f, src._quad.module, source=src._quad, target=tgt._quad)
+    if src._tensor is not None:
+        return tensor_induced(f, GroupHom.identity(src._tensor.right),
+                              source=src._tensor, target=tgt._tensor)
+    return GroupHom.zero(src.group, tgt.group)

@@ -83,10 +83,6 @@ class QuadraticModule:
         return f"({self.me} -H-> {self.mee} -P-> {self.me})"
 
 
-def involution(m: QuadraticModule) -> GroupHom:
-    return m.involution()
-
-
 def _qm(me: FgAbGroup, mee: FgAbGroup, h_cols, p_cols) -> QuadraticModule:
     return QuadraticModule(
         me, mee,
@@ -267,11 +263,6 @@ class QuadTensorResult:
                                 self._fqt, self._canon)
 
 
-def quad_tensor_free(s: int, m: QuadraticModule) -> QuadTensorResult:
-    """Z^s ⊗q M with the block decomposition made canonical."""
-    return quad_tensor(FgAbGroup(s, ()), m)
-
-
 def quad_tensor(a: FgAbGroup, m: QuadraticModule) -> QuadTensorResult:
     """A ⊗q M via the reflexive-coequalizer presentation.
 
@@ -304,9 +295,7 @@ def quad_tensor(a: FgAbGroup, m: QuadraticModule) -> QuadTensorResult:
             rows.append([d if r == pos else 0 for r in range(tgt.size)])
     for col in range(delta.cols):
         rows.append(list(delta.col(col)))
-    pres = Presentation(tgt.size, IntMatrix.from_rows(rows, cols=tgt.size) if rows
-                        else IntMatrix.zeros(0, tgt.size))
-    c = canonicalize_full(pres)
+    c = canonicalize_full(Presentation(tgt.size, IntMatrix.from_rows(rows, cols=tgt.size)))
 
     la = a.labels()
     lme = m.me.labels() if not m.me.is_trivial else ()
@@ -332,19 +321,15 @@ def quad_tensor_induced(f: GroupHom, m: QuadraticModule,
                         target: Optional[QuadTensorResult] = None) -> GroupHom:
     """The induced map f ⊗q M between quadratic tensor products.
 
+    One product, target quotient · (f on the free level) · source section.
     The free-level map is computed from the integer matrix of f; any two
     integer lifts differ by relations and give the same induced map on the
     canonical quotients.
     """
     src = source if source is not None else quad_tensor(f.source, m)
     tgt = target if target is not None else quad_tensor(f.target, m)
-    ind = src._fqt.induced_matrix(f.matrix, tgt._fqt)
-    cols = []
-    for g in range(src.group.dim):
-        lift = src._canon.section.col(g)
-        vec = ind.mul_vec(lift)
-        cols.append(tgt.group.reduce(tgt._canon.quotient.matrix.mul_vec(vec)))
-    return GroupHom.from_columns(src.group, tgt.group, cols)
+    on_free = src._fqt.induced_matrix(f.matrix, tgt._fqt)
+    return GroupHom(src.group, tgt.group, tgt._canon.quotient.matrix * on_free * src._canon.section)
 
 
 def whitehead_gamma(a: FgAbGroup) -> QuadTensorResult:

@@ -61,7 +61,7 @@ from .fgab import (
     two_torsion_subgroup,
 )
 from .intlinalg import IntMatrix
-from .pi_functors import GammaTildeResult, gamma_tilde
+from .pi_functors import GammaTildeResult, Regime, gamma_tilde
 from .tables import StableTables, admissible_gamma_completions, prime_factors
 
 
@@ -246,7 +246,14 @@ class _StableReuse:
                          lambda: gamma_tilde(n, k, a_n, self.tables))
 
     def completions(self, k: int) -> list:
-        return self._get(("completions", k), lambda: admissible_gamma_completions(k, self.tables))
+        """The admissible completions of stem k; InconsistentTables when an overlay leaves none."""
+        def build():
+            completions = admissible_gamma_completions(k, self.tables)
+            if not completions:
+                raise InconsistentTables(f"no admissible gamma completion exists in stem {k}; "
+                                         "the tables are contradictory")
+            return completions
+        return self._get(("completions", k), build)
 
     def tensor(self, a: FgAbGroup, b: FgAbGroup):
         return self._get(("tensor", _key(a), _key(b)), lambda: tensor(a, b))
@@ -351,12 +358,8 @@ def check_stable(pa: TwoStagePiAlgebra, tables: StableTables) -> Verdict:
 def _check_stable_enumerating(pa: TwoStagePiAlgebra, gt: GammaTildeResult,
                               reuse: _StableReuse) -> Verdict:
     n, k = pa.n, pa.k
-    completions = reuse.completions(k)
-    if not completions:
-        raise InconsistentTables(
-            f"no admissible gamma completion exists in stem {k}; the tables are contradictory")
     outcomes = []
-    for comp, fz in zip(completions, reuse.factorizers(n, k, pa.a_n, pa.eta.target)):
+    for comp, fz in zip(reuse.completions(k), reuse.factorizers(n, k, pa.a_n, pa.eta.target)):
         h = fz.factor(pa.eta)
         outcomes.append(CompletionOutcome(comp.assignment, h is not None, h, gamma_hom=fz.through))
     outcomes = tuple(outcomes)
@@ -387,38 +390,26 @@ def _validated_gt(pa: TwoStagePiAlgebra, tables: StableTables) -> GammaTildeResu
     return gt
 
 
-def check_k1(pa: TwoStagePiAlgebra, tables: StableTables) -> Verdict:
-    """Degrees (n, n+1): always realizable once eta is well-formed."""
-    if pa.k != 1:
-        raise ValueError("check_k1 expects k = 1")
-    _validated_gt(pa, tables)
-    return Verdict(Status.REALIZABLE,
-                   note="all systems concentrated in consecutive degrees are realizable")
-
-
-def check_k2(pa: TwoStagePiAlgebra, tables: StableTables) -> Verdict:
-    """Degrees (n, n+2): always realizable once eta is well-formed."""
-    if pa.k != 2:
-        raise ValueError("check_k2 expects k = 2")
-    _validated_gt(pa, tables)
-    return Verdict(Status.REALIZABLE,
-                   note="all systems concentrated in degrees n, n+2 are realizable")
+_ALWAYS_REALIZABLE = {
+    Regime.K1: "all systems concentrated in consecutive degrees are realizable",
+    Regime.K2: "all systems concentrated in degrees n, n+2 are realizable",
+}
 
 
 def check(pa: TwoStagePiAlgebra, tables: StableTables) -> Verdict:
-    """Dispatch on the regime of (n, k).
+    """Dispatch on the regime that ``gamma_tilde`` resolved for (n, k).
 
-    gamma_tilde and the other eta-independent work are memoized on
-    ``tables``, so a problem parsed by ``problem_from_json`` against the
-    same tables object reuses its gamma_tilde.
+    k = 1 and k = 2 are realizable once eta is well-formed; the stable
+    range goes to ``check_stable``. gamma_tilde and the other
+    eta-independent work are memoized on ``tables``, so a problem parsed
+    by ``problem_from_json`` against the same tables object reuses its
+    gamma_tilde.
     """
-    if pa.k == 1:
-        return check_k1(pa, tables)
-    if pa.k == 2:
-        return check_k2(pa, tables)
-    if pa.k <= pa.n - 2:
-        return check_stable(pa, tables)
     gt = _validated_gt(pa, tables)
+    if gt.regime in _ALWAYS_REALIZABLE:
+        return Verdict(Status.REALIZABLE, note=_ALWAYS_REALIZABLE[gt.regime])
+    if gt.regime is Regime.STABLE:
+        return check_stable(pa, tables)
     if gt.group.is_trivial:
         return Verdict(Status.REALIZABLE, note="trivial operations; a product of "
                                                "Eilenberg-MacLane spaces realizes it")
@@ -464,12 +455,8 @@ def all_realizable_in_stem(k: int, tables: StableTables) -> StemVerdict:
         return StemVerdict(k, StemAnswer.YES, note="trivial operations in this stem")
     cod = tables.em(k + 1)
     if entry.complete and cod is not None:
-        comps = _StableReuse(tables).completions(k)
-        if not comps:
-            raise InconsistentTables(
-                f"no admissible gamma completion exists in stem {k}; the tables are contradictory")
         results = []
-        for c in comps:
+        for c in _StableReuse(tables).completions(k):
             split, _ = is_split_injective(c.hom)
             results.append((c.assignment, split))
         if all(s for _, s in results):

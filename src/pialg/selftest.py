@@ -34,8 +34,6 @@ from .realizability import (
     all_realizable_in_stem,
     build_structure_map,
     check,
-    check_k1,
-    check_k2,
     check_stable,
     three_stage_obstruction,
 )
@@ -200,10 +198,10 @@ def run_selftest(tables: StableTables) -> List[Tuple[str, bool, str]]:
     def _():
         gt1 = gamma_tilde(2, 1, cyclic(2), tables)
         eta1 = build_structure_map(gt1, [(1,)], cyclic(4))
-        v1 = check_k1(TwoStagePiAlgebra(2, 1, cyclic(2), cyclic(4), eta1), tables)
+        v1 = check(TwoStagePiAlgebra(2, 1, cyclic(2), cyclic(4), eta1), tables)
         gt2 = gamma_tilde(3, 2, FgAbGroup(2, ()), tables)
         eta2 = build_structure_map(gt2, [(1,)], Z)
-        v2 = check_k2(TwoStagePiAlgebra(3, 2, FgAbGroup(2, ()), Z, eta2), tables)
+        v2 = check(TwoStagePiAlgebra(3, 2, FgAbGroup(2, ()), Z, eta2), tables)
         return _expect(v1.status is Status.REALIZABLE and v2.status is Status.REALIZABLE,
                        f"got {v1.status.value}, {v2.status.value}")
 

@@ -58,13 +58,11 @@ from .fgab import (
     Factorizer,
     FgAbGroup,
     GroupHom,
-    Presentation,
     TRIVIAL,
-    canonicalize_full,
+    _cyclic_sum,
     free_group,
     from_cyclic_orders,
 )
-from .intlinalg import IntMatrix
 from .quadratic import (
     BUILTIN_QUADRATIC_MODULES,
     QuadraticModule,
@@ -101,9 +99,7 @@ class TabulatedGroup:
 
     @cached_property
     def _canon(self):
-        orders = [d for d, _ in self.summands]
-        return canonicalize_full(
-            Presentation(len(orders), IntMatrix.diagonal(orders, rows=len(orders), cols=len(orders))))
+        return _cyclic_sum([d for d, _ in self.summands])
 
     @property
     def group(self) -> FgAbGroup:
@@ -195,6 +191,11 @@ class GammaKnowledge:
         return f"unknown({self.bound})"
 
 
+#: The mapping fields of ``StableTables``, in overlay-file order.
+_SECTIONS = ("pi_stable", "q_stable", "q_unstable", "em_homology", "metastable_qm", "gamma",
+             "pi_products")
+
+
 @dataclass(frozen=True)
 class StableTables:
     """Tabulated values, held as read-only mappings, and a memo of derived work.
@@ -217,8 +218,7 @@ class StableTables:
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        for name in ("pi_stable", "q_stable", "q_unstable", "em_homology", "metastable_qm",
-                     "gamma", "pi_products"):
+        for name in _SECTIONS:
             object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
 
     @property
@@ -253,13 +253,7 @@ class StableTables:
 def merge(base: StableTables, overlay: StableTables) -> StableTables:
     """Overlay entries override base entries; the result is re-validated."""
     out = StableTables(
-        pi_stable={**base.pi_stable, **overlay.pi_stable},
-        q_stable={**base.q_stable, **overlay.q_stable},
-        q_unstable={**base.q_unstable, **overlay.q_unstable},
-        em_homology={**base.em_homology, **overlay.em_homology},
-        metastable_qm={**base.metastable_qm, **overlay.metastable_qm},
-        gamma={**base.gamma, **overlay.gamma},
-        pi_products={**base.pi_products, **overlay.pi_products},
+        **{name: {**getattr(base, name), **getattr(overlay, name)} for name in _SECTIONS},
         torsion_exponent_rule=(overlay.torsion_exponent_rule
                                if overlay.torsion_exponent_rule is not None
                                else base.torsion_exponent_rule),
@@ -270,6 +264,9 @@ def merge(base: StableTables, overlay: StableTables) -> StableTables:
 
 
 def validate_tables(t: StableTables) -> None:
+    for m, g in t.em_homology.items():
+        if m >= 1 and g.rank:
+            raise InconsistentTables(f"em_homology[{m}] = {g} is infinite, but HZ_{m}HZ is finite")
     if t.exponent_rule_enabled:
         for m, g in t.em_homology.items():
             if g.torsion:
@@ -500,8 +497,7 @@ def admissible_gamma_completions(k: int, tables: StableTables) -> list:
     solver = Factorizer(entry.generator_hom(), cod)  # only the images vary
     for combo in itertools.product(*per_gen):
         hom = solver.solve(list(combo))
-        if hom is None:  # cannot happen: image orders divide generator orders
-            continue
+        assert hom is not None, "image orders divide generator orders"
         out.append(GammaCompletion(k, tuple(zip(entry.names, combo)), hom))
     return out
 
@@ -585,9 +581,8 @@ def parse_gamma_value(text: str) -> GammaKnowledge:
 
 def loads_tables(text: str, name: str = "<string>") -> StableTables:
     """Parse overlay text into a (possibly partial) StableTables."""
-    fields: dict = dict(pi_stable={}, q_stable={}, q_unstable={}, em_homology={},
-                        metastable_qm={}, gamma={}, pi_products={},
-                        torsion_exponent_rule=None)
+    fields: dict = {name: {} for name in _SECTIONS}
+    fields["torsion_exponent_rule"] = None
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -601,8 +596,7 @@ def loads_tables(text: str, name: str = "<string>") -> StableTables:
             if not line.endswith("]"):
                 fail("unterminated section header")
             section = line[1:-1].strip()
-            if section not in ("pi_stable", "q_stable", "q_unstable", "em_homology",
-                               "metastable_qm", "gamma", "pi_products", "options"):
+            if section not in (*_SECTIONS, "options"):
                 fail(f"unknown section {section!r}")
             continue
         if section is None:
@@ -705,14 +699,7 @@ def dumps_tables(t: StableTables) -> str:
 
 
 def _group_text(g: FgAbGroup) -> str:
-    if g.is_trivial:
-        return "0"
-    parts = [f"Z/{d}" for d in g.torsion]
-    if g.rank == 1:
-        parts.append("Z")
-    elif g.rank > 1:
-        parts.append(f"Z^{g.rank}")
-    return " + ".join(parts)
+    return str(g).replace(" ⊕ ", " + ")
 
 
 def verify_pi_ring_relations(t: StableTables) -> list:
@@ -742,7 +729,7 @@ def verify_pi_ring_relations(t: StableTables) -> list:
         eta_cubed = product(1, "eta", 2, "eta^2")
         if eta_cubed != named_element(3, [("nu", 4)]):
             bad.append("eta^3 = 4·nu fails")
-        if any(named_element(3, [("nu", 4)]) == t.pi_stable[3].group.zero() for _ in (0,)):
+        if named_element(3, [("nu", 4)]) == t.pi_stable[3].group.zero():
             bad.append("4·nu should be nonzero (eta^3 detects it)")
         if any(product(1, "eta", 3, "nu")):
             bad.append("eta·nu = 0 fails")

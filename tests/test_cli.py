@@ -232,6 +232,33 @@ def test_selftest_command(capsys):
     assert "passed" in out
 
 
+def test_selftest_machine_report_pinned(capsys):
+    # Every selftest line, detail included; only the timing may move.
+    import hashlib
+    code, out, _ = run(capsys, ["selftest", "--format", "machine"])
+    report = json.loads(out)
+    del report["elapsed_s"]
+    assert code == 0 and len(report["results"]) == 24
+    assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == \
+        "f907bd8b39ec943544d9dcf86bf1cb570d3a5a46fd0eead48166b38adb98bfa3"
+
+
+@pytest.mark.parametrize("overlay, doc", [
+    ("[q_stable]\n5 = Z<x>\n[em_homology]\n6 = Z\n",
+     {"n": 7, "k": 5, "A_n": {"rank": 1, "torsion": []}, "A_nk": {"rank": 1, "torsion": []},
+      "eta": [[1]]}),
+    ("[em_homology]\n4 = Z\n", SMALLEST),
+], ids=["enumerated", "no-completion"])
+def test_infinite_em_homology_exits_three(problem_file, tmp_path, capsys, overlay, doc):
+    # An infinite HZ_mHZ must not reach the completion enumerator, where it
+    # ends in a traceback (exit 1, read as "non-realizable") or in a
+    # misleading "contradictory".
+    path = tmp_path / "infinite.tbl"
+    path.write_text(overlay)
+    code, out, err = run(capsys, ["check", problem_file(doc), "--tables", str(path)])
+    assert code == 3 and out == "" and "is infinite" in err
+
+
 def test_usage_errors_exit_above_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check"])  # missing positional argument

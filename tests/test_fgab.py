@@ -14,7 +14,6 @@ from pialg import (
     Presentation,
     TRIVIAL,
     Z,
-    canonicalize,
     cokernel,
     cyclic,
     direct_sum,
@@ -64,12 +63,13 @@ def test_equality_ignores_labels():
 
 
 def test_canonicalize_examples():
-    g, q = canonicalize(Presentation(2, IntMatrix.from_rows([[2, 0]], cols=2)))
+    c = canonicalize_full(Presentation(2, IntMatrix.from_rows([[2, 0]], cols=2)))
+    g, q = c.group, c.quotient
     assert g == FgAbGroup(1, (2,))
     assert q.source == FgAbGroup(2, ()) and q.target == g
-    g, _ = canonicalize(Presentation(1, IntMatrix.zeros(0, 1)))
+    g = canonicalize_full(Presentation(1, IntMatrix.zeros(0, 1))).group
     assert g == Z
-    g, _ = canonicalize(Presentation(0, IntMatrix.zeros(0, 0)))
+    g = canonicalize_full(Presentation(0, IntMatrix.zeros(0, 0))).group
     assert g == TRIVIAL
 
 
@@ -81,18 +81,18 @@ def test_canonicalize_idempotent():
         pres = Presentation(n, IntMatrix(rows, n,
                                          [[rng.randrange(-8, 9) for _ in range(n)]
                                           for _ in range(rows)]))
-        g, _ = canonicalize(pres)
+        g = canonicalize_full(pres).group
         # re-present the canonical group and canonicalize again
         again = Presentation(g.dim, IntMatrix.diagonal(
             list(g.torsion) + [0] * g.rank, rows=g.dim, cols=g.dim))
-        g2, _ = canonicalize(again)
+        g2 = canonicalize_full(again).group
         assert g2 == g
 
 
 def test_canonicalize_unimodular_invariance():
     rng = random.Random(5)
     base = IntMatrix.from_rows([[2, 0, 0], [0, 6, 0]])
-    g0, _ = canonicalize(Presentation(3, base))
+    g0 = canonicalize_full(Presentation(3, base)).group
     for _ in range(40):
         rows = base.to_lists()
         # random elementary row and column operations keep the cokernel
@@ -107,7 +107,7 @@ def test_canonicalize_unimodular_invariance():
                 c = rng.randrange(-3, 4)
                 rows = [[row[k] + (c * row[j] if k == i else 0) for k in range(m.cols)]
                         for row in rows]
-        g, _ = canonicalize(Presentation(3, IntMatrix.from_rows(rows)))
+        g = canonicalize_full(Presentation(3, IntMatrix.from_rows(rows))).group
         assert g == g0
 
 

@@ -22,6 +22,8 @@ from pialg import (
     tensor,
 )
 
+from pialg.tables import group_from_text
+
 from helpers import random_group, random_hom
 
 
@@ -125,9 +127,21 @@ def test_induced_unstable_tabulated(tables):
         gamma_tilde_induced(3, 5, f, tables)
 
 
+def test_named_group_literals_keep_their_labels(tables):
+    def labels(text):
+        return gamma_tilde(5, 3, group_from_text(text), tables).labels()
+
+    assert labels("Z/4<x>") == ("x⊗nu", "x⊗alpha")
+    # canonical order is torsion first; the names follow their summands
+    assert labels("Z<x> + Z/4<t>") == ("t⊗nu", "t⊗alpha", "x⊗nu", "x⊗alpha")
+    # Z/2 + Z/3 is canonically Z/6, a generator neither name belongs to
+    assert labels("Z/2<a> + Z/3<b>") == ("a1⊗nu", "a1⊗alpha")
+
+
 def test_induced_composition(tables):
     rng = random.Random(23)
-    for n, k in [(6, 3), (2, 1), (3, 2), (6, 1)]:
+    tables = merge(tables, loads_tables("[metastable_qm]\n4 = pi5S3\n", "meta4"))
+    for n, k in [(6, 3), (2, 1), (3, 2), (6, 1), (4, 2), (4, 3)]:
         for _ in range(8):
             a = random_group(rng, 6, allow_free=False)
             b = random_group(rng, 6, allow_free=False)

@@ -19,11 +19,9 @@ from pialg import (
     direct_sum,
     exterior_square,
     from_cyclic_orders,
-    involution,
     kernel,
     multiplication_by,
     quad_tensor,
-    quad_tensor_free,
     quad_tensor_induced,
     stack_homs,
     tensor,
@@ -46,17 +44,17 @@ def test_axioms_validated():
 
 
 def test_involution_values():
-    assert involution(Z_GAMMA).matrix.to_lists() == [[1]]
-    assert involution(Z_LAMBDA).matrix.to_lists() == [[-1]]
-    assert involution(PI5_S3).matrix.to_lists() == [[-1]]
+    assert Z_GAMMA.involution().matrix.to_lists() == [[1]]
+    assert Z_LAMBDA.involution().matrix.to_lists() == [[-1]]
+    assert PI5_S3.involution().matrix.to_lists() == [[-1]]
 
 
 def test_free_decomposition():
-    assert quad_tensor_free(1, Z_GAMMA).group == Z
-    assert quad_tensor_free(2, Z_LAMBDA).group == Z
-    assert quad_tensor_free(0, PI5_S3).group == TRIVIAL
+    assert quad_tensor(FgAbGroup(1, ()), Z_GAMMA).group == Z
+    assert quad_tensor(FgAbGroup(2, ()), Z_LAMBDA).group == Z
+    assert quad_tensor(FgAbGroup(0, ()), PI5_S3).group == TRIVIAL
     # s copies of Me plus one Mee per unordered pair
-    r = quad_tensor_free(3, PI5_S3)
+    r = quad_tensor(FgAbGroup(3, ()), PI5_S3)
     assert r.group == from_cyclic_orders([2, 2, 2, 0, 0, 0])
     assert len(r.e_gens) == 3 and len(r.ee_gens) == 3
 
@@ -133,6 +131,25 @@ def test_induced_functoriality():
             assert quad_tensor_induced(g @ f, m) == \
                 quad_tensor_induced(g, m) @ quad_tensor_induced(f, m)
         assert quad_tensor_induced(GroupHom.identity(cyclic(4)), m).is_identity()
+
+
+def _quad_tensor_induced_per_column(f, m):
+    # The per-column construction quad_tensor_induced replaced, kept as its reference.
+    src, tgt = quad_tensor(f.source, m), quad_tensor(f.target, m)
+    ind = src._fqt.induced_matrix(f.matrix, tgt._fqt)
+    cols = [tgt.group.reduce(tgt._canon.quotient.matrix.mul_vec(ind.mul_vec(src._canon.section.col(g))))
+            for g in range(src.group.dim)]
+    return GroupHom.from_columns(src.group, tgt.group, cols)
+
+
+def test_quad_tensor_induced_equals_the_per_column_lift():
+    rng = random.Random(31)
+    groups = [TRIVIAL, Z, cyclic(2), cyclic(4), cyclic(6), from_cyclic_orders([2, 2]),
+              from_cyclic_orders([0, 2])]
+    for m in MODULES.values():
+        for _ in range(20):
+            f = random_hom(rng, rng.choice(groups), rng.choice(groups))
+            assert quad_tensor_induced(f, m) == _quad_tensor_induced_per_column(f, m)
 
 
 def test_induced_functoriality_exhaustive_at_order_four():

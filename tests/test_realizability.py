@@ -20,7 +20,6 @@ from pialg import (
     all_realizable_in_stem,
     build_structure_map,
     check,
-    check_k1,
     check_stable,
     cyclic,
     from_cyclic_orders,
@@ -119,7 +118,7 @@ def test_k1_k2_always_realizable(tables):
 def test_eta_source_validated(tables):
     eta = GroupHom.zero(cyclic(2), cyclic(4))  # wrong source group
     with pytest.raises(MalformedStructureMap):
-        check_k1(TwoStagePiAlgebra(2, 1, cyclic(2), cyclic(4), eta), tables)
+        check(TwoStagePiAlgebra(2, 1, cyclic(2), cyclic(4), eta), tables)
 
 
 def test_undetermined_blocks_on_nu(tables):
@@ -288,6 +287,17 @@ def test_all_realizable_stems(tables):
 def test_stem11_divided_alpha_forces_no(tables):
     # gamma(3·alpha_{3/2}) = 0 with 3·alpha_{3/2} != 0 is an order drop
     assert all_realizable_in_stem(11, tables).answer is StemAnswer.NO
+
+
+def test_stem1_by_enumeration(tables):
+    # With HZ_2HZ tabulated, stem 1 is decided over the completions, not by rule.
+    t = merge(tables, loads_tables("[em_homology]\n2 = Z/2\n", "em2"))
+    v = all_realizable_in_stem(1, t)
+    assert v.answer is StemAnswer.YES and v.completions == (((("eta", (1,)),), True),)
+    t = merge(t, loads_tables("[gamma]\n1.eta = unknown(2)\n", "eta?"))
+    v = all_realizable_in_stem(1, t)
+    assert v.answer is StemAnswer.UNDETERMINED and v.blocking == ("stem1.eta",)
+    assert [split for _, split in v.completions] == [False, True]
 
 
 def test_stem_answer_with_full_knowledge(tables):

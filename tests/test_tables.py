@@ -172,6 +172,16 @@ def test_exponent_rule(tables):
     assert not off.exponent_rule_enabled
 
 
+@pytest.mark.parametrize("overlay", ["[q_stable]\n5 = Z<x>\n[em_homology]\n6 = Z\n",
+                                     "[em_homology]\n4 = Z\n"], ids=["stem5", "stem3"])
+def test_infinite_em_homology_rejected(tables, overlay):
+    # HZ_mHZ is finite for m >= 1, so a free summand there is an error in
+    # the tables, not a group to enumerate completions into.
+    with pytest.raises(InconsistentTables, match="is infinite"):
+        merge(tables, loads_tables(overlay, "inf"))
+    assert merge(tables, loads_tables("[em_homology]\n0 = Z\n", "hz0")).em(0) == Z
+
+
 def test_parse_errors_carry_line_numbers():
     with pytest.raises(TableFormatError) as exc:
         loads_tables("[q_stable]\n3 = Z/nope\n", "file.tbl")
@@ -218,7 +228,7 @@ def test_json_group_literal_orders_need_not_chain():
 
 
 def test_defaults_are_built_once_per_process(monkeypatch):
-    from pialg import fgab, load_defaults, tables as tables_module
+    from pialg import fgab, load_defaults
 
     def groups(t):
         return ([e.group for e in (*t.pi_stable.values(), *t.q_stable.values())]
@@ -227,10 +237,8 @@ def test_defaults_are_built_once_per_process(monkeypatch):
     first = load_defaults()
     groups(first)
     calls = []
-    for module in (fgab, tables_module):
-        original = module.canonicalize_full
-        monkeypatch.setattr(module, "canonicalize_full",
-                            lambda p, original=original: calls.append(p) or original(p))
+    original = fgab.canonicalize_full
+    monkeypatch.setattr(fgab, "canonicalize_full", lambda p: calls.append(p) or original(p))
     second = load_defaults()
     assert groups(second) == groups(first)
     assert calls == []
