@@ -244,23 +244,25 @@ def canonicalize_full(p: Presentation) -> Canonicalized:
     """Canonical form of coker(relations), its quotient map and a section.
 
     The quotient is the kept rows of U and the section the matching columns
-    of U⁻¹, from one Smith normal form of the relations.
+    of U⁻¹, read from one Smith normal form of the relations that carries
+    U⁻¹ and not V⁻¹.
 
     >>> str(canonicalize_full(Presentation(2, IntMatrix.from_rows([[2, 0]], cols=2))).group)
     'Z/2 ⊕ Z'
     """
     n = p.n_generators
     m = p.relations.transpose()  # columns = relators inside Z^n
-    s = smith_normal_form(m)
-    diag = s.diagonal()
+    s = smith_normal_form(m, inverses="u")
+    diag = s._diag
     kept = [i for i in range(n) if i >= len(diag) or diag[i] != 1]
     torsion = [diag[i] for i in kept if i < len(diag) and diag[i] >= 2]
     rank = len(kept) - len(torsion)
     # Torsion positions always precede free ones in `kept` because the SNF
     # diagonal is sorted by divisibility (1s, then >=2s, then 0s).
     group = FgAbGroup(rank, tuple(torsion))
-    quotient = GroupHom._of(free_group(n), group, tuple(s.u.row(i) for i in kept))
-    section = IntMatrix._of(n, len(kept), tuple(tuple(r[i] for i in kept) for r in s.u_inv.data))
+    quotient = GroupHom._of(free_group(n), group, tuple(tuple(s._u[i]) for i in kept))
+    cols = [s._u_inv_cols[i] for i in kept]
+    section = IntMatrix._of(n, len(kept), tuple(tuple(c[r] for c in cols) for r in range(n)))
     return Canonicalized(group, quotient, section)
 
 
@@ -369,12 +371,13 @@ class Congruences:
 
     Modulus 0 makes a row an exact equation. Every nonzero modulus gets its
     own slack unknown, in row order, so the system is the one integer
-    matrix ``[rows | slack]``, reduced (inverse-free) to ``U·M·V = D``. Only what
-    ``solve`` and ``kernel`` read is kept: ``U``, the diagonal, and the first
-    ``n_unknowns`` rows of ``V`` (slack values are never returned). Each
-    ``solve`` costs ``U·b`` and ``V·z`` over the nonzero entries of b and z
-    and a divisibility check; its solution is the full reduction's, exactly.
-    This is the only place that turns congruences into a matrix.
+    matrix ``[rows | slack]``, reduced to ``U·M·V = D`` with no inverse.
+    Only what ``solve`` and ``kernel`` read is kept, from the reduction's
+    lists: ``U``'s columns, the diagonal and ``V``'s first ``n_unknowns``
+    rows (slack values are never returned). Each ``solve`` costs ``U·b`` and
+    ``V·z`` over the nonzero entries of b and z and a divisibility check;
+    its solution is the full reduction's, exactly. This is the only place
+    that turns congruences into a matrix.
 
     >>> Congruences([[2]], [6], 1).solve([4])  # 2x ≡ 4 (mod 6)
     (2,)
@@ -391,11 +394,11 @@ class Congruences:
             if m:
                 data[-1][slack] = m
                 slack += 1
-        snf = smith_normal_form(IntMatrix(len(data), width, data), inverses=False)
-        diag = snf.diagonal()
-        self._u_cols = tuple(zip(*snf.u.data))
-        self._diag = tuple(diag) + (0,) * (len(data) - len(diag))
-        self._v_cols = tuple(tuple(r[j] for r in snf.v.data[:n_unknowns]) for j in range(width))
+        snf = smith_normal_form(IntMatrix._of(len(data), width, tuple(map(tuple, data))),
+                                inverses=False)
+        self._u_cols = tuple(zip(*snf._u))
+        self._diag = tuple(snf._diag) + (0,) * (len(data) - len(snf._diag))
+        self._v_cols = tuple(v[:n_unknowns] for v in snf._v_cols)
 
     @staticmethod
     def spanning(group: FgAbGroup, generators: IntMatrix) -> "Congruences":

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_left
-from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 
@@ -237,25 +237,66 @@ class IntMatrix:
             raise ValueError("shape mismatch")
 
 
-@dataclass(frozen=True)
+_FIELDS = ("u", "d", "v", "u_inv", "v_inv")
+_fields = operator.attrgetter(*_FIELDS)
+
+
+def _square(lists: Optional[list], by_cols: bool = False) -> Optional[IntMatrix]:
+    """The square matrix held by rows (or by columns) in ``lists``; None for None."""
+    if lists is None:
+        return None
+    data = tuple(zip(*lists)) if by_cols else tuple(map(tuple, lists))
+    return IntMatrix._of(len(lists), len(lists), data)
+
+
 class SnfResult:
     """Smith normal form ``u * m * v == d`` with unimodular ``u``, ``v``.
 
     ``d`` is diagonal with non-negative entries satisfying the divisibility
     chain d[0] | d[1] | ...; ``u_inv`` and ``v_inv`` are the exact inverses,
     maintained during the reduction so callers never have to invert a
-    unimodular matrix themselves; both are None after ``inverses=False``.
+    unimodular matrix themselves; one the reduction did not carry is None.
+    A result of ``smith_normal_form`` keeps the reduction's lists and builds
+    each of the five fields on its first read. Results are immutable, and
+    equality, hashing and repr go by the five fields.
     """
 
-    u: IntMatrix
-    d: IntMatrix
-    v: IntMatrix
-    u_inv: Optional[IntMatrix]
-    v_inv: Optional[IntMatrix]
+    def __init__(self, u: IntMatrix, d: IntMatrix, v: IntMatrix,
+                 u_inv: Optional[IntMatrix], v_inv: Optional[IntMatrix]):
+        vars(self).update(zip(_FIELDS, (u, d, v, u_inv, v_inv)))
+
+    @classmethod
+    def _of(cls, rows, cols, u, diag, v_cols, u_inv_cols, v_inv) -> "SnfResult":
+        """Trusted construction from a reduction's lists, kept as they are.
+
+        ``u`` and ``v_inv`` hold rows, ``v_cols`` and ``u_inv_cols`` columns;
+        ``fgab`` reads them and never changes them.
+        """
+        s = object.__new__(cls)
+        vars(s).update(_rows=rows, _cols=cols, _u=u, _diag=diag, _v_cols=v_cols,
+                       _u_inv_cols=u_inv_cols, _v_inv=v_inv)
+        return s
+
+    u = cached_property(lambda self: _square(self._u))
+    d = cached_property(lambda self: IntMatrix.diagonal(self._diag, self._rows, self._cols))
+    v = cached_property(lambda self: _square(self._v_cols, by_cols=True))
+    u_inv = cached_property(lambda self: _square(self._u_inv_cols, by_cols=True))
+    v_inv = cached_property(lambda self: _square(self._v_inv))
+
+    def __eq__(self, other) -> bool:
+        return _fields(self) == _fields(other) if isinstance(other, SnfResult) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(_fields(self))
+
+    def __repr__(self) -> str:
+        return f"SnfResult({', '.join(f'{f}={getattr(self, f)!r}' for f in _FIELDS)})"
+
+    def __setattr__(self, *_):
+        raise AttributeError("SnfResult is immutable")
 
     def diagonal(self) -> list:
-        n = min(self.d.rows, self.d.cols)
-        return [self.d[i, i] for i in range(n)]
+        return [self.d[i, i] for i in range(min(self.d.rows, self.d.cols))]
 
     def solve(self, rhs: Sequence[int]) -> Optional[tuple]:
         """One integer solution x of ``m @ x == rhs`` for the reduced ``m``, or None.
@@ -267,19 +308,11 @@ class SnfResult:
         """
         if len(rhs) != self.d.rows:
             raise ValueError("right-hand side length mismatch")
-        c = self.u.mul_vec(rhs)
-        n = min(self.d.rows, self.d.cols)
-        z = [0] * self.d.cols
-        for i, ci in enumerate(c):
-            d = self.d[i, i] if i < n else 0
-            if d == 0:
-                if ci != 0:
-                    return None
-            else:
-                if ci % d:
-                    return None
-                z[i] = ci // d
-        return self.v.mul_vec(z)
+        c, diag = self.u.mul_vec(rhs), self.diagonal()
+        if any(ci % d if d else ci for ci, d in zip(c, diag)) or any(c[len(diag):]):
+            return None
+        return self.v.mul_vec([ci // d if d else 0 for ci, d in zip(c, diag)]
+                              + [0] * (self.d.cols - len(diag)))
 
     def kernel(self) -> IntMatrix:
         """A basis of the integer kernel lattice of the reduced ``m``, as columns."""
@@ -289,7 +322,7 @@ class SnfResult:
                              tuple(tuple(r[j] for j in free) for r in self.v.data))
 
 
-def smith_normal_form(m: IntMatrix, inverses: bool = True) -> SnfResult:
+def smith_normal_form(m: IntMatrix, inverses: bool | str = True) -> SnfResult:
     """Exact Smith normal form over Z, total on all shapes including 0x0.
 
     Hermite reductions in the manner of Kannan and Bachem (SIAM J. Comput.
@@ -299,28 +332,31 @@ def smith_normal_form(m: IntMatrix, inverses: bool = True) -> SnfResult:
     A pass inserts the rows one at a time into a reduced echelon basis;
     whenever a pivot p is set, the entries above it are reduced into
     [0, p), and so are its row's entries under later pivots. Every step is
-    mirrored on ``u``, ``v`` and their inverses. Reducing as each pivot is
-    fixed is what bounds coefficient growth: Kannan and Bachem bound every
-    intermediate number by a polynomial in the size of the input, and on
-    dense 32x32 inputs with entries in [-100, 100] the witnesses stay within
-    twice the digits of ``|det m|``. The output is deterministic; with
-    ``inverses=False`` no step is mirrored on the inverses, which are None.
+    mirrored on ``u``, ``v`` and the inverses carried. Reducing as each
+    pivot is fixed is what bounds coefficient growth: Kannan and Bachem
+    bound every intermediate number by a polynomial in the size of the
+    input, and on dense 32x32 inputs with entries in [-100, 100] the
+    witnesses stay within twice the digits of ``|det m|``. The output is
+    deterministic.
+
+    ``inverses`` says which inverses are carried: True (both, the default),
+    "u" (``u_inv`` only) or False (none). An inverse not carried costs no
+    step and reads None; ``u``, ``d`` and ``v`` are the same either way.
     """
+    if inverses not in (True, "u", False):
+        raise ValueError(f"inverses must be True, 'u' or False, not {inverses!r}")
     rows, cols = m.rows, m.cols
     a = m.to_lists()
     u, v_cols = _identity_lists(rows), _identity_lists(cols)
-    u_inv_cols, v_inv = (list(map(list.copy, u)), list(map(list.copy, v_cols))) if inverses \
-        else (None, None)
-    # A pass reduces the rows of ``a``, acting on t and mirroring each step
-    # on ti; ``a`` is then transposed, so the next pass reduces the columns.
-    # The row pass has t = u and ti = the columns of u_inv; the column pass
-    # has t = the columns of v and ti = v_inv.
-    sides = [(u, u_inv_cols, cols), (v_cols, v_inv, rows)]
-    mirrored = (u, u_inv_cols, v_cols, v_inv) if inverses else (u, v_cols)
+    ui = [_identity_lists(rows)] if inverses else []  # U⁻¹ by columns, when carried
+    vi = [_identity_lists(cols)] if inverses and inverses != "u" else []  # V⁻¹ by rows
+    # A pass reduces the rows of ``a``, followed by U and mirrored on U⁻¹;
+    # ``a`` is then transposed, so the next pass reduces the columns,
+    # followed by the columns of V and mirrored on V⁻¹.
+    sides = [([u], ui, cols), ([v_cols], vi, rows)]
     diagonal = _is_diagonal(a)
     while not diagonal:
-        t, ti, width = sides[0]
-        a = _hermite(a, t, ti, width)
+        _hermite(a, *sides[0])
         diagonal = _is_diagonal(a)
         if not diagonal:
             a = list(map(list, zip(*a)))
@@ -330,7 +366,7 @@ def smith_normal_form(m: IntMatrix, inverses: bool = True) -> SnfResult:
     for i, x in enumerate(d):
         if x < 0:
             d[i] = -x
-            for t in mirrored[:1 + inverses]:  # u, and u_inv when kept
+            for t in (u, *ui):
                 t[i] = [-y for y in t[i]]
     for i in range(len(d)):
         for j in range(i + 1, len(d)):
@@ -339,30 +375,20 @@ def smith_normal_form(m: IntMatrix, inverses: bool = True) -> SnfResult:
                 continue
             if x == 0 or x % y == 0:
                 d[i], d[j] = y, x
-                for t in mirrored:
+                for t in (u, v_cols, *ui, *vi):
                     t[i], t[j] = t[j], t[i]
                 continue
             # diag(x, y) -> diag(g, l): add row j to row i, mix columns i
             # and j so that row i reads (g, 0), then clear row j's entry.
             g, s, e = _xgcd(x, y)
             q, yg, xg = y * e // g, y // g, x // g
-            _add(u, i, j, 1)
+            _subtract([u], ui, i, j, -1)
             _mix(v_cols, i, j, s, e, yg, xg)
-            _add(u, j, i, -q)
-            if inverses:
-                _add(u_inv_cols, j, i, -1)
-                _mix(v_inv, i, j, xg, yg, e, s)
-                _add(u_inv_cols, i, j, q)
+            _subtract([u], ui, j, i, q)
+            for t in vi:
+                _mix(t, i, j, xg, yg, e, s)
             d[i], d[j] = g, x * y // g
-
-    def frozen(r, c, data):
-        return IntMatrix._of(r, c, tuple(map(tuple, data)))
-
-    return SnfResult(u=frozen(rows, rows, u), d=IntMatrix.diagonal(d, rows, cols),
-                     v=IntMatrix._of(cols, cols, tuple(zip(*v_cols)) if cols else ()),
-                     u_inv=IntMatrix._of(rows, rows, tuple(zip(*u_inv_cols)) if rows else ())
-                     if inverses else None,
-                     v_inv=frozen(cols, cols, v_inv) if inverses else None)
+    return SnfResult._of(rows, cols, u, d, v_cols, ui[0] if ui else None, vi[0] if vi else None)
 
 
 def _identity_lists(n: int) -> list:
@@ -394,19 +420,24 @@ def _xgcd(x: int, y: int) -> tuple:
 
 
 # In-place row operations. Each step of the reduction applies one to the
-# rows of a matrix and the mirrored one to the columns of its inverse: if
+# rows of some matrices and the mirrored one to the columns of their
+# inverses, which are held by columns so that it too is a row operation: if
 # rows (i, k) are multiplied by the unimodular [[p, q], [-r, s]], columns
 # (i, k) of the inverse are multiplied by [[s, -q], [r, p]], which is
-# _mix(inv, i, k, s, r, q, p); _add(rows, i, k, q) is mirrored by
-# _add(inv, k, i, -q). (Indexed loops beat list comprehensions here at every
-# row length measured, small or big integers.)
+# _mix(inv, i, k, s, r, q, p). (Indexed loops beat list comprehensions here
+# at every row length measured, small or big integers.)
 
 
-def _add(rows: list, i: int, k: int, q: int) -> None:
-    """Row i += q * row k."""
-    ri, rk = rows[i], rows[k]
-    for j in range(len(ri)):
-        ri[j] += q * rk[j]
+def _subtract(rowwise: list, mirror: list, dst: int, src: int, q: int) -> None:
+    """Row dst -= q * row src in each of ``rowwise``; column src += q * column dst in ``mirror``."""
+    for rows in rowwise:
+        rd, rs = rows[dst], rows[src]
+        for j in range(len(rd)):
+            rd[j] -= q * rs[j]
+    for rows in mirror:
+        rd, rs = rows[src], rows[dst]
+        for j in range(len(rd)):
+            rd[j] += q * rs[j]
 
 
 def _mix(rows: list, i: int, k: int, p: int, q: int, r: int, s: int) -> None:
@@ -418,35 +449,23 @@ def _mix(rows: list, i: int, k: int, p: int, q: int, r: int, s: int) -> None:
         rk[j] = s * y - r * x
 
 
-def _hermite(a: list, t: list, ti: list, ncols: int) -> list:
-    """Row-reduce ``a`` (``ncols`` columns) to Hermite normal form.
+def _hermite(a: list, follow: list, mirror: list, ncols: int) -> None:
+    """Row-reduce ``a`` (``ncols`` columns) to Hermite normal form, in place.
 
     Rows are inserted in order into the echelon basis of the rows before
-    them; ``t`` (by rows) and ``ti`` (its inverse, by columns, or None)
-    follow every row operation. Each time a pivot (k, c) is set, the entries
-    above it are reduced modulo it, and row k's entries in later pivot
-    columns modulo those pivots; pivots are positive. Returns the rows
-    reordered: pivot rows in column order, then the zero rows; ``t`` and
-    ``ti`` are reordered in place to match.
+    them. Each matrix in ``follow`` (held by rows) takes every row operation
+    applied to ``a``; each inverse in ``mirror`` (held by columns) takes the
+    mirrored column operation. No other bookkeeping is done, so a caller
+    pays only for the matrices it passes. Each time a pivot (k, c) is set,
+    the entries above it are reduced modulo it, and row k's entries in later
+    pivot columns modulo those pivots; pivots are positive. At the end the
+    rows of every matrix are reordered: pivot rows in column order, then
+    the zero rows.
     """
+    rowwise = [a, *follow]
     pivot = [-1] * ncols  # pivot[c]: the row whose leading entry is in column c
     pcols, prows = [], []  # the pivot columns in order, and their rows
     zero = []
-
-    if ti is None:
-        mats = (a, t)
-
-        def add(i, k, q):  # row i += q * row k
-            _add(a, i, k, q)
-            _add(t, i, k, q)
-    else:
-        mats = (a, t, ti)
-
-        def add(i, k, q):  # row i += q * row k
-            _add(a, i, k, q)
-            _add(t, i, k, q)
-            _add(ti, k, i, -q)
-
     for i in range(len(a)):
         row = a[i]
         c = 0
@@ -461,7 +480,7 @@ def _hermite(a: list, t: list, ti: list, ncols: int) -> list:
             k = pivot[c]
             if k < 0:
                 if x < 0:
-                    for rows in mats:
+                    for rows in rowwise + mirror:
                         rows[i] = [-y for y in rows[i]]
                     row = a[i]
                 k = pivot[c] = i
@@ -471,36 +490,34 @@ def _hermite(a: list, t: list, ti: list, ncols: int) -> list:
             else:
                 p = a[k][c]
                 if x % p == 0:
-                    add(i, k, -(x // p))
+                    _subtract(rowwise, mirror, i, k, x // p)
                     c += 1
                     continue
                 # rows (k, i) -> (s*k + e*i, (p/g)*i - (x/g)*k): (g, 0) in column c
                 g, s, e = _xgcd(p, x)
                 xg, pg = x // g, p // g
-                _mix(a, k, i, s, e, xg, pg)
-                _mix(t, k, i, s, e, xg, pg)
-                if ti is not None:
-                    _mix(ti, k, i, pg, xg, e, s)
+                for rows in rowwise:
+                    _mix(rows, k, i, s, e, xg, pg)
+                for rows in mirror:
+                    _mix(rows, k, i, pg, xg, e, s)
                 pos = bisect_left(pcols, c)
             p = a[k][c]
             for k2 in prows[:pos]:
                 q = a[k2][c] // p
                 if q:
-                    add(k2, k, -q)
+                    _subtract(rowwise, mirror, k2, k, q)
             for j in range(pos + 1, len(pcols)):
                 c2, k2 = pcols[j], prows[j]
                 q = a[k][c2] // a[k2][c2]
                 if q:
-                    add(k, k2, -q)
+                    _subtract(rowwise, mirror, k, k2, q)
             if k == i:
                 break
             c += 1
     order = prows + zero
-    if order == list(range(len(a))):
-        return a
-    for rows in mats[1:]:
-        rows[:] = [rows[k] for k in order]
-    return [a[k] for k in order]
+    if order != list(range(len(a))):
+        for rows in rowwise + mirror:
+            rows[:] = [rows[k] for k in order]
 
 
 # -- sparse presentation reduction -------------------------------------
@@ -599,12 +616,7 @@ def cokernel_invariants_sparse(n_gens: int, rows: Iterable[dict]) -> tuple:
         if key not in seen:
             seen.add(key)
             dense_rows.append(vec)
-    if remaining_cols:
-        rel = IntMatrix.from_rows(dense_rows, cols=len(remaining_cols))
-        s = smith_normal_form(rel.transpose())
-        diag = s.diagonal()
-        torsion = [x for x in diag if x >= 2]
-        rank = len(remaining_cols) - sum(1 for x in diag if x != 0)
-    else:
-        torsion, rank = [], 0
-    return torsion, rank
+    rel = IntMatrix.from_rows(dense_rows, cols=len(remaining_cols))
+    diag = smith_normal_form(rel.transpose(), inverses=False).diagonal()
+    torsion = [x for x in diag if x >= 2]
+    return torsion, len(remaining_cols) - sum(1 for x in diag if x != 0)

@@ -303,6 +303,9 @@ def validate_tables(t: StableTables) -> None:
             if cod is None:
                 raise InconsistentTables(
                     f"gamma entry {stem}.{gen} is known but HZ_{stem + 1}HZ is not tabulated")
+            if len(know.value) != cod.dim:
+                raise InconsistentTables(f"gamma entry {stem}.{gen} = {know}: HZ_{stem + 1}HZ = "
+                                         f"{cod} takes vectors of length {cod.dim}")
             val = cod.reduce(know.value)
             o = cod.element_order(val)
             if d and o and d % o:
@@ -647,6 +650,8 @@ def loads_tables(text: str, name: str = "<string>") -> StableTables:
             fail(str(exc))
         except (ValueError, KeyError, MalformedStructureMap) as exc:
             fail(str(exc))
+        except InconsistentTables as exc:
+            raise InconsistentTables(f"{name}:{lineno}: {exc}") from exc
     return StableTables(provenance=(name,), **fields)
 
 

@@ -2,10 +2,12 @@
 
 import json
 import re
+import sys
 
 import pytest
 
-from pialg import check, load_tables, problem_from_json, realizability, verdict_from_json
+from pialg import (check, cyclic, intlinalg, load_tables, problem_from_json, realizability,
+                   survey_stem, verdict_from_json)
 from pialg.cli import main
 from pialg.pi_functors import gamma_tilde
 
@@ -292,3 +294,38 @@ def test_out_of_range_degrees_are_usage_errors(argv, capsys):
 def test_non_integer_json_groups_exit_three(literal, capsys):
     code, out, err = run(capsys, ["gamma-tilde", "--n", "5", "--k", "3", "--group", literal])
     assert code == 3 and out == "" and "integer" in err
+
+
+@pytest.mark.parametrize("value", ["known [1, 2, 3]", "known []"])
+def test_known_gamma_of_the_wrong_length_exits_three(problem_file, tmp_path, capsys, value):
+    # HZ_4HZ = Z/6 takes one coordinate; an uncaught ValueError would exit 1,
+    # which reads as "non-realizable".
+    overlay = tmp_path / "ov.tbl"
+    overlay.write_text(f"[gamma]\n3.nu = {value}\n")
+    code, out, err = run(capsys, ["check", problem_file(SMALLEST), "--tables", str(overlay)])
+    assert code == 3 and out == "" and "takes vectors of length 1" in err
+
+
+def test_every_check_and_survey_pass_reduces_through_smith_normal_form(problem_file, monkeypatch):
+    # The benchmark's tracer counts intlinalg.smith_normal_form on every
+    # workload and reads u and v of each result; warm passes must still call it.
+    results = []
+
+    def counted(m, inverses=True):
+        results.append(original(m, inverses))
+        return results[-1]
+
+    original = intlinalg.smith_normal_form
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "pialg" and getattr(mod, "smith_normal_form", None) is original:
+            monkeypatch.setattr(mod, "smith_normal_form", counted)
+    tables, path = load_tables([]), problem_file(SMALLEST)
+    for run_once in (
+            lambda: survey_stem(3, tables, max_cyclic_order=6, max_summands=2,
+                                targets=[cyclic(2), cyclic(4), cyclic(12)]),
+            lambda: main(["check", path, "--format", "machine"])):
+        run_once()  # warm up: what a pass can reuse is built here
+        results.clear()
+        run_once()
+        assert results
+        assert all(len(s.u.data) == s.u.rows and len(s.v.data) == s.v.rows for s in results)

@@ -117,6 +117,32 @@ def test_quotient_section_identity():
     assert GroupHom(c.group, c.group, qs).is_identity()
 
 
+@st.composite
+def presentations(draw):
+    n, r = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    rows = draw(st.lists(st.lists(st.integers(-12, 12), min_size=n, max_size=n),
+                         min_size=r, max_size=r))
+    return Presentation(n, IntMatrix(r, n, rows))
+
+
+@given(presentations())
+@settings(max_examples=300, deadline=None)
+def test_canonicalize_full_matches_the_full_snf(p):
+    # the group, quotient and section read off one SNF carrying all four transforms
+    s = smith_normal_form(p.relations.transpose())
+    diag = s.diagonal()
+    kept = [i for i in range(p.n_generators) if i >= len(diag) or diag[i] != 1]
+    torsion = tuple(diag[i] for i in kept if i < len(diag) and diag[i] >= 2)
+    group = FgAbGroup(len(kept) - len(torsion), torsion)
+    c = canonicalize_full(p)
+    assert c.group == group
+    assert c.quotient == GroupHom(FgAbGroup(p.n_generators), group,
+                                  IntMatrix(len(kept), p.n_generators, [s.u.row(i) for i in kept]))
+    assert c.section == IntMatrix(p.n_generators, len(kept),
+                                  [[r[i] for i in kept] for r in s.u_inv.data])
+    assert GroupHom(group, group, c.quotient.matrix * c.section).is_identity()
+
+
 def test_element_arithmetic():
     g = from_cyclic_orders([4, 3])  # Z/12
     assert g.order() == 12

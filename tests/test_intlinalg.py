@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from pialg.intlinalg import (
     IntMatrix,
+    SnfResult,
     cokernel_invariants_sparse,
     smith_normal_form,
 )
@@ -107,12 +108,31 @@ snf_inputs = st.one_of(
     .map(lambda ab: ab[0] * ab[1]))
 
 
-@given(snf_inputs)
+@given(snf_inputs, st.sampled_from([True, "u", False]))
 @settings(max_examples=300, deadline=None)
-def test_snf_without_inverses_keeps_u_d_v(m):
-    full, lean = smith_normal_form(m), smith_normal_form(m, inverses=False)
+def test_snf_without_inverses_keeps_u_d_v(m, inverses):
+    full, lean = smith_normal_form(m), smith_normal_form(m, inverses=inverses)
     assert (lean.u, lean.d, lean.v) == (full.u, full.d, full.v)
-    assert lean.u_inv is None and lean.v_inv is None
+    # each inverse carried equals the full reduction's; one not carried is None
+    assert lean.u_inv == (full.u_inv if inverses else None)
+    assert lean.v_inv == (full.v_inv if inverses is True else None)
+    assert (lean == full) is (inverses is True)
+    if inverses is False:
+        assert lean.u_inv is None and lean.v_inv is None
+
+
+def test_snf_result_reads_like_a_frozen_record():
+    m = IntMatrix.from_rows([[2, 4], [6, 8]])
+    s = smith_normal_form(m)
+    fields = (s.u, s.d, s.v, s.u_inv, s.v_inv)
+    same = SnfResult(*fields)
+    assert same == s and hash(same) == hash(s) and repr(same) == repr(s)
+    assert repr(s).startswith("SnfResult(u=IntMatrix(2x2, ")
+    assert s != smith_normal_form(m, inverses="u")
+    with pytest.raises(AttributeError):
+        s.u = s.v
+    with pytest.raises(ValueError):
+        smith_normal_form(m, inverses="v")
 
 
 @given(matrices, st.data())

@@ -279,3 +279,11 @@ def test_metastable_qm_overlay_json(tables):
            '"H": [[1]], "P": [[1]]}\n')
     with pytest.raises(TableFormatError):
         loads_tables(bad, "qm2")
+
+
+@pytest.mark.parametrize("body", ["[q_stable]\n5 = Z/2<x> + Z/3<x>\n",
+                                  "[gamma]\n5.x = nonzero(1)\n",
+                                  "[gamma]\n3.nu = unknown(0)\n"])
+def test_inconsistent_overlay_lines_name_their_file_and_line(body):
+    with pytest.raises(InconsistentTables, match=r"^ov\.tbl:2: "):
+        loads_tables(body, "ov.tbl")
