@@ -19,7 +19,7 @@ import time
 from typing import Optional
 
 from . import __version__
-from .errors import PialgError
+from .errors import PialgError, TableFormatError
 from .pi_functors import gamma_tilde
 from .quadratic import (
     BUILTIN_QUADRATIC_MODULES,
@@ -264,6 +264,8 @@ def cmd_tables(args) -> int:
 def cmd_survey(args) -> int:
     tables = load_tables(args.tables)
     targets = [group_from_text(s) for s in args.targets.split(",") if s.strip()]
+    if not targets:
+        raise TableFormatError(f"--targets {args.targets!r} names no group")
     t0 = time.perf_counter()
     rep = survey_stem(args.stem, tables, args.max_order, args.max_summands, targets,
                       include_free=not args.no_free, max_checks=args.max_checks)

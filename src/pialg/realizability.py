@@ -29,11 +29,13 @@ through the two-torsion and decides by its vanishing.
 
 from __future__ import annotations
 
+import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from math import gcd
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import (
     BoundExceeded,
@@ -317,6 +319,28 @@ class _StableReuse:
         return self._get(("candidates", incl), build)
 
 
+def _enumerates(entry, cod: Optional[FgAbGroup]) -> bool:
+    """Enumerating mode: the stem and its codomain are tabulated; else certificate mode."""
+    return entry.complete and cod is not None
+
+
+def _status_of(factorable: Sequence[bool]) -> Status:
+    """Realizable if every completion passes, non-realizable if none does, else undetermined."""
+    return (Status.REALIZABLE if all(factorable) else
+            Status.UNDETERMINED if any(factorable) else Status.NON_REALIZABLE)
+
+
+def _status_rule(reuse: _StableReuse, entry, n: int, k: int, a_n: FgAbGroup, target: FgAbGroup):
+    """eta -> the status ``check_stable`` gives a nonzero eta of this row, with no verdict built."""
+    if _enumerates(entry, reuse.tables.em(k + 1)):
+        fzs = reuse.factorizers(n, k, a_n, target)
+        return lambda eta: _status_of([fz.factor(eta) is not None for fz in fzs])
+    incl = reuse.forced_dead_inclusion(n, k, a_n)
+    gens = () if incl is None else incl.matrix.columns()
+    return lambda eta: (Status.NON_REALIZABLE if any(any(eta.apply(y)) for y in gens)
+                        else Status.UNDETERMINED)
+
+
 def check_stable(pa: TwoStagePiAlgebra, tables: StableTables) -> Verdict:
     """Decide a stable problem (k <= n - 2) by quantifying over completions."""
     reuse = _StableReuse(tables)
@@ -335,7 +359,7 @@ def check_stable(pa: TwoStagePiAlgebra, tables: StableTables) -> Verdict:
                        note="zero structure map; a product of Eilenberg-MacLane "
                             "spaces realizes it")
 
-    if entry.complete and cod is not None:
+    if _enumerates(entry, cod):
         return _check_stable_enumerating(pa, gt, reuse)
 
     # Certificate mode: the codomain is not tabulated (or the stem is
@@ -363,18 +387,17 @@ def _check_stable_enumerating(pa: TwoStagePiAlgebra, gt: GammaTildeResult,
         h = fz.factor(pa.eta)
         outcomes.append(CompletionOutcome(comp.assignment, h is not None, h, gamma_hom=fz.through))
     outcomes = tuple(outcomes)
-
-    if all(o.factorable for o in outcomes):
-        return Verdict(Status.REALIZABLE, witness=outcomes[0].witness, completions=outcomes)
-    if not any(o.factorable for o in outcomes):
+    status = _status_of([o.factorable for o in outcomes])
+    if status is Status.REALIZABLE:
+        return Verdict(status, witness=outcomes[0].witness, completions=outcomes)
+    if status is Status.NON_REALIZABLE:
         obs = _obstruction_from_dead(pa, gt, reuse.candidates(reuse.dead_inclusion(n, k, pa.a_n)),
                                      note="killed by every admissible completion")
         if obs is None:
             obs = Obstruction(note="no completion admits a factorization")
-        return Verdict(Status.NON_REALIZABLE, obstruction=obs, completions=outcomes)
-    entry = reuse.tables.q_stable_entry(k)
+        return Verdict(status, obstruction=obs, completions=outcomes)
     return Verdict(Status.UNDETERMINED,
-                   blocking=tuple(_unknown_blockers(entry, reuse.tables, k)),
+                   blocking=tuple(_unknown_blockers(reuse.tables.q_stable_entry(k), reuse.tables, k)),
                    completions=outcomes,
                    note="factorability depends on unknown gamma entries")
 
@@ -454,17 +477,16 @@ def all_realizable_in_stem(k: int, tables: StableTables) -> StemVerdict:
     if entry.group.is_trivial:
         return StemVerdict(k, StemAnswer.YES, note="trivial operations in this stem")
     cod = tables.em(k + 1)
-    if entry.complete and cod is not None:
-        results = []
-        for c in _StableReuse(tables).completions(k):
-            split, _ = is_split_injective(c.hom)
-            results.append((c.assignment, split))
-        if all(s for _, s in results):
-            return StemVerdict(k, StemAnswer.YES, completions=tuple(results))
-        if not any(s for _, s in results):
-            return StemVerdict(k, StemAnswer.NO, completions=tuple(results),
+    if _enumerates(entry, cod):
+        results = tuple((c.assignment, is_split_injective(c.hom)[0])
+                        for c in _StableReuse(tables).completions(k))
+        status = _status_of([split for _, split in results])
+        if status is Status.REALIZABLE:
+            return StemVerdict(k, StemAnswer.YES, completions=results)
+        if status is Status.NON_REALIZABLE:
+            return StemVerdict(k, StemAnswer.NO, completions=results,
                                note="gamma is split injective under no admissible completion")
-        return StemVerdict(k, StemAnswer.UNDETERMINED, completions=tuple(results),
+        return StemVerdict(k, StemAnswer.UNDETERMINED, completions=results,
                            blocking=tuple(_unknown_blockers(entry, tables, k)))
 
     # Rule-based fallbacks when the codomain is unknown.
@@ -563,46 +585,37 @@ class SurveyReport:
 def survey_stem(k: int, tables: StableTables, max_cyclic_order: int,
                 max_summands: int, targets: Sequence[FgAbGroup],
                 include_free: bool = True, max_checks: int = 20000) -> SurveyReport:
-    """Sweep small groups and every structure map, tallying verdicts.
+    """Sweep small groups and every structure map, tallying statuses.
 
     A_n ranges over direct sums of at most ``max_summands`` cyclic groups
     of order up to ``max_cyclic_order`` (plus Z summands unless disabled);
     eta ranges over all of Hom(gamma_tilde, target) for each target. Raises
     BoundExceeded when more than ``max_checks`` checks would run.
 
-    Only eta varies within a row, so a survey reduces each (A_n, completion,
-    target) congruence system once and solves it for every eta. That work
-    is memoized on ``tables``: a second survey on the same tables object
-    reuses it.
+    Each case gets ``check_stable``'s status, read from which completions'
+    memoized factorizers factor eta (certificate mode: whether eta kills the
+    forced-dead subgroup), built at the row's first nonzero eta; no verdicts.
     """
     n = k + 2  # minimal stable dimension; stable verdicts do not depend on n
     orders = ([0] if include_free else []) + list(range(2, max_cyclic_order + 1))
-    groups = []
-    for size in range(1, max_summands + 1):
-        for combo in itertools.combinations_with_replacement(orders, size):
-            g = from_cyclic_orders(list(combo))
-            if g not in groups:
-                groups.append(g)
-    rows = []
-    totals: Dict[str, int] = {}
-    budget = 0
+    groups = dict.fromkeys(from_cyclic_orders(list(combo)) for size in range(1, max_summands + 1)
+                           for combo in itertools.combinations_with_replacement(orders, size))
+    rows, totals, budget, reuse = [], Counter(), 0, _StableReuse(tables)
     for a_n in groups:
-        gt = _StableReuse(tables).gamma_tilde(n, k, a_n)
+        gt = reuse.gamma_tilde(n, k, a_n)
         for target in targets:
             homs = hom_group(gt.group, target)
             if not homs.is_finite:
                 continue
-            count = homs.group.order()
-            budget += count
+            budget += homs.group.order()
             if budget > max_checks:
                 raise BoundExceeded(
                     f"survey needs more than {max_checks} checks; tighten the bounds")
-            counts: Dict[str, int] = {}
-            for eta in homs:
-                pa = TwoStagePiAlgebra(n, k, a_n, target, eta)
-                v = check_stable(pa, tables)
-                counts[v.status.value] = counts.get(v.status.value, 0) + 1
-                totals[v.status.value] = totals.get(v.status.value, 0) + 1
+            entry = tables.q_stable_entry(k)  # raises where check_stable would
+            rule = functools.cache(lambda: _status_rule(reuse, entry, n, k, a_n, target))
+            counts = Counter(Status.REALIZABLE.value if eta.is_zero() else rule()(eta).value
+                             for eta in homs)
+            totals.update(counts)
             rows.append(SurveyRow(a_n, target, tuple(sorted(counts.items()))))
     return SurveyReport(k, n, tuple(rows), tuple(sorted(totals.items())))
 

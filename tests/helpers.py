@@ -12,7 +12,10 @@ import itertools
 from math import gcd, prod
 
 from pialg import FgAbGroup, GroupHom, from_cyclic_orders, hom_group
+from pialg.errors import BoundExceeded
 from pialg.intlinalg import cokernel_invariants_sparse
+from pialg.realizability import (SurveyReport, SurveyRow, TwoStagePiAlgebra, _StableReuse,
+                                 check_stable)
 
 
 def all_abelian_group_orders_up_to(n: int):
@@ -145,6 +148,45 @@ def exhaustive_retraction(f: GroupHom):
         if r @ f == ident:
             return r
     return False
+
+
+def survey_by_checks(k, tables, max_cyclic_order, max_summands, targets,
+                     include_free=True, max_checks=20000, check=check_stable):
+    """``survey_stem``'s report, each case decided by its own ``check`` call.
+
+    The plain path the survey's verdict-free tally must equal: the same
+    rows, in the same order, and one full verdict per eta in ``hom_group``
+    order. Pass a wrapper of ``check_stable`` as ``check`` to see each
+    (problem, verdict).
+    """
+    n = k + 2
+    orders = ([0] if include_free else []) + list(range(2, max_cyclic_order + 1))
+    groups = []
+    for size in range(1, max_summands + 1):
+        for combo in itertools.combinations_with_replacement(orders, size):
+            g = from_cyclic_orders(list(combo))
+            if g not in groups:
+                groups.append(g)
+    rows = []
+    totals = {}
+    budget = 0
+    for a_n in groups:
+        gt = _StableReuse(tables).gamma_tilde(n, k, a_n)
+        for target in targets:
+            homs = hom_group(gt.group, target)
+            if not homs.is_finite:
+                continue
+            budget += homs.group.order()
+            if budget > max_checks:
+                raise BoundExceeded(
+                    f"survey needs more than {max_checks} checks; tighten the bounds")
+            counts = {}
+            for eta in homs:
+                v = check(TwoStagePiAlgebra(n, k, a_n, target, eta), tables)
+                counts[v.status.value] = counts.get(v.status.value, 0) + 1
+                totals[v.status.value] = totals.get(v.status.value, 0) + 1
+            rows.append(SurveyRow(a_n, target, tuple(sorted(counts.items()))))
+    return SurveyReport(k, n, tuple(rows), tuple(sorted(totals.items())))
 
 
 def random_group(rng, max_order=16, max_summands=2, allow_free=True):

@@ -227,6 +227,12 @@ def test_survey_command(capsys):
     assert code == 0 and "non-realizable" in out
 
 
+@pytest.mark.parametrize("targets", [",", "", " , ,"])
+def test_survey_without_targets_is_a_usage_error(capsys, targets):
+    code, out, err = run(capsys, ["survey", "--stem", "3", "--targets", targets])
+    assert code == 3 and out == "" and "names no group" in err
+
+
 def test_selftest_command(capsys):
     code, out, _ = run(capsys, ["selftest"])
     assert code == 0

@@ -1,13 +1,16 @@
 """The checker: verdicts, certificates, quantification over completions."""
 
+import functools
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pialg import (
     BoundExceeded,
     FgAbGroup,
     GroupHom,
+    InconsistentTables,
     MalformedStructureMap,
     MissingTableData,
     NotStableRange,
@@ -40,7 +43,9 @@ from pialg import (
     verdict_to_json,
 )
 from pialg.realizability import format_semantic
-from pialg.tables import admissible_gamma_completions
+from pialg.tables import admissible_gamma_completions, alpha_family_overlay
+
+from helpers import survey_by_checks
 
 
 def smallest_problem(tables, target=None, nu_to=1, alpha_to=0):
@@ -325,14 +330,18 @@ def test_survey_stem3_contains_non_realizable(tables):
     assert z_rows and dict(z_rows[0].counts).get("non-realizable", 0) > 0
 
 
-def test_survey_reuse_matches_fresh_checks(tables, monkeypatch):
-    # survey_stem decides every case through the memo on its tables; each of
-    # those verdicts, witnesses included, must equal check_stable's on a new
-    # tables object, whose memo is empty, and the row counts must be the
-    # tally of the fresh verdicts. The two Z/4 targets differ only in labels,
-    # which reach the witness JSON.
+def _tallies(rep):
+    # group equality ignores labels, so the target's labels are compared too
+    return [(r.a_n, r.target, r.target.gen_labels, r.counts) for r in rep.rows], rep.totals
+
+
+def test_survey_reuse_matches_fresh_checks(tables):
+    # The per-eta loop decides every case of the survey's rows through the
+    # memo on its tables; each of those verdicts, witnesses included, must
+    # equal check_stable's on a new tables object, whose memo is empty, and
+    # the row counts must be the tally of the fresh verdicts. The two Z/4
+    # targets differ only in labels, which reach the witness JSON.
     import json
-    from pialg import realizability
     decided = []
 
     def recording(pa, tables):
@@ -340,9 +349,11 @@ def test_survey_reuse_matches_fresh_checks(tables, monkeypatch):
         decided.append((pa, v))
         return v
 
-    monkeypatch.setattr(realizability, "check_stable", recording)
     targets = [cyclic(2), cyclic(4), cyclic(4, "t"), cyclic(3)]
-    rep = survey_stem(3, tables, max_cyclic_order=4, max_summands=2, targets=targets)
+    rep = survey_by_checks(3, tables, max_cyclic_order=4, max_summands=2, targets=targets,
+                           check=recording)
+    assert _tallies(rep) == _tallies(
+        survey_stem(3, load_defaults(), max_cyclic_order=4, max_summands=2, targets=targets))
     assert len(decided) == rep.total_cases() > 0
     counts: dict = {}
     for pa, v in decided:
@@ -452,11 +463,11 @@ def _verdicts_digest(verdicts) -> str:
     return hashlib.sha256(doc.encode()).hexdigest()
 
 
-def test_survey_verdict_bytes_pinned(tables, monkeypatch):
-    # Every verdict the 717-case stem-3 survey decides, witnesses and
+def test_survey_verdict_bytes_pinned(tables):
+    # Every verdict of the 717 cases of the stem-3 survey, witnesses and
     # obstruction labels included, in decision order. Refactors of the
-    # solver path must keep these bytes.
-    from pialg import realizability
+    # solver path must keep these bytes, and survey_stem, which builds no
+    # verdict, must tally the same statuses.
     decided = []
 
     def recording(pa, tables):
@@ -464,9 +475,9 @@ def test_survey_verdict_bytes_pinned(tables, monkeypatch):
         decided.append(v)
         return v
 
-    monkeypatch.setattr(realizability, "check_stable", recording)
-    survey_stem(3, tables, max_cyclic_order=6, max_summands=2,
-                targets=[cyclic(2), cyclic(4), cyclic(12)])
+    bounds = dict(max_cyclic_order=6, max_summands=2, targets=[cyclic(2), cyclic(4), cyclic(12)])
+    rep = survey_by_checks(3, tables, **bounds, check=recording)
+    assert _tallies(rep) == _tallies(survey_stem(3, tables, **bounds))
     assert len(decided) == 717
     assert _verdicts_digest(decided) == \
         "2358f521fa366820cc7b7371b346dc06e404a79e73e55417c5b2954c5e6f940b"
@@ -509,7 +520,7 @@ def _obstruction_by_full_scan(eta, dead_incl):
             return dead_incl.apply(unit)
 
 
-def test_sorted_obstruction_candidates_match_the_full_scan(tables, monkeypatch):
+def test_sorted_obstruction_candidates_match_the_full_scan(tables):
     from pialg import realizability
     reuse = realizability._StableReuse(tables)
     decided = []
@@ -519,9 +530,9 @@ def test_sorted_obstruction_candidates_match_the_full_scan(tables, monkeypatch):
         decided.append((pa, v, reuse.dead_inclusion(pa.n, pa.k, pa.a_n)))
         return v
 
-    monkeypatch.setattr(realizability, "check_stable", recording)
-    survey_stem(3, tables, max_cyclic_order=6, max_summands=2,
-                targets=[cyclic(2), cyclic(4), cyclic(12)])
+    bounds = dict(max_cyclic_order=6, max_summands=2, targets=[cyclic(2), cyclic(4), cyclic(12)])
+    rep = survey_by_checks(3, tables, **bounds, check=recording)
+    assert _tallies(rep) == _tallies(survey_stem(3, tables, **bounds))
     for k in (7, 11):  # certificate mode: the forced-dead subgroup
         for a_n in (Z, cyclic(3), cyclic(9), from_cyclic_orders([3, 9])):
             gt = gamma_tilde(k + 2, k, a_n, tables)
@@ -534,6 +545,73 @@ def test_sorted_obstruction_candidates_match_the_full_scan(tables, monkeypatch):
     assert len(obstructed) > 100
     for pa, v, incl in obstructed:
         assert v.obstruction.element == _obstruction_by_full_scan(pa.eta, incl)
+
+
+@functools.cache
+def _oracle_tables(name):
+    # one object per name, so memos stay warm across examples
+    base = load_defaults()
+    if name == "what-if":  # 48 completions, every gamma unknown
+        return merge(base, loads_tables(
+            "[q_stable]\n5 = Z/2<a> + Z/2<b> + Z/3<c>\n[em_homology]\n6 = Z/2 + Z/6\n", "what-if"))
+    if name == "alpha":
+        return merge(base, alpha_family_overlay(5, 2))
+    return base
+
+
+# (tables, stem, target orders, largest max_checks): enumerating and
+# certificate mode, and a what-if stem whose checks are dear
+_ORACLE_CASES = [("defaults", 1, (2, 4, 6), 2000), ("defaults", 2, (2, 3, 4), 2000),
+                 ("defaults", 3, (2, 3, 4, 6, 12), 2000), ("defaults", 7, (3, 9, 27), 2000),
+                 ("defaults", 11, (3, 9, 27), 2000), ("what-if", 5, (2, 3, 6), 150),
+                 ("alpha", 7, (3, 5, 15, 25), 2000), ("alpha", 15, (3, 5, 25), 2000)]
+
+
+def _outcome(survey, *args, **kwargs):
+    try:
+        return _tallies(survey(*args, **kwargs))
+    except (BoundExceeded, InconsistentTables, MissingTableData) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _survey_problems(draw):
+    name, k, orders, most = draw(st.sampled_from(_ORACLE_CASES))
+    targets = draw(st.lists(st.lists(st.sampled_from(orders), min_size=1, max_size=2)
+                            .map(from_cyclic_orders), min_size=1, max_size=2))
+    return _oracle_tables(name), k, dict(
+        max_cyclic_order=draw(st.integers(2, 6)), max_summands=draw(st.integers(1, 2)),
+        targets=targets, include_free=draw(st.booleans()),
+        max_checks=draw(st.just(most) | st.integers(1, most)))
+
+
+@given(_survey_problems())
+@settings(max_examples=100, deadline=None)
+def test_survey_rows_equal_the_per_eta_tallies(problem):
+    # survey_stem tallies statuses without building verdicts; the per-eta
+    # check_stable loop is the plain path. BoundExceeded trips at the same
+    # max_checks on both.
+    tables, k, bounds = problem
+    assert _outcome(survey_stem, k, tables, **bounds) == _outcome(survey_by_checks, k, tables,
+                                                                  **bounds)
+
+
+def test_survey_and_per_eta_loop_agree_on_errors(tables):
+    # Unvalidated tables with no admissible completion in stem 5 raise the
+    # same InconsistentTables both ways, at the first nonzero eta; the
+    # budget trips at the same max_checks.
+    bounds = dict(max_cyclic_order=3, max_summands=1, targets=[cyclic(2)])
+    broken = loads_tables("[q_stable]\n5 = Z/2<x>\n[em_homology]\n6 = Z/3\n"
+                          "[gamma]\n5.x = nonzero(2)\n", "broken")
+    error = (InconsistentTables, "no admissible gamma completion exists in stem 5; "
+                                 "the tables are contradictory")
+    assert _outcome(survey_stem, 5, broken, **bounds) == error
+    assert _outcome(survey_by_checks, 5, broken, **bounds) == error
+    bounds = dict(max_cyclic_order=6, max_summands=2, targets=[cyclic(2), cyclic(4), cyclic(12)])
+    for max_checks in (1, 10, 100, 716, 717):
+        plain = _outcome(survey_by_checks, 3, tables, **bounds, max_checks=max_checks)
+        assert _outcome(survey_stem, 3, tables, **bounds, max_checks=max_checks) == plain
+        assert (plain[0] is BoundExceeded) == (max_checks < 717)
 
 
 def test_survey_bounds_and_empty_targets(tables):
