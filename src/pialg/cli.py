@@ -16,7 +16,6 @@ import functools
 import json
 import sys
 import time
-from typing import Optional
 
 from . import __version__
 from .errors import PialgError, TableFormatError
@@ -126,11 +125,11 @@ def _emit(args, report: dict, text_lines) -> None:
             fh.write(out + "\n")
 
 
-def _report_skeleton(args, tables: Optional[StableTables]) -> dict:
+def _report_skeleton(args, tables: StableTables) -> dict:
     return {
         "command": [args.command] + [f"{k}={v}" for k, v in sorted(vars(args).items())
                                      if k not in ("command", "func") and v not in (None, [], False)],
-        "tables": list(tables.provenance) if tables is not None else [],
+        "tables": list(tables.provenance),
     }
 
 
@@ -157,8 +156,7 @@ def _verdict_lines(v) -> list:
     return lines
 
 
-def cmd_check(args) -> int:
-    tables = load_tables(args.tables)
+def cmd_check(args, tables: StableTables) -> int:
     t0 = time.perf_counter()
     with open(args.problem, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -176,8 +174,7 @@ def cmd_check(args) -> int:
     return verdict.exit_code()
 
 
-def cmd_gamma_tilde(args) -> int:
-    tables = load_tables(args.tables)
+def cmd_gamma_tilde(args, tables: StableTables) -> int:
     t0 = time.perf_counter()
     g = group_from_text(args.group)
     res = gamma_tilde(args.n, args.k, g, tables)
@@ -196,8 +193,7 @@ def cmd_gamma_tilde(args) -> int:
     return 0
 
 
-def cmd_quad_tensor(args) -> int:
-    tables = load_tables(args.tables)
+def cmd_quad_tensor(args, tables: StableTables) -> int:
     g = group_from_text(args.group)
     if args.module.startswith("@"):
         with open(args.module[1:], "r", encoding="utf-8") as fh:
@@ -223,8 +219,7 @@ def cmd_quad_tensor(args) -> int:
     return 0
 
 
-def cmd_tables(args) -> int:
-    tables = load_tables(args.tables)
+def cmd_tables(args, tables: StableTables) -> int:
     report = _report_skeleton(args, tables)
     stems = sorted(tables.q_stable) if args.stem is None else [args.stem]
     entries = []
@@ -261,8 +256,7 @@ def cmd_tables(args) -> int:
     return 0
 
 
-def cmd_survey(args) -> int:
-    tables = load_tables(args.tables)
+def cmd_survey(args, tables: StableTables) -> int:
     targets = [group_from_text(s) for s in args.targets.split(",") if s.strip()]
     if not targets:
         raise TableFormatError(f"--targets {args.targets!r} names no group")
@@ -288,8 +282,7 @@ def cmd_survey(args) -> int:
     return 0
 
 
-def cmd_selftest(args) -> int:
-    tables = load_tables(args.tables)
+def cmd_selftest(args, tables: StableTables) -> int:
     t0 = time.perf_counter()
     results = run_selftest(tables)
     elapsed = time.perf_counter() - t0
@@ -322,7 +315,7 @@ def main(argv=None) -> int:
         "selftest": cmd_selftest,
     }
     try:
-        return handlers[args.command](args)
+        return handlers[args.command](args, load_tables(args.tables))
     except PialgError as exc:
         print(f"pialg: error: {exc}", file=sys.stderr)
         return 3

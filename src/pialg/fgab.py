@@ -201,14 +201,18 @@ def from_cyclic_orders(orders: Sequence[int], labels: Optional[Sequence[str]] = 
 def group_from_json(doc: dict) -> FgAbGroup:
     """A group read from ``{"rank": r, "torsion": [...], "labels": [...]}``.
 
-    Rank and torsion must be JSON integers; a missing rank or torsion reads
-    as 0 or (). Raises ValueError (or TypeError, AttributeError for a
-    document of the wrong shape).
+    Rank and torsion must be JSON integers, and labels, when present, a list
+    of distinct strings; a missing rank or torsion reads as 0 or (). Raises
+    ValueError (or TypeError, AttributeError for a document of the wrong
+    shape).
     """
-    rank, torsion = doc.get("rank", 0), tuple(doc.get("torsion", ()))
+    rank, torsion, labels = doc.get("rank", 0), tuple(doc.get("torsion", ())), doc.get("labels")
     if type(rank) is not int or any(type(d) is not int for d in torsion):
         raise ValueError(f"rank and torsion must be integers, got {rank!r} and {list(torsion)!r}")
-    return FgAbGroup(rank, torsion, tuple(doc["labels"]) if "labels" in doc else None)
+    if "labels" in doc and (type(labels) is not list or any(type(x) is not str for x in labels)
+                            or len(set(labels)) != len(labels)):
+        raise ValueError(f"labels must be a list of distinct strings, got {labels!r}")
+    return FgAbGroup(rank, torsion, None if labels is None else tuple(labels))
 
 
 # -- presentations ------------------------------------------------------

@@ -478,6 +478,6 @@ def quadratic_module_from_json(doc: dict) -> QuadraticModule:
     try:
         h = GroupHom(me, mee, IntMatrix.from_json(mee.dim, me.dim, h))
         p = GroupHom(mee, me, IntMatrix.from_json(me.dim, mee.dim, p))
+        return QuadraticModule(me, mee, h, p)
     except ValueError as exc:
         raise MalformedStructureMap(f"quadratic module: {exc}")
-    return QuadraticModule(me, mee, h, p)

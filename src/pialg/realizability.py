@@ -177,7 +177,7 @@ def format_semantic(gt: GammaTildeResult, element: Sequence[int]) -> str:
 
 
 def _forced_kill_generators(entry, tables: StableTables, k: int):
-    """(multiplier, element) for generators gamma must annihilate."""
+    """(m, name) for each named generator q with m·q != 0 that every admissible gamma kills."""
     cod = tables.em(k + 1)
     out = []
     for d, name in entry.summands:
@@ -187,7 +187,7 @@ def _forced_kill_generators(entry, tables: StableTables, k: int):
         m = know.kill_multiplier(cod, d)
         if d and m == d:
             continue  # kills only the whole cyclic summand's zero
-        out.append((m, entry.element_of(name)))
+        out.append((m, name))
     return out
 
 
@@ -200,123 +200,117 @@ def _unknown_blockers(entry, tables: StableTables, k: int) -> list:
     return out
 
 
-def _obstruction_from_dead(pa: TwoStagePiAlgebra, gt: GammaTildeResult, candidates: tuple,
-                           note: str) -> Optional[Obstruction]:
-    """An element of a dead subgroup with nonzero eta, if any.
+def _obstruction_from_dead(pa: TwoStagePiAlgebra, gt: GammaTildeResult, tables: StableTables,
+                           incl: GroupHom) -> Optional[Obstruction]:
+    """An element of the dead subgroup ``incl`` with nonzero eta, if any.
 
-    ``candidates`` is the subgroup's ``_StableReuse.candidates``: the first
-    sorted element eta does not kill is the lightest such, the first
-    enumerated among equals. Unlisted subgroups report a generator.
+    The subgroup's ``_candidates`` are searched: the first sorted element
+    eta does not kill is the lightest such, the first enumerated among
+    equals. Unlisted subgroups report a generator.
     """
-    gens, elements = candidates
+    gens, elements = _candidates(tables, incl)
     if not any(any(pa.eta.apply(y)) for y in gens):
         return None
     elem = next(y for y in (gens if elements is None else elements) if any(pa.eta.apply(y)))
-    return Obstruction(element=elem, label=format_semantic(gt, elem), note=note)
+    return Obstruction(element=elem, label=format_semantic(gt, elem),
+                       note="killed by every admissible completion")
 
 
-def _key(g: FgAbGroup) -> tuple:
-    # FgAbGroup equality ignores labels, but labels reach the semantic
-    # generators and the witness JSON, so reuse must not cross them.
-    return g, g.gen_labels
+def _on_tables(fn):
+    """Memoize ``fn(tables, *args)`` in the memo of ``tables``, for the object's life.
 
-
-class _StableReuse:
-    """The eta-independent work of ``check_stable``, memoized on its tables.
-
-    That work is a function of the tables and (n, k, A_n, target) alone, so
-    it lives in the tables object's memo for as long as the object does;
-    this class is the one place that knows the memo's keys. The memo holds
-    the completions once per stem; gamma_tilde, A_n ⊗ HZ_{k+1}HZ and each
-    gamma_c ⊗ A_n once per A_n; the ``Factorizer``s once per (A_n,
-    target, gamma map); once per A_n, the kernel inclusion of the stacked
-    gammas and certificate mode's forced-dead subgroup; and once per such
-    subgroup, its elements sorted as obstruction candidates.
+    The eta-independent work of ``check_stable`` is a function of the tables
+    and (n, k, A_n, target) alone, so it lives on the tables object; this is
+    the one place that knows the memo's keys. FgAbGroup equality ignores
+    labels, but labels reach the semantic generators and the witness JSON,
+    so a group's key carries its labels and reuse does not cross them.
     """
+    @functools.wraps(fn)
+    def memoized(tables: StableTables, *args):
+        key = (fn, *((a, a.gen_labels) if isinstance(a, FgAbGroup) else a for a in args))
+        if key not in tables._memo:
+            tables._memo[key] = fn(tables, *args)
+        return tables._memo[key]
+    return memoized
 
-    def __init__(self, tables: StableTables):
-        self.tables = tables
-        self._memo = tables._memo
 
-    def _get(self, key: tuple, build):
-        if key not in self._memo:
-            self._memo[key] = build()
-        return self._memo[key]
+@_on_tables
+def _gamma_tilde(tables: StableTables, n: int, k: int, a_n: FgAbGroup) -> GammaTildeResult:
+    return gamma_tilde(n, k, a_n, tables)
 
-    def gamma_tilde(self, n: int, k: int, a_n: FgAbGroup) -> GammaTildeResult:
-        return self._get(("gamma_tilde", n, k, _key(a_n)),
-                         lambda: gamma_tilde(n, k, a_n, self.tables))
 
-    def completions(self, k: int) -> list:
-        """The admissible completions of stem k; InconsistentTables when an overlay leaves none."""
-        def build():
-            completions = admissible_gamma_completions(k, self.tables)
-            if not completions:
-                raise InconsistentTables(f"no admissible gamma completion exists in stem {k}; "
-                                         "the tables are contradictory")
-            return completions
-        return self._get(("completions", k), build)
+@_on_tables
+def _completions(tables: StableTables, k: int) -> list:
+    """The admissible completions of stem k; InconsistentTables when an overlay leaves none."""
+    completions = admissible_gamma_completions(k, tables)
+    if not completions:
+        raise InconsistentTables(f"no admissible gamma completion exists in stem {k}; "
+                                 "the tables are contradictory")
+    return completions
 
-    def tensor(self, a: FgAbGroup, b: FgAbGroup):
-        return self._get(("tensor", _key(a), _key(b)), lambda: tensor(a, b))
 
-    def gammas(self, n: int, k: int, a_n: FgAbGroup) -> tuple:
-        """gamma_c ⊗ A_n: gamma_tilde -> A_n ⊗ HZ_{k+1}HZ, one per completion."""
-        def build():
-            src_tp = self.gamma_tilde(n, k, a_n)._tensor
-            tgt_tp = self.tensor(a_n, self.tables.em(k + 1))
-            id_a = GroupHom.identity(a_n)
-            return tuple(tensor_induced(id_a, c.hom, source=src_tp, target=tgt_tp)
-                         for c in self.completions(k))
-        return self._get(("gammas", n, k, _key(a_n)), build)
+@_on_tables
+def _tensor(tables: StableTables, a: FgAbGroup, b: FgAbGroup):
+    return tensor(a, b)
 
-    def factorizers(self, n: int, k: int, a_n: FgAbGroup, target: FgAbGroup) -> tuple:
-        """One ``Factorizer`` per completion, in order; equal gamma maps share one."""
-        def build():
-            gammas = self.gammas(n, k, a_n)
-            built = {g: Factorizer(g, target) for g in dict.fromkeys(gammas)}
-            return tuple(built[g] for g in gammas)
-        return self._get(("factorizers", n, k, _key(a_n), _key(target)), build)
 
-    def dead_inclusion(self, n: int, k: int, a_n: FgAbGroup) -> GroupHom:
-        """The subgroup every completion kills: the kernel of the stacked gammas."""
-        def build():
-            stacked, _ = stack_homs(list(self.gammas(n, k, a_n)))
-            return kernel(stacked)[1]
-        return self._get(("dead", n, k, _key(a_n)), build)
+@_on_tables
+def _gammas(tables: StableTables, n: int, k: int, a_n: FgAbGroup) -> tuple:
+    """gamma_c ⊗ A_n: gamma_tilde -> A_n ⊗ HZ_{k+1}HZ, one per completion."""
+    src_tp = _gamma_tilde(tables, n, k, a_n)._tensor
+    tgt_tp = _tensor(tables, a_n, tables.em(k + 1))
+    id_a = GroupHom.identity(a_n)
+    return tuple(tensor_induced(id_a, c.hom, source=src_tp, target=tgt_tp)
+                 for c in _completions(tables, k))
 
-    def forced_dead_inclusion(self, n: int, k: int, a_n: FgAbGroup) -> Optional[GroupHom]:
-        """Certificate mode's subgroup every admissible gamma must kill, or None.
 
-        It is spanned by x ⊗ m·q for each canonical generator x of A_n and
-        each forced kill (m, q) of the tables; None when nothing is forced.
-        """
-        def build():
-            entry = self.tables.q_stable_entry(k)
-            gt = self.gamma_tilde(n, k, a_n)
-            dead_gens = []
-            for mult, q_elem in _forced_kill_generators(entry, self.tables, k):
-                scaled = entry.group.smul(mult, q_elem)
-                if not any(scaled):
-                    continue
-                for i in range(a_n.dim):
-                    unit = [1 if r == i else 0 for r in range(a_n.dim)]
-                    dead_gens.append(gt._tensor.pure(unit, scaled))
-            return subgroup(gt.group, dead_gens)[1] if dead_gens else None
-        return self._get(("forced_dead", n, k, _key(a_n)), build)
+@_on_tables
+def _factorizers(tables: StableTables, n: int, k: int, a_n: FgAbGroup, target: FgAbGroup) -> tuple:
+    """One ``Factorizer`` per completion, in order; equal gamma maps share one."""
+    gammas = _gammas(tables, n, k, a_n)
+    built = {g: Factorizer(g, target) for g in dict.fromkeys(gammas)}
+    return tuple(built[g] for g in gammas)
 
-    def candidates(self, incl: GroupHom) -> tuple:
-        """(generators, elements) of a dead subgroup, as images incl(x) in gamma_tilde.
 
-        ``elements`` is stably sorted by weight (the sum of absolute
-        coordinates); None for an infinite subgroup or one over 4096 elements.
-        """
-        def build():
-            dead = incl.source
-            elements = None if dead.rank or dead.order() > 4096 else tuple(
-                sorted(map(incl.apply, dead.elements()), key=lambda y: sum(map(abs, y))))
-            return tuple(incl.matrix.columns()), elements
-        return self._get(("candidates", incl), build)
+@_on_tables
+def _dead_inclusion(tables: StableTables, n: int, k: int, a_n: FgAbGroup) -> GroupHom:
+    """The subgroup every completion kills: the kernel of the stacked gammas."""
+    stacked, _ = stack_homs(list(_gammas(tables, n, k, a_n)))
+    return kernel(stacked)[1]
+
+
+@_on_tables
+def _forced_dead_inclusion(tables: StableTables, n: int, k: int,
+                           a_n: FgAbGroup) -> Optional[GroupHom]:
+    """Certificate mode's subgroup every admissible gamma must kill, or None.
+
+    It is spanned by x ⊗ m·q for each canonical generator x of A_n and
+    each forced kill (m, q) of the tables; None when nothing is forced.
+    """
+    entry = tables.q_stable_entry(k)
+    gt = _gamma_tilde(tables, n, k, a_n)
+    dead_gens = []
+    for mult, name in _forced_kill_generators(entry, tables, k):
+        scaled = entry.group.smul(mult, entry.element_of(name))
+        if not any(scaled):
+            continue
+        for i in range(a_n.dim):
+            unit = [1 if r == i else 0 for r in range(a_n.dim)]
+            dead_gens.append(gt._tensor.pure(unit, scaled))
+    return subgroup(gt.group, dead_gens)[1] if dead_gens else None
+
+
+@_on_tables
+def _candidates(tables: StableTables, incl: GroupHom) -> tuple:
+    """(generators, elements) of a dead subgroup, as images incl(x) in gamma_tilde.
+
+    ``elements`` is stably sorted by weight (the sum of absolute
+    coordinates); None for an infinite subgroup or one over 4096 elements.
+    """
+    dead = incl.source
+    elements = None if dead.rank or dead.order() > 4096 else tuple(
+        sorted(map(incl.apply, dead.elements()), key=lambda y: sum(map(abs, y))))
+    return tuple(incl.matrix.columns()), elements
 
 
 def _enumerates(entry, cod: Optional[FgAbGroup]) -> bool:
@@ -330,12 +324,12 @@ def _status_of(factorable: Sequence[bool]) -> Status:
             Status.UNDETERMINED if any(factorable) else Status.NON_REALIZABLE)
 
 
-def _status_rule(reuse: _StableReuse, entry, n: int, k: int, a_n: FgAbGroup, target: FgAbGroup):
+def _status_rule(tables: StableTables, entry, n: int, k: int, a_n: FgAbGroup, target: FgAbGroup):
     """eta -> the status ``check_stable`` gives a nonzero eta of this row, with no verdict built."""
-    if _enumerates(entry, reuse.tables.em(k + 1)):
-        fzs = reuse.factorizers(n, k, a_n, target)
+    if _enumerates(entry, tables.em(k + 1)):
+        fzs = _factorizers(tables, n, k, a_n, target)
         return lambda eta: _status_of([fz.factor(eta) is not None for fz in fzs])
-    incl = reuse.forced_dead_inclusion(n, k, a_n)
+    incl = _forced_dead_inclusion(tables, n, k, a_n)
     gens = () if incl is None else incl.matrix.columns()
     return lambda eta: (Status.NON_REALIZABLE if any(any(eta.apply(y)) for y in gens)
                         else Status.UNDETERMINED)
@@ -343,7 +337,6 @@ def _status_rule(reuse: _StableReuse, entry, n: int, k: int, a_n: FgAbGroup, tar
 
 def check_stable(pa: TwoStagePiAlgebra, tables: StableTables) -> Verdict:
     """Decide a stable problem (k <= n - 2) by quantifying over completions."""
-    reuse = _StableReuse(tables)
     n, k = pa.n, pa.k
     if k > n - 2:
         raise NotStableRange(f"k = {k} is not <= n - 2 = {n - 2}")
@@ -354,20 +347,19 @@ def check_stable(pa: TwoStagePiAlgebra, tables: StableTables) -> Verdict:
     if pa.eta.is_zero():
         witness = None
         if cod is not None:
-            witness = GroupHom.zero(reuse.tensor(pa.a_n, cod).group, pa.a_nk)
+            witness = GroupHom.zero(_tensor(tables, pa.a_n, cod).group, pa.a_nk)
         return Verdict(Status.REALIZABLE, witness=witness,
                        note="zero structure map; a product of Eilenberg-MacLane "
                             "spaces realizes it")
 
     if _enumerates(entry, cod):
-        return _check_stable_enumerating(pa, gt, reuse)
+        return _check_stable_enumerating(pa, gt, tables)
 
     # Certificate mode: the codomain is not tabulated (or the stem is
     # partial), so only forced non-realizability is decidable.
-    incl = reuse.forced_dead_inclusion(n, k, pa.a_n)
+    incl = _forced_dead_inclusion(tables, n, k, pa.a_n)
     if incl is not None:
-        obs = _obstruction_from_dead(pa, gt, reuse.candidates(incl),
-                                     note="killed by every admissible completion")
+        obs = _obstruction_from_dead(pa, gt, tables, incl)
         if obs is not None:
             return Verdict(Status.NON_REALIZABLE, obstruction=obs)
     blockers = _unknown_blockers(entry, tables, k)
@@ -380,10 +372,10 @@ def check_stable(pa: TwoStagePiAlgebra, tables: StableTables) -> Verdict:
 
 
 def _check_stable_enumerating(pa: TwoStagePiAlgebra, gt: GammaTildeResult,
-                              reuse: _StableReuse) -> Verdict:
+                              tables: StableTables) -> Verdict:
     n, k = pa.n, pa.k
     outcomes = []
-    for comp, fz in zip(reuse.completions(k), reuse.factorizers(n, k, pa.a_n, pa.eta.target)):
+    for comp, fz in zip(_completions(tables, k), _factorizers(tables, n, k, pa.a_n, pa.eta.target)):
         h = fz.factor(pa.eta)
         outcomes.append(CompletionOutcome(comp.assignment, h is not None, h, gamma_hom=fz.through))
     outcomes = tuple(outcomes)
@@ -391,13 +383,12 @@ def _check_stable_enumerating(pa: TwoStagePiAlgebra, gt: GammaTildeResult,
     if status is Status.REALIZABLE:
         return Verdict(status, witness=outcomes[0].witness, completions=outcomes)
     if status is Status.NON_REALIZABLE:
-        obs = _obstruction_from_dead(pa, gt, reuse.candidates(reuse.dead_inclusion(n, k, pa.a_n)),
-                                     note="killed by every admissible completion")
+        obs = _obstruction_from_dead(pa, gt, tables, _dead_inclusion(tables, n, k, pa.a_n))
         if obs is None:
             obs = Obstruction(note="no completion admits a factorization")
         return Verdict(status, obstruction=obs, completions=outcomes)
     return Verdict(Status.UNDETERMINED,
-                   blocking=tuple(_unknown_blockers(reuse.tables.q_stable_entry(k), reuse.tables, k)),
+                   blocking=tuple(_unknown_blockers(tables.q_stable_entry(k), tables, k)),
                    completions=outcomes,
                    note="factorability depends on unknown gamma entries")
 
@@ -406,7 +397,7 @@ def _check_stable_enumerating(pa: TwoStagePiAlgebra, gt: GammaTildeResult,
 
 
 def _validated_gt(pa: TwoStagePiAlgebra, tables: StableTables) -> GammaTildeResult:
-    gt = _StableReuse(tables).gamma_tilde(pa.n, pa.k, pa.a_n)
+    gt = _gamma_tilde(tables, pa.n, pa.k, pa.a_n)
     if pa.eta.source != gt.group:
         raise MalformedStructureMap(
             f"eta is defined on {pa.eta.source}, but gamma_tilde is {gt.group}")
@@ -479,7 +470,7 @@ def all_realizable_in_stem(k: int, tables: StableTables) -> StemVerdict:
     cod = tables.em(k + 1)
     if _enumerates(entry, cod):
         results = tuple((c.assignment, is_split_injective(c.hom)[0])
-                        for c in _StableReuse(tables).completions(k))
+                        for c in _completions(tables, k))
         status = _status_of([split for _, split in results])
         if status is Status.REALIZABLE:
             return StemVerdict(k, StemAnswer.YES, completions=results)
@@ -490,16 +481,12 @@ def all_realizable_in_stem(k: int, tables: StableTables) -> StemVerdict:
                            blocking=tuple(_unknown_blockers(entry, tables, k)))
 
     # Rule-based fallbacks when the codomain is unknown.
-    for d, name in entry.summands:
-        know = tables.gamma.get((k, name))
-        if know is None:
-            continue
-        eff = know.kill_multiplier(cod, d)
-        if d == 0 or eff < d:
-            return StemVerdict(
-                k, StemAnswer.NO,
-                note=f"gamma kills {eff}·{name} != 0, so it is not injective; "
-                     f"the projection onto <{name}> is a non-realizable instance")
+    if forced := _forced_kill_generators(entry, tables, k):
+        m, name = forced[0]
+        return StemVerdict(
+            k, StemAnswer.NO,
+            note=f"gamma kills {m}·{name} != 0, so it is not injective; "
+                 f"the projection onto <{name}> is a non-realizable instance")
     if entry.complete and tables.exponent_rule_enabled:
         orders = [d for d, _ in entry.summands]
         exact = all(
@@ -600,9 +587,9 @@ def survey_stem(k: int, tables: StableTables, max_cyclic_order: int,
     orders = ([0] if include_free else []) + list(range(2, max_cyclic_order + 1))
     groups = dict.fromkeys(from_cyclic_orders(list(combo)) for size in range(1, max_summands + 1)
                            for combo in itertools.combinations_with_replacement(orders, size))
-    rows, totals, budget, reuse = [], Counter(), 0, _StableReuse(tables)
+    rows, totals, budget = [], Counter(), 0
     for a_n in groups:
-        gt = reuse.gamma_tilde(n, k, a_n)
+        gt = _gamma_tilde(tables, n, k, a_n)
         for target in targets:
             homs = hom_group(gt.group, target)
             if not homs.is_finite:
@@ -612,7 +599,7 @@ def survey_stem(k: int, tables: StableTables, max_cyclic_order: int,
                 raise BoundExceeded(
                     f"survey needs more than {max_checks} checks; tighten the bounds")
             entry = tables.q_stable_entry(k)  # raises where check_stable would
-            rule = functools.cache(lambda: _status_rule(reuse, entry, n, k, a_n, target))
+            rule = functools.cache(lambda: _status_rule(tables, entry, n, k, a_n, target))
             counts = Counter(Status.REALIZABLE.value if eta.is_zero() else rule()(eta).value
                              for eta in homs)
             totals.update(counts)
@@ -734,7 +721,7 @@ def problem_from_json(doc: dict, tables: StableTables):
         eta2 = _hom_from_json_matrix(doc["eta2"], tp2.group, a_n2, "malformed problem file: eta2")
         return ThreeStageProblem(n, a_n, a_n1, a_n2, eta1, eta2)
     (n, k), (a_n, a_nk) = _problem_fields(doc, {"n": 2, "k": 1}, ("A_n", "A_nk"), ("eta",))
-    gt = _StableReuse(tables).gamma_tilde(n, k, a_n)
+    gt = _gamma_tilde(tables, n, k, a_n)
     try:
         m = IntMatrix.from_json(a_nk.dim, len(gt.generators), doc["eta"])
     except ValueError as exc:

@@ -4,13 +4,14 @@ The shipped defaults hold exactly the values the realizability machinery
 is entitled to assume: stable stems and their indecomposables through
 dimension 6 with generator names and ring products, the degree-4 homotopy
 of the smashed integral Eilenberg-MacLane spectrum, the two metastable
-quadratic modules, the alpha-family entries at the prime 3, and a partial
-comparison map ``gamma`` recorded per generator as one of
+quadratic modules, the alpha-family entries at the prime 3 (built by the
+same rule as ``alpha_family_overlay``), and a partial comparison map
+``gamma`` recorded per generator as one of
 
     known [coords] | zero | nonzero(order) | unknown(bound)
 
 Everything else arrives by overlay file. Overlays use a small line-based
-text format::
+text format, read and written by one codec per section (``_CODECS``)::
 
     # comment
     [q_stable]
@@ -36,10 +37,13 @@ text format::
     torsion_exponent_rule = on
 
 Group literals are sums of ``Z``, ``Z^r`` and ``Z/d`` terms, each optionally
-carrying a generator name in angle brackets. Sections may appear in any
-order; later keys override earlier ones; ``merge`` gives overlay entries
-priority and re-validates all consistency invariants, including the
-single-power-of-p rule for the torsion of the Eilenberg-MacLane columns.
+carrying a generator name in angle brackets; the names in one literal must
+differ. Coordinate lists (``known [...]`` and ``pi_products`` values) are
+bracketed, comma-separated integers; ``[]`` is the empty list. Sections may
+appear in any order; later keys override earlier ones; ``merge`` gives
+overlay entries priority and re-validates all consistency invariants,
+including the single-power-of-p rule for the torsion of the
+Eilenberg-MacLane columns.
 """
 
 from __future__ import annotations
@@ -183,17 +187,12 @@ class GammaKnowledge:
 
     def __str__(self) -> str:
         if self.state == "known":
-            return f"known [{', '.join(map(str, self.value))}]"
+            return f"known {_coords_text(self.value)}"
         if self.state == "zero":
             return "zero"
         if self.state == "nonzero":
             return f"nonzero({self.order})"
         return f"unknown({self.bound})"
-
-
-#: The mapping fields of ``StableTables``, in overlay-file order.
-_SECTIONS = ("pi_stable", "q_stable", "q_unstable", "em_homology", "metastable_qm", "gamma",
-             "pi_products")
 
 
 @dataclass(frozen=True)
@@ -218,7 +217,7 @@ class StableTables:
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        for name in _SECTIONS:
+        for name in _CODECS:
             object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
 
     @property
@@ -253,7 +252,7 @@ class StableTables:
 def merge(base: StableTables, overlay: StableTables) -> StableTables:
     """Overlay entries override base entries; the result is re-validated."""
     out = StableTables(
-        **{name: {**getattr(base, name), **getattr(overlay, name)} for name in _SECTIONS},
+        **{name: {**getattr(base, name), **getattr(overlay, name)} for name in _CODECS},
         torsion_exponent_rule=(overlay.torsion_exponent_rule
                                if overlay.torsion_exponent_rule is not None
                                else base.torsion_exponent_rule),
@@ -352,6 +351,7 @@ def load_defaults() -> StableTables:
 @cache
 def _defaults() -> StableTables:
     tg = TabulatedGroup
+    alpha = list(_alpha_family(3, 2, 4))  # stems 7, 11 and 15
     t = StableTables(
         pi_stable={
             0: tg(((0, "iota"),)),
@@ -370,9 +370,7 @@ def _defaults() -> StableTables:
             4: tg(()),
             5: tg(()),
             6: tg(()),
-            7: tg(((3, "alpha_2"),), complete=False),
-            11: tg(((9, "alpha_3/2"),), complete=False),
-            15: tg(((3, "alpha_4"),), complete=False),
+            **{stem: tg((summand,), complete=False) for stem, summand, _ in alpha},
         },
         q_unstable={(2, 2): TRIVIAL},
         em_homology={4: from_cyclic_orders([2, 3])},
@@ -381,9 +379,7 @@ def _defaults() -> StableTables:
             (1, "eta"): GammaKnowledge.nonzero(2),
             (3, "nu"): GammaKnowledge.unknown(2),
             (3, "alpha"): GammaKnowledge.nonzero(3),
-            (7, "alpha_2"): GammaKnowledge.zero(),
-            (11, "alpha_3/2"): GammaKnowledge.unknown(3),
-            (15, "alpha_4"): GammaKnowledge.zero(),
+            **{(stem, name): know for stem, (_, name), know in alpha},
         },
         pi_products={
             ((1, "eta"), (1, "eta")): (1,),
@@ -399,22 +395,32 @@ def _defaults() -> StableTables:
     return t
 
 
-def _p_adic_valuation(p: int, n: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
-def alpha_family_overlay(p: int, i_max: int) -> StableTables:
-    """Overlay adding the p-primary alpha family for a prime p >= 5.
+def _alpha_family(p: int, i_min: int, i_max: int, suffix: str = "") -> Iterator[tuple]:
+    """(stem, (order, name), gamma) for the p-primary alpha family, i_min <= i <= i_max.
 
     For each i the stem is 2i(p-1)-1 and the recorded generator is
-    alpha_{i/j} with the maximal j <= v_p(i)+1; its image is nonzero of
+    alpha_{i/j} (alpha_i when j = 1) with the maximal j = v_p(i)+1, of order
+    p^j, its name ending in ``suffix``. Its image under gamma is nonzero of
     order p for i = 1, zero for i >= 2 with j = 1, and otherwise unknown
     with bound p (p times it must die since the Eilenberg-MacLane torsion
     is annihilated by a single power of p).
+    """
+    for i in range(i_min, i_max + 1):
+        j = 1
+        while i % p ** j == 0:
+            j += 1
+        name = f"alpha_{i}{suffix}" if j == 1 else f"alpha_{i}/{j}{suffix}"
+        know = (GammaKnowledge.nonzero(p) if i == 1 else
+                GammaKnowledge.zero() if j == 1 else GammaKnowledge.unknown(p))
+        yield 2 * i * (p - 1) - 1, (p ** j, name), know
+
+
+def alpha_family_overlay(p: int, i_max: int) -> StableTables:
+    """Overlay adding the p-primary alpha family alpha_1 .. alpha_{i_max}, for a prime p >= 5.
+
+    The entries are those of ``_alpha_family``, with names ending in
+    ``_p{p}``; the 3-primary family ships with the defaults, so p = 3 is
+    refused.
     """
     if p < 5 or list(prime_factors(p)) != [p]:
         raise InconsistentTables("alpha_family_overlay expects a prime p >= 5; "
@@ -422,15 +428,12 @@ def alpha_family_overlay(p: int, i_max: int) -> StableTables:
     defaults = _defaults()
     q_stable = {}
     gamma = {}
-    for i in range(1, i_max + 1):
-        stem = 2 * i * (p - 1) - 1
-        jmax = _p_adic_valuation(p, i) + 1
-        name = f"alpha_{i}_p{p}" if jmax == 1 else f"alpha_{i}/{jmax}_p{p}"
+    for stem, (order, name), know in _alpha_family(p, 1, i_max, f"_p{p}"):
         # A stem can host alpha generators at several primes (e.g. stem 7 at
         # p = 3 and p = 5); since merge() replaces whole entries, colliding
         # partial entries absorb the default generators instead.
         prior = q_stable.get(stem) or defaults.q_stable.get(stem)
-        summands = ((p ** jmax, name),)
+        summands = ((order, name),)
         if prior is not None:
             if prior.complete:
                 raise InconsistentTables(
@@ -439,12 +442,7 @@ def alpha_family_overlay(p: int, i_max: int) -> StableTables:
                 raise InconsistentTables(f"generator {name} already present in stem {stem}")
             summands = prior.summands + summands
         q_stable[stem] = TabulatedGroup(summands, complete=False)
-        if i == 1:
-            gamma[(stem, name)] = GammaKnowledge.nonzero(p)
-        elif jmax == 1:
-            gamma[(stem, name)] = GammaKnowledge.zero()
-        else:
-            gamma[(stem, name)] = GammaKnowledge.unknown(p)
+        gamma[(stem, name)] = know
     return StableTables(q_stable=q_stable, gamma=gamma,
                         provenance=(f"alpha-family(p={p})",))
 
@@ -553,19 +551,29 @@ def parse_group_text(text: str):
 def group_from_text(text: str) -> FgAbGroup:
     summands = parse_group_text(text)
     labels = [n for _, n in summands]
+    named = [n for n in labels if n]
+    if len(set(named)) != len(named):
+        raise TableFormatError(f"duplicate generator names in {text.strip()!r}")
     return from_cyclic_orders([d for d, _ in summands],
                               labels if all(labels) and labels else None)
 
 
-def _auto_named(summands) -> tuple:
-    out = []
-    for i, (d, n) in enumerate(summands):
-        out.append((d, n if n else f"g{i + 1}"))
-    return tuple(out)
+_COORDS_RE = re.compile(r"\[\s*(-?\d+(?:\s*,\s*-?\d+)*)?\s*\]")
 
 
-_GAMMA_VALUE_RE = re.compile(
-    r"^(?:zero|nonzero\((\d+)\)|unknown\((\d+)\)|known\s*\[([-\d,\s]*)\])$")
+def _coords(text: str) -> tuple:
+    """A coordinate list: bracketed, comma-separated integers; ``[]`` is empty."""
+    m = _COORDS_RE.fullmatch(text.strip())
+    if not m:
+        raise TableFormatError(f"expected a coordinate list like [1, 0], got {text.strip()!r}")
+    return tuple(map(int, m.group(1).split(","))) if m.group(1) else ()
+
+
+def _coords_text(coords) -> str:
+    return f"[{', '.join(map(str, coords))}]"
+
+
+_GAMMA_VALUE_RE = re.compile(r"^(?:zero|nonzero\((\d+)\)|unknown\((\d+)\)|known\s*(\[.*))$")
 
 
 def parse_gamma_value(text: str) -> GammaKnowledge:
@@ -577,82 +585,95 @@ def parse_gamma_value(text: str) -> GammaKnowledge:
     if m.group(2) is not None:
         return GammaKnowledge.unknown(int(m.group(2)))
     if m.group(3) is not None:
-        coords = [int(x) for x in m.group(3).split(",") if x.strip()] if m.group(3).strip() else []
-        return GammaKnowledge.known(coords)
+        return GammaKnowledge.known(_coords(m.group(3)))
     return GammaKnowledge.zero()
+
+
+def _tabulated(value: str) -> TabulatedGroup:
+    """A group literal marked ``(partial)`` when incomplete; unnamed summands become g1, g2, ..."""
+    body = value.removesuffix("(partial)")
+    summands = tuple((d, n or f"g{i}") for i, (d, n) in enumerate(parse_group_text(body), start=1))
+    return TabulatedGroup(summands, complete=body == value)
+
+
+def _stem_gen(text: str) -> tuple:
+    stem, gen = text.strip().split(".")
+    if not gen:
+        raise TableFormatError("generator keys look like '<stem>.<generator>'")
+    return int(stem), gen
+
+
+def _pair(read, sep: str):
+    def read_pair(text: str) -> tuple:
+        a, b = text.split(sep)
+        return read(a), read(b)
+    return read_pair
+
+
+def _quadratic_module(value: str) -> QuadraticModule:
+    if value in BUILTIN_QUADRATIC_MODULES:
+        return BUILTIN_QUADRATIC_MODULES[value]
+    return quadratic_module_from_json(json.loads(value))
+
+
+def _quadratic_module_text(qm: QuadraticModule) -> str:
+    builtin = [name for name, bqm in BUILTIN_QUADRATIC_MODULES.items() if bqm == qm]
+    return builtin[0] if builtin else json.dumps(quadratic_module_to_json(qm))
+
+
+def _group_text(g: FgAbGroup) -> str:
+    return str(g).replace(" ⊕ ", " + ")
+
+
+#: Each mapping field of ``StableTables``, in overlay-file order, with its
+#: codec: (read key, read value, write key, write value).
+_CODECS = {
+    "pi_stable": (int, _tabulated, str, str),
+    "q_stable": (int, _tabulated, str, str),
+    "q_unstable": (_pair(int, ","), group_from_text, "{0[0]},{0[1]}".format, _group_text),
+    "em_homology": (int, group_from_text, str, _group_text),
+    "metastable_qm": (int, _quadratic_module, str, _quadratic_module_text),
+    "gamma": (_stem_gen, parse_gamma_value, "{0[0]}.{0[1]}".format, str),
+    "pi_products": (_pair(_stem_gen, "*"), _coords,
+                    lambda ab: "%d.%s * %d.%s" % (*ab[0], *ab[1]), _coords_text),
+}
 
 
 def loads_tables(text: str, name: str = "<string>") -> StableTables:
     """Parse overlay text into a (possibly partial) StableTables."""
-    fields: dict = {name: {} for name in _SECTIONS}
-    fields["torsion_exponent_rule"] = None
-    section = None
+    fields: dict = {section: {} for section in _CODECS}
+    rule = section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-
-        def fail(msg):
-            raise TableFormatError(f"{name}:{lineno}: {msg}")
-
-        if line.startswith("["):
-            if not line.endswith("]"):
-                fail("unterminated section header")
-            section = line[1:-1].strip()
-            if section not in (*_SECTIONS, "options"):
-                fail(f"unknown section {section!r}")
-            continue
-        if section is None:
-            fail("entry before any [section] header")
-        if "=" not in line:
-            fail("expected 'key = value'")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
         try:
-            if section in ("pi_stable", "q_stable"):
-                partial = value.endswith("(partial)")
-                if partial:
-                    value = value[: -len("(partial)")].strip()
-                summands = _auto_named(parse_group_text(value))
-                fields[section][int(key)] = TabulatedGroup(summands, complete=not partial)
-            elif section == "q_unstable":
-                k_str, n_str = key.split(",")
-                fields["q_unstable"][(int(k_str), int(n_str))] = group_from_text(value)
-            elif section == "em_homology":
-                fields["em_homology"][int(key)] = group_from_text(value)
-            elif section == "metastable_qm":
-                if value in BUILTIN_QUADRATIC_MODULES:
-                    qm = BUILTIN_QUADRATIC_MODULES[value]
-                else:
-                    qm = quadratic_module_from_json(json.loads(value))
-                fields["metastable_qm"][int(key)] = qm
-            elif section == "gamma":
-                stem_str, _, gen = key.partition(".")
-                if not gen:
-                    fail("gamma keys look like '<stem>.<generator>'")
-                fields["gamma"][(int(stem_str), gen)] = parse_gamma_value(value)
-            elif section == "pi_products":
-                lhs, _, rhs = key.partition("*")
-                a_stem, _, a_gen = lhs.strip().partition(".")
-                b_stem, _, b_gen = rhs.strip().partition(".")
-                coords = tuple(int(x) for x in value.strip("[]").split(",") if x.strip())
-                fields["pi_products"][((int(a_stem), a_gen), (int(b_stem), b_gen))] = coords
-            elif section == "options":
-                if key != "torsion_exponent_rule":
-                    fail(f"unknown option {key!r}")
-                if value not in ("on", "off"):
-                    fail("torsion_exponent_rule must be 'on' or 'off'")
-                fields["torsion_exponent_rule"] = value == "on"
-        except TableFormatError as exc:
-            if str(exc).startswith(f"{name}:"):
-                raise
-            fail(str(exc))
-        except (ValueError, KeyError, MalformedStructureMap) as exc:
-            fail(str(exc))
+            if line.startswith("["):
+                if not line.endswith("]"):
+                    raise TableFormatError("unterminated section header")
+                section = line[1:-1].strip()
+                if section not in (*_CODECS, "options"):
+                    raise TableFormatError(f"unknown section {section!r}")
+                continue
+            if section is None:
+                raise TableFormatError("entry before any [section] header")
+            if "=" not in line:
+                raise TableFormatError("expected 'key = value'")
+            key, _, value = (part.strip() for part in line.partition("="))
+            if section != "options":
+                read_key, read_value, _, _ = _CODECS[section]
+                fields[section][read_key(key)] = read_value(value)
+            elif key != "torsion_exponent_rule":
+                raise TableFormatError(f"unknown option {key!r}")
+            elif value not in ("on", "off"):
+                raise TableFormatError("torsion_exponent_rule must be 'on' or 'off'")
+            else:
+                rule = value == "on"
+        except (TableFormatError, ValueError, KeyError, MalformedStructureMap) as exc:
+            raise TableFormatError(f"{name}:{lineno}: {exc}") from exc
         except InconsistentTables as exc:
             raise InconsistentTables(f"{name}:{lineno}: {exc}") from exc
-    return StableTables(provenance=(name,), **fields)
+    return StableTables(torsion_exponent_rule=rule, provenance=(name,), **fields)
 
 
 def dumps_tables(t: StableTables) -> str:
@@ -661,50 +682,12 @@ def dumps_tables(t: StableTables) -> str:
     if t.torsion_exponent_rule is not None:
         lines += ["[options]",
                   f"torsion_exponent_rule = {'on' if t.torsion_exponent_rule else 'off'}", ""]
-    for section in ("pi_stable", "q_stable"):
+    for section, (_, _, write_key, write_value) in _CODECS.items():
         table = getattr(t, section)
         if table:
-            lines.append(f"[{section}]")
-            for k in sorted(table):
-                lines.append(f"{k} = {table[k]}")
-            lines.append("")
-    if t.q_unstable:
-        lines.append("[q_unstable]")
-        for (k, n) in sorted(t.q_unstable):
-            lines.append(f"{k},{n} = {_group_text(t.q_unstable[(k, n)])}")
-        lines.append("")
-    if t.em_homology:
-        lines.append("[em_homology]")
-        for m in sorted(t.em_homology):
-            lines.append(f"{m} = {_group_text(t.em_homology[m])}")
-        lines.append("")
-    if t.metastable_qm:
-        lines.append("[metastable_qm]")
-        for n in sorted(t.metastable_qm):
-            qm = t.metastable_qm[n]
-            for bname, bqm in BUILTIN_QUADRATIC_MODULES.items():
-                if bqm == qm:
-                    lines.append(f"{n} = {bname}")
-                    break
-            else:
-                lines.append(f"{n} = {json.dumps(quadratic_module_to_json(qm))}")
-        lines.append("")
-    if t.gamma:
-        lines.append("[gamma]")
-        for (stem, gen) in sorted(t.gamma):
-            lines.append(f"{stem}.{gen} = {t.gamma[(stem, gen)]}")
-        lines.append("")
-    if t.pi_products:
-        lines.append("[pi_products]")
-        for ((i, ga), (j, gb)) in sorted(t.pi_products):
-            coords = t.pi_products[((i, ga), (j, gb))]
-            lines.append(f"{i}.{ga} * {j}.{gb} = [{', '.join(map(str, coords))}]")
-        lines.append("")
+            lines += [f"[{section}]", *(f"{write_key(key)} = {write_value(table[key])}"
+                                         for key in sorted(table)), ""]
     return "\n".join(lines)
-
-
-def _group_text(g: FgAbGroup) -> str:
-    return str(g).replace(" ⊕ ", " + ")
 
 
 def verify_pi_ring_relations(t: StableTables) -> list:

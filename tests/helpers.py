@@ -14,7 +14,7 @@ from math import gcd, prod
 from pialg import FgAbGroup, GroupHom, from_cyclic_orders, hom_group
 from pialg.errors import BoundExceeded
 from pialg.intlinalg import cokernel_invariants_sparse
-from pialg.realizability import (SurveyReport, SurveyRow, TwoStagePiAlgebra, _StableReuse,
+from pialg.realizability import (SurveyReport, SurveyRow, TwoStagePiAlgebra, _gamma_tilde,
                                  check_stable)
 
 
@@ -171,7 +171,7 @@ def survey_by_checks(k, tables, max_cyclic_order, max_summands, targets,
     totals = {}
     budget = 0
     for a_n in groups:
-        gt = _StableReuse(tables).gamma_tilde(n, k, a_n)
+        gt = _gamma_tilde(tables, n, k, a_n)
         for target in targets:
             homs = hom_group(gt.group, target)
             if not homs.is_finite:

@@ -100,8 +100,12 @@ def test_check_with_overlay(problem_file, tmp_path, capsys):
     dict(SMALLEST, eta=[[1, "0"]]),
     dict(SMALLEST, eta=[[True, 0]]),
     dict(THREE_STAGE, eta1=[[1.0]]),
+    # "xy" was read as ["x", "y"]; ["x", "x"] spelled obstructions over an ambiguous x.
+    *(dict(SMALLEST, A_n={"rank": 2, "torsion": [], "labels": labels}, eta=[[1, 0, 0, 0]])
+      for labels in ("xy", ["x", "x"], ["x", 1], None)),
 ], ids=["missing-n", "top-level-array", "torsion-not-a-chain", "fractional-n",
-        "fractional-torsion", "fractional-eta", "string-eta", "bool-eta", "fractional-eta1"])
+        "fractional-torsion", "fractional-eta", "string-eta", "bool-eta", "fractional-eta1",
+        "string-labels", "repeated-labels", "integer-label", "null-labels"])
 def test_malformed_problem_files_exit_three(problem_file, capsys, doc):
     code, _, err = run(capsys, ["check", problem_file(doc)])
     assert code == 3 and "malformed problem file" in err
@@ -335,3 +339,25 @@ def test_every_check_and_survey_pass_reduces_through_smith_normal_form(problem_f
         run_once()
         assert results
         assert all(len(s.u.data) == s.u.rows and len(s.v.data) == s.v.rows for s in results)
+
+
+def test_module_file_that_breaks_the_axioms_exits_three(tmp_path, capsys):
+    # PHP = 8P != 2P: the module is malformed input, not a traceback (exit 1).
+    mod = tmp_path / "m.json"
+    mod.write_text(json.dumps({"Me": {"rank": 1, "torsion": []}, "Mee": {"rank": 1, "torsion": []},
+                               "H": [[1]], "P": [[3]]}))
+    code, out, err = run(capsys, ["quad-tensor", "--group", "Z/2", "--module", f"@{mod}"])
+    assert code == 3 and out == "" and "PHP = 2P" in err
+
+
+@pytest.mark.parametrize("body", ["[gamma]\n3.nu = known [3,]\n",
+                                  "[pi_products]\n1.eta * 1.eta = 1\n",
+                                  "[pi_products]\n1.eta * 1.eta = [[1]]\n",
+                                  "[pi_products]\n1.eta * 1.eta = [1,]\n"])
+def test_malformed_coordinate_lists_exit_three(problem_file, tmp_path, capsys, body):
+    # Read as "known [3]", the first overlay makes the stem-3 Z -> Z/2 check realizable (exit 0).
+    overlay = tmp_path / "ov.tbl"
+    overlay.write_text(body)
+    doc = dict(SMALLEST, A_nk={"rank": 0, "torsion": [2]})
+    code, out, err = run(capsys, ["check", problem_file(doc), "--tables", str(overlay)])
+    assert code == 3 and out == "" and f"{overlay}:2: expected a coordinate list" in err

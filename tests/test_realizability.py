@@ -420,15 +420,14 @@ def test_stem_answer_and_checks_share_completions(monkeypatch):
 def test_one_factorizer_per_distinct_gamma_map(monkeypatch):
     # What-if stem 5 = Z/2 + Z/3 with unconstrained gamma into Z/6 has six
     # completions; gamma_c ⊗ A_n forgets the part of gamma_c that A_n kills.
-    from pialg.realizability import _StableReuse
+    from pialg.realizability import _factorizers, _gammas
     t = merge(load_defaults(), loads_tables(
         "[q_stable]\n5 = Z/2<x> + Z/3<y>\n[em_homology]\n6 = Z/6\n", "what-if"))
     calls = _counting(monkeypatch, "Factorizer")
-    reuse = _StableReuse(t)
     for a_n, distinct in ((Z, 6), (cyclic(3), 3), (cyclic(2), 2)):
         calls.clear()
-        gammas = reuse.gammas(7, 5, a_n)
-        fzs = reuse.factorizers(7, 5, a_n, cyclic(6))
+        gammas = _gammas(t, 7, 5, a_n)
+        fzs = _factorizers(t, 7, 5, a_n, cyclic(6))
         assert len(gammas) == 6 and len(set(gammas)) == distinct
         assert len(calls) == distinct and len(set(map(id, fzs))) == distinct
         assert [fz.through for fz in fzs] == list(gammas)
@@ -521,13 +520,12 @@ def _obstruction_by_full_scan(eta, dead_incl):
 
 
 def test_sorted_obstruction_candidates_match_the_full_scan(tables):
-    from pialg import realizability
-    reuse = realizability._StableReuse(tables)
+    from pialg.realizability import _dead_inclusion, _forced_dead_inclusion
     decided = []
 
     def recording(pa, tables):
         v = check_stable(pa, tables)
-        decided.append((pa, v, reuse.dead_inclusion(pa.n, pa.k, pa.a_n)))
+        decided.append((pa, v, _dead_inclusion(tables, pa.n, pa.k, pa.a_n)))
         return v
 
     bounds = dict(max_cyclic_order=6, max_summands=2, targets=[cyclic(2), cyclic(4), cyclic(12)])
@@ -536,7 +534,7 @@ def test_sorted_obstruction_candidates_match_the_full_scan(tables):
     for k in (7, 11):  # certificate mode: the forced-dead subgroup
         for a_n in (Z, cyclic(3), cyclic(9), from_cyclic_orders([3, 9])):
             gt = gamma_tilde(k + 2, k, a_n, tables)
-            incl = reuse.forced_dead_inclusion(k + 2, k, a_n)
+            incl = _forced_dead_inclusion(tables, k + 2, k, a_n)
             for target in (cyclic(3), cyclic(9)):
                 for eta in hom_group(gt.group, target):
                     pa = TwoStagePiAlgebra(k + 2, k, a_n, target, eta)

@@ -192,6 +192,8 @@ def test_parse_errors_carry_line_numbers():
         loads_tables("[nonsense]\n", "f")
     with pytest.raises(TableFormatError):
         loads_tables("[gamma]\n3.nu = maybe\n", "f")
+    with pytest.raises(TableFormatError, match=r"^ov\.tbl:2: duplicate generator names"):
+        loads_tables("[em_homology]\n4 = Z/2<x> + Z/3<x>\n", "ov.tbl")
 
 
 def test_group_literal_grammar():
@@ -206,6 +208,9 @@ def test_group_literal_grammar():
         group_from_text("Z/1")
     with pytest.raises(TableFormatError):
         group_from_text("Z^2<x>")
+    with pytest.raises(TableFormatError, match="duplicate generator names"):
+        group_from_text("Z/2<x> + Z/4<x>")
+    assert group_from_text("Z/2 + Z/4").gen_labels is None
 
 
 @pytest.mark.parametrize("literal", [
@@ -287,3 +292,61 @@ def test_metastable_qm_overlay_json(tables):
 def test_inconsistent_overlay_lines_name_their_file_and_line(body):
     with pytest.raises(InconsistentTables, match=r"^ov\.tbl:2: "):
         loads_tables(body, "ov.tbl")
+
+
+def test_defaults_dump_is_pinned(tables):
+    import hashlib
+    assert hashlib.sha256(dumps_tables(tables).encode()).hexdigest() == \
+        "0956d7de8225f74e6270c0d154c3bc85aad08c4c0d66b437aa77dd181f0daa61"
+
+
+EVERY_SECTION = """[options]
+torsion_exponent_rule = off
+
+[pi_stable]
+7 = Z/240<sigma>
+
+[q_stable]
+5 = Z/2<x> + Z/3<y> (partial)
+
+[q_unstable]
+4,3 = Z/2
+
+[em_homology]
+6 = Z/2 + Z/12
+
+[metastable_qm]
+4 = {"Me": {"rank": 1, "torsion": []}, "Mee": {"rank": 1, "torsion": []}, "H": [[2]], "P": [[1]]}
+5 = Z_Lambda
+
+[gamma]
+5.x = nonzero(2)
+5.y = known [0, 4]
+
+[pi_products]
+1.eta * 1.eta = [1]
+1.eta * 3.nu = []
+"""
+
+
+def test_round_trip_of_every_section(tables):
+    t = loads_tables(EVERY_SECTION, "every")
+    assert dumps_tables(t) == EVERY_SECTION.rstrip("\n") + "\n"
+    assert loads_tables(dumps_tables(t), "again") == t
+    assert t.torsion_exponent_rule is False and t.metastable_qm[5] == tables.metastable_qm[3]
+    assert t.gamma[(5, "y")] == GammaKnowledge.known([0, 4])
+    assert t.pi_products[((1, "eta"), (3, "nu"))] == ()
+
+
+def test_coordinate_lists():
+    t = loads_tables("[gamma]\n3.nu = known[ 1 , -2 ]\n3.alpha = known []\n"
+                     "[pi_products]\n1.eta * 3.nu = [ ]\n", "ok")
+    assert t.gamma[(3, "nu")].value == (1, -2) and t.gamma[(3, "alpha")].value == ()
+    assert t.pi_products[((1, "eta"), (3, "nu"))] == ()
+    for value in ("known [3,]", "known [,3]", "known 3", "known [1 2]", "known [[1]]",
+                  "known [1_0]"):
+        with pytest.raises(TableFormatError, match=r"^ov\.tbl:2: "):
+            loads_tables(f"[gamma]\n3.nu = {value}\n", "ov.tbl")
+    for value in ("1", "[[1]]", "[1,]", "[1", "(1)", "[a]"):
+        with pytest.raises(TableFormatError, match=r"^ov\.tbl:2: "):
+            loads_tables(f"[pi_products]\n1.eta * 1.eta = {value}\n", "ov.tbl")
