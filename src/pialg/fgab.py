@@ -19,10 +19,10 @@ over one gamma_tilde's semantic generators shares one reduction.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from math import gcd, prod
 from typing import Iterator, Optional, Sequence
 
+from ._record import field, record
 from .intlinalg import IntMatrix, smith_normal_form
 
 
@@ -30,7 +30,7 @@ class InfiniteEnumerationError(ValueError):
     """Raised when asked to enumerate an infinite set of elements or maps."""
 
 
-@dataclass(frozen=True)
+@record
 class FgAbGroup:
     """A finitely generated abelian group in canonical invariant-factor form.
 
@@ -218,7 +218,7 @@ def group_from_json(doc: dict) -> FgAbGroup:
 # -- presentations ------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Presentation:
     """A free presentation: Z^n_generators modulo the rows of ``relations``."""
 
@@ -230,7 +230,7 @@ class Presentation:
             raise ValueError("relation rows must have one entry per generator")
 
 
-@dataclass(frozen=True)
+@record
 class Canonicalized:
     """A presentation together with its canonical quotient and a section.
 
@@ -278,7 +278,7 @@ def _cyclic_sum(orders: Sequence[int]) -> Canonicalized:
 # -- homomorphisms ------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class GroupHom:
     """A homomorphism as an integer matrix on canonical generators.
 
@@ -581,7 +581,7 @@ def two_torsion_subgroup(a: FgAbGroup) -> tuple:
     return kernel(multiplication_by(2, a))
 
 
-@dataclass(frozen=True)
+@record
 class DirectSum:
     group: FgAbGroup
     injections: tuple
@@ -623,7 +623,7 @@ def stack_homs(fs: Sequence[GroupHom]) -> tuple:
 # -- tensor, tor, hom ----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class TensorProduct:
     """A ⊗ B in canonical form with bilinear-generator bookkeeping.
 
@@ -698,7 +698,7 @@ def tor(a: FgAbGroup, b: FgAbGroup) -> FgAbGroup:
     return from_cyclic_orders([o for o in orders if o > 1])
 
 
-@dataclass(frozen=True)
+@record
 class HomGroup:
     """Hom(A, B) as a group, with enumeration of the maps when finite."""
 

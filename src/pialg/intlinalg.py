@@ -16,6 +16,8 @@ from bisect import bisect_left
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
+from ._record import frozen
+
 
 def _check_dims(rows: int, cols: int) -> None:
     if rows < 0 or cols < 0:
@@ -238,7 +240,6 @@ class IntMatrix:
 
 
 _FIELDS = ("u", "d", "v", "u_inv", "v_inv")
-_fields = operator.attrgetter(*_FIELDS)
 
 
 def _square(lists: Optional[list], by_cols: bool = False) -> Optional[IntMatrix]:
@@ -249,6 +250,7 @@ def _square(lists: Optional[list], by_cols: bool = False) -> Optional[IntMatrix]
     return IntMatrix._of(len(lists), len(lists), data)
 
 
+@frozen(_FIELDS)
 class SnfResult:
     """Smith normal form ``u * m * v == d`` with unimodular ``u``, ``v``.
 
@@ -282,18 +284,6 @@ class SnfResult:
     v = cached_property(lambda self: _square(self._v_cols, by_cols=True))
     u_inv = cached_property(lambda self: _square(self._u_inv_cols, by_cols=True))
     v_inv = cached_property(lambda self: _square(self._v_inv))
-
-    def __eq__(self, other) -> bool:
-        return _fields(self) == _fields(other) if isinstance(other, SnfResult) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(_fields(self))
-
-    def __repr__(self) -> str:
-        return f"SnfResult({', '.join(f'{f}={getattr(self, f)!r}' for f in _FIELDS)})"
-
-    def __setattr__(self, *_):
-        raise AttributeError("SnfResult is immutable")
 
     def diagonal(self) -> list:
         return [self.d[i, i] for i in range(min(self.d.rows, self.d.cols))]

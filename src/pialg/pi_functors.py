@@ -20,11 +20,11 @@ maps are written column by column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import Optional
 
+from ._record import field, record
 from .errors import MissingTableData
 from .fgab import Congruences, FgAbGroup, GroupHom, TRIVIAL, cyclic, tensor, tensor_induced
 from .quadratic import (
@@ -45,7 +45,7 @@ class Regime(str, Enum):
     UNSTABLE_TABULATED = "UNSTABLE_TABULATED"
 
 
-@dataclass(frozen=True)
+@record
 class SemanticGenerator:
     """A named generator of gamma_tilde in canonical coordinates."""
 
@@ -54,7 +54,7 @@ class SemanticGenerator:
     order: int  # 0 = infinite
 
 
-@dataclass(frozen=True)
+@record
 class GammaTildeResult:
     group: FgAbGroup
     regime: Regime

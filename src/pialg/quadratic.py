@@ -33,9 +33,9 @@ resulting (large, sparse) presentation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
+from ._record import field, record
 from .errors import BoundExceeded, MalformedStructureMap
 from .fgab import (
     FgAbGroup,
@@ -51,7 +51,7 @@ from .fgab import (
 from .intlinalg import IntMatrix, cokernel_invariants_sparse
 
 
-@dataclass(frozen=True)
+@record
 class QuadraticModule:
     """(Me, Mee, H, P) with PHP = 2P and HPH = 2H, validated on construction."""
 
@@ -115,7 +115,7 @@ def _binom2(c: int) -> int:
     return c * (c - 1) // 2
 
 
-@dataclass(frozen=True)
+@record
 class FreeQuadTensor:
     """Z^s ⊗q M in block form, with the expansion rules for map induction.
 
@@ -238,7 +238,7 @@ class FreeQuadTensor:
         return IntMatrix.from_columns(cols, rows=target.size)
 
 
-@dataclass(frozen=True)
+@record
 class QuadTensorResult:
     """A ⊗q M in canonical form, plus where the natural generators landed."""
 

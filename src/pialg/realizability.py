@@ -32,11 +32,11 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
 from enum import Enum
 from math import gcd
 from typing import Optional, Sequence
 
+from ._record import field, record
 from .errors import (
     BoundExceeded,
     InconsistentTables,
@@ -73,7 +73,7 @@ class Status(str, Enum):
     UNDETERMINED = "undetermined"
 
 
-@dataclass(frozen=True)
+@record
 class TwoStagePiAlgebra:
     """Input problem: degrees n and n+k, the two groups, and the structure map.
 
@@ -95,7 +95,7 @@ class TwoStagePiAlgebra:
             raise MalformedStructureMap("eta must land in A_{n+k}")
 
 
-@dataclass(frozen=True)
+@record
 class Obstruction:
     """Why no factorization exists.
 
@@ -110,7 +110,7 @@ class Obstruction:
     note: str = ""
 
 
-@dataclass(frozen=True)
+@record
 class CompletionOutcome:
     assignment: tuple  # ((generator name, image coords), ...)
     factorable: bool
@@ -118,7 +118,7 @@ class CompletionOutcome:
     gamma_hom: Optional[GroupHom] = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@record
 class Verdict:
     status: Status
     witness: Optional[GroupHom] = None
@@ -444,7 +444,7 @@ class StemAnswer(str, Enum):
     UNDETERMINED = "undetermined"
 
 
-@dataclass(frozen=True)
+@record
 class StemVerdict:
     stem: int
     answer: StemAnswer
@@ -506,7 +506,7 @@ def all_realizable_in_stem(k: int, tables: StableTables) -> StemVerdict:
 # -- three-stage obstruction ----------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class ThreeStageProblem:
     n: int
     a_n: FgAbGroup
@@ -551,14 +551,14 @@ def three_stage_obstruction(problem: ThreeStageProblem) -> tuple:
 # -- stem surveys ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class SurveyRow:
     a_n: FgAbGroup
     target: FgAbGroup
     counts: tuple  # ((status value, count), ...)
 
 
-@dataclass(frozen=True)
+@record
 class SurveyReport:
     stem: int
     n_used: int
@@ -585,10 +585,14 @@ def survey_stem(k: int, tables: StableTables, max_cyclic_order: int,
     """
     n = k + 2  # minimal stable dimension; stable verdicts do not depend on n
     orders = ([0] if include_free else []) + list(range(2, max_cyclic_order + 1))
-    groups = dict.fromkeys(from_cyclic_orders(list(combo)) for size in range(1, max_summands + 1)
-                           for combo in itertools.combinations_with_replacement(orders, size))
-    rows, totals, budget = [], Counter(), 0
+    groups = (from_cyclic_orders(list(combo)) for size in range(1, max_summands + 1)
+              for combo in itertools.combinations_with_replacement(orders, size))
+    rows, totals, budget, seen = [], Counter(), 0, set()
+    # Canonicalized as the budget reaches them, so a refused survey stops early.
     for a_n in groups:
+        if a_n in seen:
+            continue
+        seen.add(a_n)
         gt = _gamma_tilde(tables, n, k, a_n)
         for target in targets:
             homs = hom_group(gt.group, target)

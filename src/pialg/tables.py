@@ -51,12 +51,12 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
 from math import gcd
 from types import MappingProxyType
 from typing import Iterator, Mapping, Optional, Tuple
 
+from ._record import field, record
 from .errors import InconsistentTables, MalformedStructureMap, MissingTableData, TableFormatError
 from .fgab import (
     Factorizer,
@@ -77,7 +77,7 @@ from .quadratic import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class TabulatedGroup:
     """A group tabulated as named cyclic summands, canonicalized on demand.
 
@@ -139,7 +139,7 @@ class TabulatedGroup:
         return " + ".join(parts) + ("" if self.complete else " (partial)")
 
 
-@dataclass(frozen=True)
+@record
 class GammaKnowledge:
     """What is known about gamma on one indecomposable generator."""
 
@@ -195,7 +195,7 @@ class GammaKnowledge:
         return f"unknown({self.bound})"
 
 
-@dataclass(frozen=True)
+@record
 class StableTables:
     """Tabulated values, held as read-only mappings, and a memo of derived work.
 
@@ -345,7 +345,8 @@ def load_defaults() -> StableTables:
     Built and validated once per process; each call returns a new object
     with its own empty memo, sharing the (once canonicalized) groups.
     """
-    return replace(_defaults())
+    t = _defaults()
+    return StableTables(**{n: getattr(t, n) for n, f in t.__record_fields__.items() if f.init})
 
 
 @cache
@@ -450,7 +451,7 @@ def alpha_family_overlay(p: int, i_max: int) -> StableTables:
 # -- admissible completions ---------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class GammaCompletion:
     """One total homomorphism gamma: Q_k^S -> HZ_{k+1}HZ consistent with the tables."""
 

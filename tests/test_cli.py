@@ -5,10 +5,12 @@ import re
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pialg import (check, cyclic, intlinalg, load_tables, problem_from_json, realizability,
-                   survey_stem, verdict_from_json)
+from pialg import (PialgError, check, cyclic, intlinalg, load_tables, problem_from_json,
+                   realizability, survey_stem, verdict_from_json)
 from pialg.cli import main
+from pialg.fgab import group_from_json
 from pialg.pi_functors import gamma_tilde
 
 SMALLEST = {
@@ -361,3 +363,77 @@ def test_malformed_coordinate_lists_exit_three(problem_file, tmp_path, capsys, b
     doc = dict(SMALLEST, A_nk={"rank": 0, "torsion": [2]})
     code, out, err = run(capsys, ["check", problem_file(doc), "--tables", str(overlay)])
     assert code == 3 and out == "" and f"{overlay}:2: expected a coordinate list" in err
+
+
+# JSON documents for the problem-file fuzz gate. Integers stay within ±50 and
+# lists and objects within 4 items; group objects keep their rank at 4 or less,
+# since a large rank makes gamma_tilde large before the eta shape is checked.
+# Most documents have the shape of a problem, so that some are well formed.
+_JSON_LEAVES = (st.none() | st.booleans() | st.integers(-50, 50) | st.sampled_from([0.5, -2.0])
+                | st.text("xZ/0123", max_size=3))
+_KEYS = st.sampled_from(["n", "k", "A_n", "A_nk", "eta", "A_n2", "eta1", "rank", "torsion", "x"])
+_JSON = st.recursive(_JSON_LEAVES, lambda inner: st.lists(inner, max_size=4)
+                     | st.dictionaries(_KEYS, inner, max_size=4), max_leaves=12)
+
+
+def _mostly(good, junk):
+    """``good`` seven times in eight, else ``junk``."""
+    return st.tuples(st.integers(0, 7), good, junk).map(lambda t: t[1] if t[0] else t[2])
+
+
+_GROUPS = _mostly(
+    st.sampled_from([{"rank": 1}, {"torsion": [2]}, {"torsion": [4]}, {"torsion": [3]},
+                     {"rank": 1, "torsion": [2]}, {"torsion": [2, 4]}, {}]),
+    st.fixed_dictionaries({}, optional={
+        "rank": st.integers(-1, 4) | _JSON_LEAVES,
+        "torsion": st.lists(st.integers(-2, 12), max_size=4) | _JSON_LEAVES,
+        "labels": st.lists(st.sampled_from("abc"), max_size=4) | _JSON_LEAVES}) | _JSON)
+_MATRICES = _mostly(st.sampled_from([[[1, 0]], [[0, 1]], [[1, 1]], [[1]], [[0]], [[2, 1]]]),
+                    st.lists(st.lists(st.integers(-3, 3), max_size=4), max_size=4) | _JSON)
+
+
+def _problems(fields: dict):
+    """Problem-shaped objects; a key may be missing, or another one added."""
+    doc = st.fixed_dictionaries({key: _mostly(good, _JSON_LEAVES if key in ("n", "k") else _JSON)
+                                 for key, good in fields.items()}, optional={"x": _JSON})
+    return _mostly(doc, doc.flatmap(lambda d: st.sampled_from(sorted(d)).map(
+        lambda dropped: {key: value for key, value in d.items() if key != dropped})))
+
+
+@st.composite
+def _two_stage(draw):
+    """A two-stage problem whose eta has gamma_tilde's shape, when gamma_tilde exists."""
+    n, k = draw(st.sampled_from([(5, 3), (3, 1), (6, 3), (4, 2), (9, 7), (4, 3)]))
+    a_n, a_nk = draw(_GROUPS), draw(_GROUPS)
+    try:
+        gt = gamma_tilde(n, k, group_from_json(a_n), load_tables())
+        shape = (group_from_json(a_nk).dim, len(gt.generators))
+    except (PialgError, AttributeError, TypeError, ValueError):  # malformed or untabulated
+        shape = (1, 1)
+    eta = draw(st.lists(st.lists(st.integers(-3, 3), min_size=shape[1], max_size=shape[1]),
+                        min_size=shape[0], max_size=shape[0]))
+    return {"n": n, "k": k, "A_n": a_n, "A_nk": a_nk, "eta": eta}
+
+
+_PROBLEMS = _mostly(
+    _two_stage()
+    | _problems({"n": st.sampled_from([5, 6, 3, 2, 4, 9]), "k": st.sampled_from([3, 1, 2, 9]),
+                 "A_n": _GROUPS, "A_nk": _GROUPS, "eta": _MATRICES})
+    | _problems({"n": st.sampled_from([4, 5, 3]), "A_n": _GROUPS, "A_n1": _GROUPS,
+                 "A_n2": _GROUPS, "eta1": _MATRICES, "eta2": _MATRICES}), _JSON)
+
+
+def test_fuzzed_problem_files_never_escape_main(tmp_path, capsys):
+    tables = load_tables()
+    path = tmp_path / "fuzzed.json"
+
+    @given(_PROBLEMS)
+    @settings(max_examples=150, deadline=None)
+    def one(doc):
+        path.write_text(json.dumps(doc))
+        code = main(["check", str(path), "--format", "machine"])  # nothing may escape
+        capsys.readouterr()
+        if code <= 2:
+            problem_from_json(doc, tables)  # a verdict only for a well-formed problem
+        assert code in (0, 1, 2, 3)
+    one()

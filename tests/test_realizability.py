@@ -42,6 +42,7 @@ from pialg import (
     verdict_from_json,
     verdict_to_json,
 )
+from pialg import realizability
 from pialg.realizability import format_semantic
 from pialg.tables import admissible_gamma_completions, alpha_family_overlay
 
@@ -328,6 +329,20 @@ def test_survey_stem3_contains_non_realizable(tables):
     # the smallest instance appears: A_n = Z, target Z/4
     z_rows = [r for r in rep.rows if r.a_n == Z]
     assert z_rows and dict(z_rows[0].counts).get("non-realizable", 0) > 0
+
+
+def test_refused_survey_canonicalizes_only_the_groups_it_reaches(tables, monkeypatch):
+    # The budget is read as each A_n is produced: the survey below is refused
+    # at its first row, so it must not canonicalize the ~12k groups its
+    # bounds allow (it did, before raising BoundExceeded).
+    calls = []
+    real = realizability.from_cyclic_orders
+    monkeypatch.setattr(realizability, "from_cyclic_orders",
+                        lambda orders, *rest: calls.append(orders) or real(orders, *rest))
+    with pytest.raises(BoundExceeded):
+        survey_stem(3, tables, max_cyclic_order=40, max_summands=3,
+                    targets=[cyclic(2), cyclic(4)], max_checks=1)
+    assert 1 <= len(calls) <= 5
 
 
 def _tallies(rep):
