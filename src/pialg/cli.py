@@ -7,6 +7,9 @@ written to a file with ``--output``.
 
 Exit codes for ``check``: 0 realizable, 1 non-realizable, 2 undetermined,
 3 and up for errors. All other commands exit 0 on success, 3 on error.
+
+``main`` is the one place that emits reports and maps errors: each ``cmd_*``
+handler returns ``(fields, text_lines, exit_code)``, and every error exits 3.
 """
 
 from __future__ import annotations
@@ -77,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"pialg {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", parents=[], help="decide a problem file")
+    p = sub.add_parser("check", help="decide a problem file")
     p.add_argument("problem", help="problem JSON file")
     _common_flags(p)
 
@@ -114,25 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, report: dict, text_lines) -> None:
-    if args.format == "machine":
-        out = json.dumps(report, indent=2)
-    else:
-        out = "\n".join(text_lines)
-    print(out)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(out + "\n")
-
-
-def _report_skeleton(args, tables: StableTables) -> dict:
-    return {
-        "command": [args.command] + [f"{k}={v}" for k, v in sorted(vars(args).items())
-                                     if k not in ("command", "func") and v not in (None, [], False)],
-        "tables": list(tables.provenance),
-    }
-
-
 def _verdict_lines(v) -> list:
     lines = [f"verdict: {v.status.value}"]
     if v.note:
@@ -156,7 +140,7 @@ def _verdict_lines(v) -> list:
     return lines
 
 
-def cmd_check(args, tables: StableTables) -> int:
+def cmd_check(args, tables: StableTables) -> tuple:
     t0 = time.perf_counter()
     with open(args.problem, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -166,34 +150,28 @@ def cmd_check(args, tables: StableTables) -> int:
     else:
         verdict = check(problem, tables)
     elapsed = time.perf_counter() - t0
-    report = _report_skeleton(args, tables)
-    report["elapsed_s"] = round(elapsed, 6)
-    report["results"] = [verdict_to_json(verdict)]
-    _emit(args, report, [f"problem: {args.problem}"] + _verdict_lines(verdict)
-          + [f"elapsed: {elapsed:.3f}s"])
-    return verdict.exit_code()
+    return ({"elapsed_s": round(elapsed, 6), "results": [verdict_to_json(verdict)]},
+            [f"problem: {args.problem}"] + _verdict_lines(verdict) + [f"elapsed: {elapsed:.3f}s"],
+            verdict.exit_code())
 
 
-def cmd_gamma_tilde(args, tables: StableTables) -> int:
+def cmd_gamma_tilde(args, tables: StableTables) -> tuple:
     t0 = time.perf_counter()
     g = group_from_text(args.group)
     res = gamma_tilde(args.n, args.k, g, tables)
-    report = _report_skeleton(args, tables)
-    report["elapsed_s"] = round(time.perf_counter() - t0, 6)
-    report["results"] = [{
+    fields = {"elapsed_s": round(time.perf_counter() - t0, 6), "results": [{
         "group": group_to_json(res.group),
         "regime": res.regime.value,
         "generators": [{"label": s.label, "element": list(s.element), "order": s.order}
                        for s in res.generators],
-    }]
+    }]}
     lines = [f"gamma_tilde({args.n}, {args.k}, {g}) = {res.group}   [{res.regime.value}]"]
     for s in res.generators:
         lines.append(f"  {s.label}  ->  {list(s.element)}  (order {s.order or '∞'})")
-    _emit(args, report, lines)
-    return 0
+    return fields, lines, 0
 
 
-def cmd_quad_tensor(args, tables: StableTables) -> int:
+def cmd_quad_tensor(args, tables: StableTables) -> tuple:
     g = group_from_text(args.group)
     if args.module.startswith("@"):
         with open(args.module[1:], "r", encoding="utf-8") as fh:
@@ -205,22 +183,18 @@ def cmd_quad_tensor(args, tables: StableTables) -> int:
                          f"builtins: {', '.join(sorted(BUILTIN_QUADRATIC_MODULES))}")
     t0 = time.perf_counter()
     res = quad_tensor(g, qm)
-    report = _report_skeleton(args, tables)
-    report["elapsed_s"] = round(time.perf_counter() - t0, 6)
-    report["results"] = [{
+    fields = {"elapsed_s": round(time.perf_counter() - t0, 6), "results": [{
         "group": group_to_json(res.group),
         "generators": [{"label": lab, "element": list(el)}
                        for lab, el in res.natural_generators()],
-    }]
+    }]}
     lines = [f"{g} ⊗q {args.module} = {res.group}"]
     for lab, el in res.natural_generators():
         lines.append(f"  {lab}  ->  {list(el)}")
-    _emit(args, report, lines)
-    return 0
+    return fields, lines, 0
 
 
-def cmd_tables(args, tables: StableTables) -> int:
-    report = _report_skeleton(args, tables)
+def cmd_tables(args, tables: StableTables) -> tuple:
     stems = sorted(tables.q_stable) if args.stem is None else [args.stem]
     entries = []
     lines = []
@@ -248,53 +222,44 @@ def cmd_tables(args, tables: StableTables) -> int:
             know = gammas.get(name, "unconstrained")
             lines.append(f"  γ({name}): {know}")
     relations = verify_pi_ring_relations(tables)
-    report["results"] = entries
-    report["ring_relation_failures"] = relations
     if args.stem is None:
         lines.append("ring relations: " + ("all hold" if not relations else "; ".join(relations)))
-    _emit(args, report, lines)
-    return 0
+    return {"results": entries, "ring_relation_failures": relations}, lines, 0
 
 
-def cmd_survey(args, tables: StableTables) -> int:
+def cmd_survey(args, tables: StableTables) -> tuple:
     targets = [group_from_text(s) for s in args.targets.split(",") if s.strip()]
     if not targets:
         raise TableFormatError(f"--targets {args.targets!r} names no group")
     t0 = time.perf_counter()
     rep = survey_stem(args.stem, tables, args.max_order, args.max_summands, targets,
                       include_free=not args.no_free, max_checks=args.max_checks)
-    elapsed = time.perf_counter() - t0
-    report = _report_skeleton(args, tables)
-    report["elapsed_s"] = round(elapsed, 6)
-    report["results"] = [{
+    fields = {"elapsed_s": round(time.perf_counter() - t0, 6), "results": [{
         "stem": rep.stem,
         "n_used": rep.n_used,
         "rows": [{"A_n": group_to_json(r.a_n), "target": group_to_json(r.target),
                   "counts": dict(r.counts)} for r in rep.rows],
         "totals": dict(rep.totals),
-    }]
+    }]}
     lines = [f"survey of stem {rep.stem} (n = {rep.n_used}): {rep.total_cases()} cases"]
     for r in rep.rows:
         counts = ", ".join(f"{s}: {c}" for s, c in r.counts)
         lines.append(f"  A_n = {r.a_n}, target {r.target}:  {counts}")
     lines.append("totals: " + ", ".join(f"{s}: {c}" for s, c in rep.totals))
-    _emit(args, report, lines)
-    return 0
+    return fields, lines, 0
 
 
-def cmd_selftest(args, tables: StableTables) -> int:
+def cmd_selftest(args, tables: StableTables) -> tuple:
     t0 = time.perf_counter()
     results = run_selftest(tables)
     elapsed = time.perf_counter() - t0
-    report = _report_skeleton(args, tables)
-    report["elapsed_s"] = round(elapsed, 6)
-    report["results"] = [{"name": n, "ok": ok, "detail": detail} for n, ok, detail in results]
     n_fail = sum(1 for _, ok, _ in results if not ok)
     lines = [f"{'ok  ' if ok else 'FAIL'} {name}" + (f"  ({detail})" if detail and not ok else "")
              for name, ok, detail in results]
     lines.append(f"{len(results) - n_fail}/{len(results)} passed in {elapsed:.2f}s")
-    _emit(args, report, lines)
-    return 0 if n_fail == 0 else 3
+    return ({"elapsed_s": round(elapsed, 6),
+             "results": [{"name": n, "ok": ok, "detail": detail} for n, ok, detail in results]},
+            lines, 0 if n_fail == 0 else 3)
 
 
 @functools.cache
@@ -315,11 +280,23 @@ def main(argv=None) -> int:
         "selftest": cmd_selftest,
     }
     try:
-        return handlers[args.command](args, load_tables(args.tables))
-    except PialgError as exc:
-        print(f"pialg: error: {exc}", file=sys.stderr)
-        return 3
-    except (OSError, json.JSONDecodeError) as exc:
+        tables = load_tables(args.tables)
+        fields, lines, code = handlers[args.command](args, tables)
+        report = {
+            "command": [args.command] + [f"{k}={v}" for k, v in sorted(vars(args).items())
+                                         if k != "command" and v not in (None, [], False)],
+            "tables": list(tables.provenance),
+            **fields,
+        }
+        out = json.dumps(report, indent=2) if args.format == "machine" else "\n".join(lines)
+        print(out)
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(out + "\n")
+        return code
+    # ValueError covers bad JSON, undecodable bytes and integer literals over
+    # CPython's digit limit; RecursionError, JSON nested too deep to decode.
+    except (PialgError, OSError, ValueError, RecursionError) as exc:
         print(f"pialg: error: {exc}", file=sys.stderr)
         return 3
 

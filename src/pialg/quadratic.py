@@ -33,7 +33,7 @@ resulting (large, sparse) presentation.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from ._record import field, record
 from .errors import BoundExceeded, MalformedStructureMap
@@ -245,22 +245,12 @@ class QuadTensorResult:
     left: FgAbGroup
     module: QuadraticModule
     group: FgAbGroup
-    e_gens: tuple    # (i, p, label, element)
-    ee_gens: tuple   # (i, j, q, label, element)
+    generators: tuple  # (label, element): e-blocks, then ee-blocks, in basis order
     _fqt: FreeQuadTensor = field(compare=False, repr=False)
     _canon: object = field(compare=False, repr=False)
 
     def natural_generators(self) -> list:
-        return [(label, elem) for (_, _, label, elem) in self.e_gens] + \
-               [(label, elem) for (_, _, _, label, elem) in self.ee_gens]
-
-    def relabel(self, e_label: Callable, ee_label: Callable) -> "QuadTensorResult":
-        la = self.left.labels()
-        e2 = tuple((i, p, e_label(la[i], p), elem) for (i, p, _, elem) in self.e_gens)
-        ee2 = tuple((i, j, q, ee_label(la[i], la[j], q), elem)
-                    for (i, j, q, _, elem) in self.ee_gens)
-        return QuadTensorResult(self.left, self.module, self.group, e2, ee2,
-                                self._fqt, self._canon)
+        return list(self.generators)
 
 
 def quad_tensor(a: FgAbGroup, m: QuadraticModule) -> QuadTensorResult:
@@ -271,6 +261,14 @@ def quad_tensor(a: FgAbGroup, m: QuadraticModule) -> QuadTensorResult:
     >>> str(quad_tensor(cyclic(3), Z_LAMBDA).group)
     '0'
     """
+    return _quad_tensor(a, m, "{}⊗{}", "[{},{}]⊗{}")
+
+
+def _quad_tensor(a: FgAbGroup, m: QuadraticModule, e_label: str,
+                 ee_label: str) -> QuadTensorResult:
+    """``quad_tensor`` with a_i⊗x labelled ``e_label.format(a_i, x)`` and
+    [a_i,a_j]⊗y labelled ``ee_label.format(a_i, a_j, y)``, for generators x of
+    Me and y of Mee; a template may leave out trailing fields."""
     t = len(a.torsion)
     s = a.dim
     tgt = FreeQuadTensor(s, m)
@@ -297,23 +295,14 @@ def quad_tensor(a: FgAbGroup, m: QuadraticModule) -> QuadTensorResult:
         rows.append(list(delta.col(col)))
     c = canonicalize_full(Presentation(tgt.size, IntMatrix.from_rows(rows, cols=tgt.size)))
 
-    la = a.labels()
-    lme = m.me.labels() if not m.me.is_trivial else ()
-    lmee = m.mee.labels() if not m.mee.is_trivial else ()
-    e_gens = []
-    for i in range(s):
-        for p in range(m.me.dim):
-            pos = tgt.e_index(i, p)
-            elem = c.group.reduce(c.quotient.matrix.col(pos))
-            e_gens.append((i, p, f"{la[i]}⊗{lme[p]}", elem))
-    ee_gens = []
-    for i in range(s):
-        for j in range(i + 1, s):
-            for q in range(m.mee.dim):
-                pos = tgt.ee_index(i, j, q)
-                elem = c.group.reduce(c.quotient.matrix.col(pos))
-                ee_gens.append((i, j, q, f"[{la[i]},{la[j]}]⊗{lmee[q]}", elem))
-    return QuadTensorResult(a, m, c.group, tuple(e_gens), tuple(ee_gens), tgt, c)
+    # The generators are tgt's basis, in its order: e-blocks, then ee-blocks.
+    la, lme, lmee = a.labels(), m.me.labels(), m.mee.labels()
+    labels = [e_label.format(la[i], x) for i in range(s) for x in lme]
+    labels += [ee_label.format(la[i], la[j], y)
+               for i in range(s) for j in range(i + 1, s) for y in lmee]
+    gens = tuple((lab, c.group.reduce(c.quotient.matrix.col(pos)))
+                 for pos, lab in enumerate(labels))
+    return QuadTensorResult(a, m, c.group, gens, tgt, c)
 
 
 def quad_tensor_induced(f: GroupHom, m: QuadraticModule,
@@ -340,10 +329,7 @@ def whitehead_gamma(a: FgAbGroup) -> QuadTensorResult:
     >>> str(whitehead_gamma(Z).group)
     'Z'
     """
-    res = quad_tensor(a, Z_GAMMA)
-    if a.dim == 1:
-        return res.relabel(lambda la, p: "γ", lambda la, lb, q: f"[{la},{lb}]")
-    return res.relabel(lambda la, p: f"γ({la})", lambda la, lb, q: f"[{la},{lb}]")
+    return _quad_tensor(a, Z_GAMMA, "γ" if a.dim == 1 else "γ({})", "[{},{}]")
 
 
 def exterior_square(a: FgAbGroup) -> QuadTensorResult:
@@ -354,8 +340,7 @@ def exterior_square(a: FgAbGroup) -> QuadTensorResult:
     >>> str(exterior_square(cyclic(5)).group)
     '0'
     """
-    res = quad_tensor(a, Z_LAMBDA)
-    return res.relabel(lambda la, p: "", lambda la, lb, q: f"{la}∧{lb}")
+    return _quad_tensor(a, Z_LAMBDA, "", "{}∧{}")
 
 
 def brute_force_quad_tensor(a: FgAbGroup, m: QuadraticModule,

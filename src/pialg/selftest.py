@@ -34,7 +34,7 @@ from .realizability import (
     all_realizable_in_stem,
     build_structure_map,
     check,
-    check_stable,
+    survey_stem,
     three_stage_obstruction,
 )
 from .tables import StableTables, verify_pi_ring_relations
@@ -44,14 +44,14 @@ def _expect(cond: bool, detail: str) -> Tuple[bool, str]:
     return (True, "") if cond else (False, detail)
 
 
-def _smallest_instance(tables):
-    gt = gamma_tilde(5, 3, Z, tables)
-    eta = build_structure_map(gt, [(1,), (0,)], cyclic(4))
-    return TwoStagePiAlgebra(5, 3, Z, cyclic(4), eta)
-
-
 def run_selftest(tables: StableTables) -> List[Tuple[str, bool, str]]:
     checks: List[Tuple[str, Callable]] = []
+
+    def verdict(n, k, a_n, images, target):
+        """The verdict on the two-stage algebra whose eta sends gamma_tilde's
+        generators to ``images`` (target coordinates, one per generator)."""
+        eta = build_structure_map(gamma_tilde(n, k, a_n, tables), images, target)
+        return check(TwoStagePiAlgebra(n, k, a_n, target, eta), tables)
 
     def add(name):
         def deco(fn):
@@ -157,7 +157,7 @@ def run_selftest(tables: StableTables) -> List[Tuple[str, bool, str]]:
 
     @add("check: smallest non-realizable instance (stem 3, target Z/4)")
     def _():
-        v = check(_smallest_instance(tables), tables)
+        v = verdict(5, 3, Z, [(1,), (0,)], cyclic(4))
         ok = v.status is Status.NON_REALIZABLE and v.obstruction is not None
         ok = ok and v.obstruction.label == "2·nu"
         return _expect(ok, f"got {v.status.value}, obstruction "
@@ -165,43 +165,31 @@ def run_selftest(tables: StableTables) -> List[Tuple[str, bool, str]]:
 
     @add("check: alpha detection (stem 3, target Z/3) realizable")
     def _():
-        gt = gamma_tilde(5, 3, Z, tables)
-        eta = build_structure_map(gt, [(0,), (1,)], cyclic(3))
-        v = check(TwoStagePiAlgebra(5, 3, Z, cyclic(3), eta), tables)
+        v = verdict(5, 3, Z, [(0,), (1,)], cyclic(3))
         ok = v.status is Status.REALIZABLE and v.witness is not None
         return _expect(ok, f"got {v.status.value}")
 
     @add("check: alpha_2 at p=3 (stem 7) non-realizable")
     def _():
-        gt = gamma_tilde(9, 7, Z, tables)
-        eta = build_structure_map(gt, [(1,)], cyclic(3))
-        v = check(TwoStagePiAlgebra(9, 7, Z, cyclic(3), eta), tables)
+        v = verdict(9, 7, Z, [(1,)], cyclic(3))
         return _expect(v.status is Status.NON_REALIZABLE, f"got {v.status.value}")
 
     @add("check: divided alpha_{3/2} at p=3 (stem 11, target Z/9) non-realizable")
     def _():
-        gt = gamma_tilde(13, 11, Z, tables)
-        eta = build_structure_map(gt, [(1,)], cyclic(9))
-        v = check(TwoStagePiAlgebra(13, 11, Z, cyclic(9), eta), tables)
+        v = verdict(13, 11, Z, [(1,)], cyclic(9))
         ok = v.status is Status.NON_REALIZABLE and v.obstruction is not None
         ok = ok and v.obstruction.label == "3·alpha_3/2"
         return _expect(ok, f"got {v.status.value}")
 
     @add("check: zero structure map realizable in the stable range")
     def _():
-        gt = gamma_tilde(6, 4, from_cyclic_orders([8]), tables)
-        eta = GroupHom.zero(gt.group, cyclic(5))
-        v = check(TwoStagePiAlgebra(6, 4, from_cyclic_orders([8]), cyclic(5), eta), tables)
+        v = verdict(6, 4, from_cyclic_orders([8]), [], cyclic(5))  # Q_4^S = 0: no generators
         return _expect(v.status is Status.REALIZABLE, f"got {v.status.value}")
 
     @add("check: k=1 and k=2 instances realizable")
     def _():
-        gt1 = gamma_tilde(2, 1, cyclic(2), tables)
-        eta1 = build_structure_map(gt1, [(1,)], cyclic(4))
-        v1 = check(TwoStagePiAlgebra(2, 1, cyclic(2), cyclic(4), eta1), tables)
-        gt2 = gamma_tilde(3, 2, FgAbGroup(2, ()), tables)
-        eta2 = build_structure_map(gt2, [(1,)], Z)
-        v2 = check(TwoStagePiAlgebra(3, 2, FgAbGroup(2, ()), Z, eta2), tables)
+        v1 = verdict(2, 1, cyclic(2), [(1,)], cyclic(4))
+        v2 = verdict(3, 2, FgAbGroup(2, ()), [(1,)], Z)
         return _expect(v1.status is Status.REALIZABLE and v2.status is Status.REALIZABLE,
                        f"got {v1.status.value}, {v2.status.value}")
 
@@ -227,15 +215,12 @@ def run_selftest(tables: StableTables) -> List[Tuple[str, bool, str]]:
 
     @add("partial knowledge: stem-3 eta(nu)=1 into Z/2 is undetermined on gamma(nu)")
     def _():
-        gt = gamma_tilde(5, 3, Z, tables)
-        eta = build_structure_map(gt, [(1,), (0,)], cyclic(2))
-        v = check_stable(TwoStagePiAlgebra(5, 3, Z, cyclic(2), eta), tables)
+        v = verdict(5, 3, Z, [(1,), (0,)], cyclic(2))
         return _expect(v.status is Status.UNDETERMINED and v.blocking == ("stem3.nu",),
                        f"got {v.status.value} blocking {v.blocking}")
 
     @add("survey: stem 2 sweep is 100% realizable")
     def _():
-        from .realizability import survey_stem
         rep = survey_stem(2, tables, max_cyclic_order=3, max_summands=1,
                           targets=[cyclic(2)])
         return _expect(dict(rep.totals) == {"realizable": rep.total_cases()}
@@ -243,7 +228,6 @@ def run_selftest(tables: StableTables) -> List[Tuple[str, bool, str]]:
 
     @add("survey: stem 3 over A_n = Z into Z/4 hits non-realizable instances")
     def _():
-        from .realizability import survey_stem
         rep = survey_stem(3, tables, max_cyclic_order=2, max_summands=1,
                           targets=[cyclic(4)])
         z_rows = [r for r in rep.rows if r.a_n == Z]

@@ -742,8 +742,9 @@ def load_from_file(path) -> StableTables:
             text = fh.read()
     except OSError as exc:
         raise TableFormatError(str(exc))
-    t = loads_tables(text, name=str(path))
-    return t
+    except UnicodeDecodeError as exc:
+        raise TableFormatError(f"{path}: {exc}")
+    return loads_tables(text, name=str(path))
 
 
 def load_tables(overlay_paths=()) -> StableTables:

@@ -7,8 +7,9 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pialg import (PialgError, check, cyclic, intlinalg, load_tables, problem_from_json,
-                   realizability, survey_stem, verdict_from_json)
+from pialg import (MissingTableData, PialgError, all_realizable_in_stem, check, cyclic,
+                   from_cyclic_orders, intlinalg, load_tables, problem_from_json, realizability,
+                   survey_stem, verdict_from_json)
 from pialg.cli import main
 from pialg.fgab import group_from_json
 from pialg.pi_functors import gamma_tilde
@@ -437,3 +438,123 @@ def test_fuzzed_problem_files_never_escape_main(tmp_path, capsys):
             problem_from_json(doc, tables)  # a verdict only for a well-formed problem
         assert code in (0, 1, 2, 3)
     one()
+
+
+_LONG = "1" + "0" * 5000  # past CPython's 4300-digit limit on int(str)
+_MODULE = ('{"Me": {"rank": 1, "torsion": []}, "Mee": {"rank": 1, "torsion": []}, '
+           '"H": [[%s]], "P": [[2]]}')
+
+
+@pytest.mark.parametrize("name, data, argv", [
+    ("p.json", b"\xff{}", ["check", "TMP/p.json"]),
+    ("ov.tbl", b"[gamma]\n\xff\n", ["check", "TMP/smallest.json", "--tables", "TMP/ov.tbl"]),
+    ("p.json", b"[" * 200_000, ["check", "TMP/p.json"]),
+    ("m.json", b"[" * 200_000, ["quad-tensor", "--group", "Z/2", "--module", "@TMP/m.json"]),
+    ("p.json", json.dumps(SMALLEST).replace("[[1, 0]]", f"[[{_LONG}, 0]]").encode(),
+     ["check", "TMP/p.json"]),
+    ("m.json", (_MODULE % _LONG).encode(),
+     ["quad-tensor", "--group", "Z/2", "--module", "@TMP/m.json"]),
+    (None, None, ["gamma-tilde", "--n", "5", "--k", "3", "--group", f'{{"rank": {_LONG}}}']),
+], ids=["undecodable-problem", "undecodable-overlay", "deep-problem", "deep-module",
+        "long-int-problem", "long-int-module", "long-int-group"])
+def test_malformed_encodings_exit_three(tmp_path, capsys, name, data, argv):
+    # Each ended in a traceback (exit 1), which reads as "non-realizable".
+    (tmp_path / "smallest.json").write_text(json.dumps(SMALLEST))
+    if name:
+        (tmp_path / name).write_bytes(data)
+    code, out, err = run(capsys, [a.replace("TMP", str(tmp_path)) for a in argv])
+    assert code == 3 and out == "" and err.startswith("pialg: error:")
+    if name == "ov.tbl":
+        assert f"{tmp_path / name}: 'utf-8' codec can't decode" in err
+
+
+# Stem 5 with Q_5^S = Z/2<a> + Z/2<b> and HZ_6HZ = Z/2: every completion
+# fails to factor eta, but no single element is killed by all of them.
+NO_ELEMENT_OVERLAY = "[q_stable]\n5 = Z/2<a> + Z/2<b>\n[em_homology]\n6 = Z/2\n"
+
+
+def test_non_realizable_without_a_single_obstruction_element(problem_file, tmp_path, capsys):
+    overlay = tmp_path / "ov.tbl"
+    overlay.write_text(NO_ELEMENT_OVERLAY)
+    doc = {"n": 7, "k": 5, "A_n": {"rank": 1, "torsion": []},
+           "A_nk": {"rank": 0, "torsion": [2, 2]}, "eta": [[1, 0], [0, 1]]}
+    path = problem_file(doc)
+    code, out, _ = run(capsys, ["check", path, "--tables", str(overlay), "--format", "machine"])
+    result = json.loads(out)["results"][0]
+    assert code == 1 and result["status"] == "non-realizable"
+    assert result["obstruction"]["element"] is None
+    assert result["obstruction"]["note"] == "no completion admits a factorization"
+    assert len(result["completions"]) == 4
+    assert not any(o["factorable"] for o in result["completions"])
+    code, out, _ = run(capsys, ["check", path, "--tables", str(overlay)])
+    assert code == 1 and "  obstruction: no completion admits a factorization\n" in out
+    assert "completions examined: 4 (0 factorable)" in out
+
+    from helpers import survey_by_checks
+    tables = load_tables([str(overlay)])
+    bounds = dict(max_cyclic_order=4, max_summands=2,
+                  targets=[cyclic(2), from_cyclic_orders([2, 2])])
+    assert survey_stem(5, tables, **bounds) == survey_by_checks(5, tables, **bounds)
+
+
+@pytest.mark.parametrize("value, code, key, expect", [
+    ("known [0]", 1, "obstruction", {"element": [1], "label": "alpha_2",
+                                     "note": "killed by every admissible completion"}),
+    ("known [1]", 2, "blocking", ["Q_7^S partially tabulated"]),
+])
+def test_certificate_mode_reads_a_known_gamma(problem_file, tmp_path, capsys, value, code, key,
+                                              expect):
+    # Q_7^S = Z/3<alpha_2> is partial, so no completion is enumerated: a known
+    # gamma(alpha_2) = 0 kills alpha_2, and a nonzero one leaves the check open.
+    overlay = tmp_path / "ov.tbl"
+    overlay.write_text(f"[em_homology]\n8 = Z/3\n[gamma]\n7.alpha_2 = {value}\n")
+    doc = {"n": 9, "k": 7, "A_n": {"rank": 1, "torsion": []},
+           "A_nk": {"rank": 0, "torsion": [3]}, "eta": [[1]]}
+    got, out, _ = run(capsys, ["check", problem_file(doc), "--tables", str(overlay),
+                               "--format", "machine"])
+    assert got == code and json.loads(out)["results"][0][key] == expect
+
+
+_CHECK_OV = ["check", "PROBLEM", "--tables", "OV"]
+
+
+@pytest.mark.parametrize("overlay, argv, message", [
+    # Merge time: each overlay parses, and the merged tables are inconsistent.
+    ("[em_homology]\n4 = Z/2\n[gamma]\n3.alpha = nonzero(3)\n", _CHECK_OV,
+     "gamma(alpha) order 3 exceeds the codomain exponent 2"),
+    ("[gamma]\n3.alpha = known [1]\n", _CHECK_OV,
+     "gamma(alpha) = (1,) has order 6, incompatible with generator order 3"),
+    ("[pi_products]\n1.eta * 3.mu = [1]\n", _CHECK_OV,
+     "pi product references unknown generator 3.mu"),
+    ("[pi_products]\n1.eta * 1.eta = [1, 0]\n", _CHECK_OV,
+     "pi product 1.eta * 1.eta needs 2-stem coordinates"),
+    # Load time: the message names the overlay and its line.
+    ("[gamma]\n3. = zero\n", _CHECK_OV,
+     "OV:2: generator keys look like '<stem>.<generator>'"),
+    ("[gamma\n3.nu = zero\n", _CHECK_OV,
+     "OV:1: unterminated section header"),
+    ("[gamma]\n3.nu zero\n", _CHECK_OV,
+     "OV:2: expected 'key = value'"),
+    ("[options]\nspeed = fast\n", _CHECK_OV,
+     "OV:2: unknown option 'speed'"),
+    ("[options]\ntorsion_exponent_rule = yes\n", _CHECK_OV,
+     "OV:2: torsion_exponent_rule must be 'on' or 'off'"),
+    (None, _CHECK_OV, "No such file or directory: 'OV'"),
+    (None, ["tables", "show", "--stem", "99"], "no table entry for stem 99"),
+    # A library call: stem 9 needs HZ_10HZ, which neither a table nor a rule gives.
+    ("[q_stable]\n9 = Z/4<x>\n", None, "cannot settle stem 9: HZ_10HZ is untabulated"),
+], ids=["gamma-order-over-exponent", "known-gamma-order", "product-unknown-generator",
+        "product-coordinate-count", "empty-generator-key", "unterminated-header", "no-equals",
+        "unknown-option", "bad-rule-value", "missing-overlay", "unknown-stem", "untabulated-em"])
+def test_error_paths_name_their_cause(problem_file, tmp_path, capsys, overlay, argv, message):
+    ov = tmp_path / "ov.tbl"
+    if overlay is not None:
+        ov.write_text(overlay)
+    message = message.replace("OV", str(ov))
+    if argv is None:
+        with pytest.raises(MissingTableData, match=re.escape(message)):
+            all_realizable_in_stem(9, load_tables([str(ov)]))
+        return
+    tokens = {"PROBLEM": problem_file(SMALLEST), "OV": str(ov)}
+    code, out, err = run(capsys, [tokens.get(a, a) for a in argv])
+    assert code == 3 and out == "" and err.startswith("pialg: error:") and message in err

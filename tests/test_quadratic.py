@@ -56,7 +56,8 @@ def test_free_decomposition():
     # s copies of Me plus one Mee per unordered pair
     r = quad_tensor(FgAbGroup(3, ()), PI5_S3)
     assert r.group == from_cyclic_orders([2, 2, 2, 0, 0, 0])
-    assert len(r.e_gens) == 3 and len(r.ee_gens) == 3
+    assert [label for label, _ in r.natural_generators()] == [
+        "e1⊗eta2", "e2⊗eta2", "e3⊗eta2", "[e1,e2]⊗1", "[e1,e3]⊗1", "[e2,e3]⊗1"]
 
 
 def test_quad_tensor_key_values():
