@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import sys
 import time
@@ -289,10 +290,10 @@ def main(argv=None) -> int:
             **fields,
         }
         out = json.dumps(report, indent=2) if args.format == "machine" else "\n".join(lines)
-        print(out)
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(out + "\n")
+        # --output is opened first, so a path that cannot be written prints no report.
+        with open(args.output, "w", encoding="utf-8") if args.output else io.StringIO() as fh:
+            fh.write(out + "\n")
+            print(out)
         return code
     # ValueError covers bad JSON, undecodable bytes and integer literals over
     # CPython's digit limit; RecursionError, JSON nested too deep to decode.

@@ -438,12 +438,16 @@ class Congruences:
 class Factorizer:
     """Solve h ∘ through = f for many f, with h: through.target -> target.
 
-    The congruence system of h ∘ through = f has a coefficient matrix that
-    depends only on ``through`` and the target's invariant factors; f
-    enters only through the right-hand side. The matrix is reduced to Smith
-    normal form once, here; each solve then costs ``U·b``, a divisibility
-    check against the diagonal and ``V·z``. The particular solution is the
-    one a fresh reduction of the same system would return.
+    Row i of h meets only target coordinate i, of order cᵢ: one congruence
+    per source generator and one per torsion generator of ``through.target``,
+    with f only on the right. So one ``Congruences`` per distinct cᵢ is
+    reduced here, and a solve costs ``U·b``, a divisibility check and ``V·z``
+    per coordinate. The particular solution is the one a fresh reduction of
+    all blocks in one matrix would return: its Hermite passes never combine
+    rows or columns of different blocks and keep each block's order, and the
+    steps that cross blocks (the chain fix-up's swaps and gcd mixes on nonzero
+    diagonal entries, and the sign and permutation steps of an extra pass)
+    change U and V, not V·D⁺·U·b.
 
     >>> g = GroupHom.from_columns(cyclic(12), cyclic(6), [(1,)])
     >>> fz = Factorizer(g, cyclic(3))
@@ -455,29 +459,13 @@ class Factorizer:
     def __init__(self, through: "GroupHom", target: FgAbGroup):
         self.through = through
         self.target = target
-        b, c = through.target, target
-        nb, nc = b.dim, c.dim
-
-        def in_row(i: int, block: list) -> list:  # unknown i * nb + j is h's entry (i, j)
-            return [0] * (i * nb) + block + [0] * ((nc - 1 - i) * nb)
-
-        rows, moduli = [], []
-        # h ∘ through = f, one congruence per (source generator, target coord)
-        for a in range(through.source.dim):
-            col = list(through.matrix.col(a))
-            for i in range(nc):
-                rows.append(in_row(i, col))
-                moduli.append(c.coord_order(i))
-        # well-definedness of h on B's torsion generators
-        for j in range(nb):
-            d = b.coord_order(j)
-            if d == 0:
-                continue
-            for i in range(nc):
-                rows.append(in_row(i, [d if u == j else 0 for u in range(nb)]))
-                moduli.append(c.coord_order(i))
-        self._n_rows = len(rows)
-        self._system = Congruences(rows, moduli, nc * nb)
+        b = through.target
+        rows = [through.matrix.col(a) for a in range(through.source.dim)]
+        rows += IntMatrix.diagonal(b.torsion, b.dim, b.dim).data[:len(b.torsion)]  # well-definedness
+        self._pad = [0] * len(b.torsion)  # the right-hand sides of well-definedness
+        moduli = [target.coord_order(i) for i in range(target.dim)]
+        systems = {m: Congruences(rows, [m] * len(rows), b.dim) for m in set(moduli)}
+        self._systems = [systems[m] for m in moduli]
 
     def solve(self, targets: Sequence) -> Optional["GroupHom"]:
         """Some h with h(through(e_j)) = targets[j], or None.
@@ -490,12 +478,13 @@ class Factorizer:
 
     def _solve(self, rhs: list) -> Optional["GroupHom"]:
         # rhs: the reduced target coordinates of each source generator's image
-        sol = self._system.solve(rhs + [0] * (self._n_rows - len(rhs)))
-        if sol is None:
-            return None
-        # The system holds h's well-definedness rows, so h is a homomorphism.
-        nb = self.through.target.dim
-        rows = [sol[i * nb:(i + 1) * nb] for i in range(self.target.dim)]
+        nc, rows = len(self._systems), []
+        for i, system in enumerate(self._systems):
+            row = system.solve(rhs[i::nc] + self._pad)
+            if row is None:
+                return None
+            rows.append(row)
+        # The systems hold h's well-definedness rows, so h is a homomorphism.
         return GroupHom._of(self.through.target, self.target, rows)
 
     def factor(self, f: "GroupHom") -> Optional["GroupHom"]:

@@ -326,8 +326,9 @@ def smith_normal_form(m: IntMatrix, inverses: bool | str = True) -> SnfResult:
     pivot is fixed is what bounds coefficient growth: Kannan and Bachem
     bound every intermediate number by a polynomial in the size of the
     input, and on dense 32x32 inputs with entries in [-100, 100] the
-    witnesses stay within twice the digits of ``|det m|``. The output is
-    deterministic.
+    witnesses stay within twice the digits of ``|det m|``. Steps skip the
+    entries known to be zero (see _subtract), so every integer is that of
+    full-length rows. The output is deterministic.
 
     ``inverses`` says which inverses are carried: True (both, the default),
     "u" (``u_inv`` only) or False (none). An inverse not carried costs no
@@ -338,13 +339,14 @@ def smith_normal_form(m: IntMatrix, inverses: bool | str = True) -> SnfResult:
     rows, cols = m.rows, m.cols
     a = m.to_lists()
     u, v_cols = _identity_lists(rows), _identity_lists(cols)
-    ui = [_identity_lists(rows)] if inverses else []  # U⁻¹ by columns, when carried
-    vi = [_identity_lists(cols)] if inverses and inverses != "u" else []  # V⁻¹ by rows
+    ui = _identity_lists(rows) if inverses else None  # U⁻¹ by columns, when carried
+    vi = _identity_lists(cols) if inverses and inverses != "u" else None  # V⁻¹ by rows
     # A pass reduces the rows of ``a``, followed by U and mirrored on U⁻¹;
     # ``a`` is then transposed, so the next pass reduces the columns,
     # followed by the columns of V and mirrored on V⁻¹.
-    sides = [([u], ui, cols), ([v_cols], vi, rows)]
     diagonal = _is_diagonal(a)
+    sides = None if diagonal else [(_spanned(u), _spanned(ui), cols),
+                                   (_spanned(v_cols), _spanned(vi), rows)]
     while not diagonal:
         _hermite(a, *sides[0])
         diagonal = _is_diagonal(a)
@@ -356,7 +358,7 @@ def smith_normal_form(m: IntMatrix, inverses: bool | str = True) -> SnfResult:
     for i, x in enumerate(d):
         if x < 0:
             d[i] = -x
-            for t in (u, *ui):
+            for t in filter(None, (u, ui)):
                 t[i] = [-y for y in t[i]]
     for i in range(len(d)):
         for j in range(i + 1, len(d)):
@@ -365,20 +367,21 @@ def smith_normal_form(m: IntMatrix, inverses: bool | str = True) -> SnfResult:
                 continue
             if x == 0 or x % y == 0:
                 d[i], d[j] = y, x
-                for t in (u, v_cols, *ui, *vi):
+                for t in filter(None, (u, v_cols, ui, vi)):
                     t[i], t[j] = t[j], t[i]
                 continue
-            # diag(x, y) -> diag(g, l): add row j to row i, mix columns i
-            # and j so that row i reads (g, 0), then clear row j's entry.
+            # diag(x, y) -> diag(g, l), over whole rows: add row j to row i, mix
+            # columns i and j so row i reads (g, 0), then clear row j's entry.
             g, s, e = _xgcd(x, y)
             q, yg, xg = y * e // g, y // g, x // g
-            _subtract([u], ui, i, j, -1)
-            _mix(v_cols, i, j, s, e, yg, xg)
-            _subtract([u], ui, j, i, q)
-            for t in vi:
-                _mix(t, i, j, xg, yg, e, s)
+            wu, wv = ([0] * rows, [rows] * rows), ([0] * cols, [cols] * cols)
+            _subtract(None, 0, (u, *wu), ui and (ui, *wu), i, j, -1)
+            _mix((v_cols, *wv), i, j, s, e, yg, xg)
+            _subtract(None, 0, (u, *wu), ui and (ui, *wu), j, i, q)
+            if vi:
+                _mix((vi, *wv), i, j, xg, yg, e, s)
             d[i], d[j] = g, x * y // g
-    return SnfResult._of(rows, cols, u, d, v_cols, ui[0] if ui else None, vi[0] if vi else None)
+    return SnfResult._of(rows, cols, u, d, v_cols, ui, vi)
 
 
 def _identity_lists(n: int) -> list:
@@ -389,6 +392,11 @@ def _identity_lists(n: int) -> list:
         r[i] = 1
         out.append(r)
     return out
+
+
+def _spanned(t: Optional[list]) -> Optional[tuple]:
+    """(t, lo, hi) for an identity matrix t, whose row r spans [r, r + 1); None for None."""
+    return None if t is None else (t, list(range(len(t))), list(range(1, len(t) + 1)))
 
 
 def _is_diagonal(a: list) -> bool:
@@ -414,45 +422,65 @@ def _xgcd(x: int, y: int) -> tuple:
 # inverses, which are held by columns so that it too is a row operation: if
 # rows (i, k) are multiplied by the unimodular [[p, q], [-r, s]], columns
 # (i, k) of the inverse are multiplied by [[s, -q], [r, p]], which is
-# _mix(inv, i, k, s, r, q, p). (Indexed loops beat list comprehensions here
-# at every row length measured, small or big integers.)
+# _mix(inv, i, k, s, r, q, p). Only a source row's nonzero span is read: in
+# the working matrix, from a column the caller names; in the others, held as
+# (rows, lo, hi), from lo[t] to hi[t] - 1. An identity row t spans [t, t+1),
+# and each operation widens its destination's span to cover its source's.
+# (Indexed loops beat list comprehensions at every row length measured.)
 
 
-def _subtract(rowwise: list, mirror: list, dst: int, src: int, q: int) -> None:
-    """Row dst -= q * row src in each of ``rowwise``; column src += q * column dst in ``mirror``."""
-    for rows in rowwise:
-        rd, rs = rows[dst], rows[src]
-        for j in range(len(rd)):
+def _subtract(a: list | None, c: int, f: tuple, m: tuple | None, dst: int, src: int, q: int):
+    """Row dst -= q * row src in ``a`` from column c and in ``f``; the mirror in ``m``."""
+    if a is not None:
+        rd, rs = a[dst], a[src]
+        for j in range(c, len(rd)):
             rd[j] -= q * rs[j]
-    for rows in mirror:
+    rows, lo, hi = f
+    j0, j1 = lo[src], hi[src]
+    rd, rs = rows[dst], rows[src]
+    for j in range(j0, j1):
+        rd[j] -= q * rs[j]
+    if j0 < lo[dst]:
+        lo[dst] = j0
+    if j1 > hi[dst]:
+        hi[dst] = j1
+    if m:
+        rows, lo, hi = m
+        j0, j1 = lo[dst], hi[dst]
         rd, rs = rows[src], rows[dst]
-        for j in range(len(rd)):
+        for j in range(j0, j1):
             rd[j] += q * rs[j]
+        if j0 < lo[src]:
+            lo[src] = j0
+        if j1 > hi[src]:
+            hi[src] = j1
 
 
-def _mix(rows: list, i: int, k: int, p: int, q: int, r: int, s: int) -> None:
-    """Rows (i, k) -> (p*row_i + q*row_k, s*row_k - r*row_i), where ps + qr = 1."""
+def _mix(t: tuple, i: int, k: int, p: int, q: int, r: int, s: int) -> None:
+    """Rows (i, k) -> (p*row_i + q*row_k, s*row_k - r*row_i) of t, where ps + qr = 1."""
+    rows, lo, hi = t
+    j0 = lo[i] = lo[k] = lo[i] if lo[i] < lo[k] else lo[k]
+    j1 = hi[i] = hi[k] = hi[i] if hi[i] > hi[k] else hi[k]
     ri, rk = rows[i], rows[k]
-    for j in range(len(ri)):
+    for j in range(j0, j1):
         x, y = ri[j], rk[j]
         ri[j] = p * x + q * y
         rk[j] = s * y - r * x
 
 
-def _hermite(a: list, follow: list, mirror: list, ncols: int) -> None:
+def _hermite(a: list, follow: tuple, mirror: tuple | None, ncols: int) -> None:
     """Row-reduce ``a`` (``ncols`` columns) to Hermite normal form, in place.
 
     Rows are inserted in order into the echelon basis of the rows before
-    them. Each matrix in ``follow`` (held by rows) takes every row operation
-    applied to ``a``; each inverse in ``mirror`` (held by columns) takes the
-    mirrored column operation. No other bookkeeping is done, so a caller
-    pays only for the matrices it passes. Each time a pivot (k, c) is set,
-    the entries above it are reduced modulo it, and row k's entries in later
-    pivot columns modulo those pivots; pivots are positive. At the end the
-    rows of every matrix are reordered: pivot rows in column order, then
-    the zero rows.
+    them. ``follow``, a (rows, lo, hi) matrix held by rows, takes every row
+    operation applied to ``a``; ``mirror``, an inverse held by columns (or
+    None), takes the mirrored column operation, and a caller pays only for
+    the inverse it passes. Each time a pivot (k, c) is set, the entries
+    above it are reduced modulo it, and row k's entries in later pivot
+    columns modulo those pivots; pivots are positive. At the end the rows
+    of every matrix, with their spans, are reordered: pivot rows in column
+    order, then the zero rows.
     """
-    rowwise = [a, *follow]
     pivot = [-1] * ncols  # pivot[c]: the row whose leading entry is in column c
     pcols, prows = [], []  # the pivot columns in order, and their rows
     zero = []
@@ -470,9 +498,9 @@ def _hermite(a: list, follow: list, mirror: list, ncols: int) -> None:
             k = pivot[c]
             if k < 0:
                 if x < 0:
-                    for rows in rowwise + mirror:
+                    row = a[i] = [-y for y in row]
+                    for rows, _, _ in filter(None, (follow, mirror)):
                         rows[i] = [-y for y in rows[i]]
-                    row = a[i]
                 k = pivot[c] = i
                 pos = bisect_left(pcols, c)
                 pcols.insert(pos, c)
@@ -480,34 +508,37 @@ def _hermite(a: list, follow: list, mirror: list, ncols: int) -> None:
             else:
                 p = a[k][c]
                 if x % p == 0:
-                    _subtract(rowwise, mirror, i, k, x // p)
+                    _subtract(a, c, follow, mirror, i, k, x // p)
                     c += 1
                     continue
                 # rows (k, i) -> (s*k + e*i, (p/g)*i - (x/g)*k): (g, 0) in column c
                 g, s, e = _xgcd(p, x)
                 xg, pg = x // g, p // g
-                for rows in rowwise:
-                    _mix(rows, k, i, s, e, xg, pg)
-                for rows in mirror:
-                    _mix(rows, k, i, pg, xg, e, s)
+                rk = a[k]
+                for j in range(c, ncols):  # both rows are zero before column c
+                    y, z = rk[j], row[j]
+                    rk[j], row[j] = s * y + e * z, pg * z - xg * y
+                _mix(follow, k, i, s, e, xg, pg)
+                if mirror:
+                    _mix(mirror, k, i, pg, xg, e, s)
                 pos = bisect_left(pcols, c)
             p = a[k][c]
-            for k2 in prows[:pos]:
+            for k2 in prows[:pos]:  # row k is zero before column c
                 q = a[k2][c] // p
                 if q:
-                    _subtract(rowwise, mirror, k2, k, q)
+                    _subtract(a, c, follow, mirror, k2, k, q)
             for j in range(pos + 1, len(pcols)):
-                c2, k2 = pcols[j], prows[j]
+                c2, k2 = pcols[j], prows[j]  # row k2 is zero before column c2
                 q = a[k][c2] // a[k2][c2]
                 if q:
-                    _subtract(rowwise, mirror, k, k2, q)
+                    _subtract(a, c2, follow, mirror, k, k2, q)
             if k == i:
                 break
             c += 1
     order = prows + zero
     if order != list(range(len(a))):
-        for rows in rowwise + mirror:
-            rows[:] = [rows[k] for k in order]
+        for t in (a, *follow, *(mirror or ())):
+            t[:] = [t[k] for k in order]
 
 
 # -- sparse presentation reduction -------------------------------------

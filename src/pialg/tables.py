@@ -751,5 +751,9 @@ def load_tables(overlay_paths=()) -> StableTables:
     """Defaults merged with overlay files, left to right."""
     t = load_defaults()
     for p in overlay_paths:
-        t = merge(t, load_from_file(p))
+        overlay = load_from_file(p)
+        try:
+            t = merge(t, overlay)
+        except InconsistentTables as exc:  # the merged tables are at fault: name the overlay
+            raise InconsistentTables(f"{p}: {exc}") from exc
     return t

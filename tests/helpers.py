@@ -9,11 +9,14 @@ by exhaustive search over all homomorphisms.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from math import gcd, prod
 
 from pialg import FgAbGroup, GroupHom, from_cyclic_orders, hom_group
 from pialg.errors import BoundExceeded
-from pialg.intlinalg import cokernel_invariants_sparse
+from pialg.fgab import Congruences
+from pialg.intlinalg import (SnfResult, _identity_lists, _is_diagonal, _xgcd,
+                             cokernel_invariants_sparse)
 from pialg.realizability import (SurveyReport, SurveyRow, TwoStagePiAlgebra, _gamma_tilde,
                                  check_stable)
 
@@ -209,3 +212,163 @@ def random_hom(rng, a: FgAbGroup, b: FgAbGroup) -> GroupHom:
         else:
             cols.append(b.reduce([rng.randrange(-4, 5) for _ in range(b.dim)]))
     return GroupHom.from_columns(a, b, cols)
+
+
+# -- plain paths that optimized ones must equal -------------------------
+
+
+def snf_plain(m, inverses=True):
+    """``smith_normal_form`` with every row operation over the full row.
+
+    The same Kannan-Bachem steps in the same order, with no span
+    bookkeeping: the reference the span-skipping kernel must equal in all
+    five fields.
+    """
+    rows, cols = m.rows, m.cols
+    a = m.to_lists()
+    u, v_cols = _identity_lists(rows), _identity_lists(cols)
+    ui = [_identity_lists(rows)] if inverses else []
+    vi = [_identity_lists(cols)] if inverses and inverses != "u" else []
+    sides = [([u], ui, cols), ([v_cols], vi, rows)]
+    diagonal = _is_diagonal(a)
+    while not diagonal:
+        _hermite_plain(a, *sides[0])
+        diagonal = _is_diagonal(a)
+        if not diagonal:
+            a = list(map(list, zip(*a)))
+            sides.reverse()
+    d = [a[i][i] for i in range(min(rows, cols))]
+    for i, x in enumerate(d):
+        if x < 0:
+            d[i] = -x
+            for t in (u, *ui):
+                t[i] = [-y for y in t[i]]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            x, y = d[i], d[j]
+            if y == 0 or (x and y % x == 0):
+                continue
+            if x == 0 or x % y == 0:
+                d[i], d[j] = y, x
+                for t in (u, v_cols, *ui, *vi):
+                    t[i], t[j] = t[j], t[i]
+                continue
+            g, s, e = _xgcd(x, y)
+            q, yg, xg = y * e // g, y // g, x // g
+            _subtract_plain([u], ui, i, j, -1)
+            _mix_plain(v_cols, i, j, s, e, yg, xg)
+            _subtract_plain([u], ui, j, i, q)
+            for t in vi:
+                _mix_plain(t, i, j, xg, yg, e, s)
+            d[i], d[j] = g, x * y // g
+    return SnfResult._of(rows, cols, u, d, v_cols, ui[0] if ui else None, vi[0] if vi else None)
+
+
+def _subtract_plain(rowwise, mirror, dst, src, q):
+    for rows in rowwise:
+        rd, rs = rows[dst], rows[src]
+        for j in range(len(rd)):
+            rd[j] -= q * rs[j]
+    for rows in mirror:
+        rd, rs = rows[src], rows[dst]
+        for j in range(len(rd)):
+            rd[j] += q * rs[j]
+
+
+def _mix_plain(rows, i, k, p, q, r, s):
+    ri, rk = rows[i], rows[k]
+    for j in range(len(ri)):
+        x, y = ri[j], rk[j]
+        ri[j] = p * x + q * y
+        rk[j] = s * y - r * x
+
+
+def _hermite_plain(a, follow, mirror, ncols):
+    rowwise = [a, *follow]
+    pivot = [-1] * ncols
+    pcols, prows = [], []
+    zero = []
+    for i in range(len(a)):
+        row = a[i]
+        c = 0
+        while True:
+            for c in range(c, ncols):
+                if row[c]:
+                    break
+            else:
+                zero.append(i)
+                break
+            x = row[c]
+            k = pivot[c]
+            if k < 0:
+                if x < 0:
+                    for rows in rowwise + mirror:
+                        rows[i] = [-y for y in rows[i]]
+                    row = a[i]
+                k = pivot[c] = i
+                pos = bisect_left(pcols, c)
+                pcols.insert(pos, c)
+                prows.insert(pos, i)
+            else:
+                p = a[k][c]
+                if x % p == 0:
+                    _subtract_plain(rowwise, mirror, i, k, x // p)
+                    c += 1
+                    continue
+                g, s, e = _xgcd(p, x)
+                xg, pg = x // g, p // g
+                for rows in rowwise:
+                    _mix_plain(rows, k, i, s, e, xg, pg)
+                for rows in mirror:
+                    _mix_plain(rows, k, i, pg, xg, e, s)
+                pos = bisect_left(pcols, c)
+            p = a[k][c]
+            for k2 in prows[:pos]:
+                q = a[k2][c] // p
+                if q:
+                    _subtract_plain(rowwise, mirror, k2, k, q)
+            for j in range(pos + 1, len(pcols)):
+                c2, k2 = pcols[j], prows[j]
+                q = a[k][c2] // a[k2][c2]
+                if q:
+                    _subtract_plain(rowwise, mirror, k, k2, q)
+            if k == i:
+                break
+            c += 1
+    order = prows + zero
+    if order != list(range(len(a))):
+        for rows in rowwise + mirror:
+            rows[:] = [rows[k] for k in order]
+
+
+def factor_interleaved(through, target, images):
+    """Some h with h(through(e_j)) = images[j], from one interleaved system, or None.
+
+    ``Factorizer`` before it split the system by target coordinate: unknown
+    i * nb + j is h's entry (i, j), and the rows are the congruences of each
+    (source generator, target coordinate), then the well-definedness rows
+    of each (torsion generator of through.target, target coordinate).
+    """
+    b, nb, nc = through.target, through.target.dim, target.dim
+
+    def in_row(i, block):
+        return [0] * (i * nb) + block + [0] * ((nc - 1 - i) * nb)
+
+    rows, moduli = [], []
+    for a in range(through.source.dim):
+        col = list(through.matrix.col(a))
+        for i in range(nc):
+            rows.append(in_row(i, col))
+            moduli.append(target.coord_order(i))
+    for j in range(nb):
+        d = b.coord_order(j)
+        if d == 0:
+            continue
+        for i in range(nc):
+            rows.append(in_row(i, [d if u == j else 0 for u in range(nb)]))
+            moduli.append(target.coord_order(i))
+    rhs = [x for a in range(through.source.dim) for x in target.reduce(images[a])]
+    sol = Congruences(rows, moduli, nc * nb).solve(rhs + [0] * (len(rows) - len(rhs)))
+    if sol is None:
+        return None
+    return GroupHom._of(b, target, [sol[i * nb:(i + 1) * nb] for i in range(nc)])

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pialg import (MissingTableData, PialgError, all_realizable_in_stem, check, cyclic,
-                   from_cyclic_orders, intlinalg, load_tables, problem_from_json, realizability,
-                   survey_stem, verdict_from_json)
+                   from_cyclic_orders, intlinalg, load_defaults, load_tables, loads_tables, merge,
+                   problem_from_json, realizability, survey_stem, verdict_from_json)
 from pialg.cli import main
 from pialg.fgab import group_from_json
 from pialg.pi_functors import gamma_tilde
+from pialg.tables import _CODECS
 
 SMALLEST = {
     "n": 5, "k": 3,
@@ -185,6 +186,11 @@ def test_output_flag(problem_file, tmp_path, capsys):
     code, out, _ = run(capsys, ["check", problem_file(SMALLEST),
                                 "--format", "machine", "--output", str(out_path)])
     assert json.loads(out_path.read_text()) == json.loads(out)
+    # A path that cannot be written prints no report, so stdout holds no
+    # verdict that the exit code calls an error.
+    code, out, err = run(capsys, ["check", problem_file(SMALLEST),
+                                  "--output", str(tmp_path / "missing" / "x.txt")])
+    assert code == 3 and out == "" and err.startswith("pialg: error:")
 
 
 def test_gamma_tilde_command(capsys):
@@ -440,6 +446,57 @@ def test_fuzzed_problem_files_never_escape_main(tmp_path, capsys):
     one()
 
 
+# Overlay lines for the overlay fuzz gate: for each section of the overlay
+# grammar, keys and values that parse, keys and values that do not, and
+# values that parse but may contradict the default tables.
+_OVERLAY_LINES = {
+    "pi_stable": (["3", "5", "x", "-1"],
+                  ["Z/8<nu> + Z/3<alpha>", "Z/2<x>", "Z<y>", "Z/2<a> + Z/2<a>", "junk"]),
+    "q_stable": (["3", "5", "7", "3.5"],
+                 ["Z/4<nu> + Z/3<alpha>", "Z/2<a> + Z/2<b>", "Z/3<alpha_2> (partial)", "Z/0<x>"]),
+    "q_unstable": (["2,2", "3,4", "3", "a,b"], ["0", "Z/2", "Z/2 + Z/4", "Z", "Z/"]),
+    "em_homology": (["4", "6", "8", "0", "x"], ["Z/2", "Z/6", "Z/2 + Z/6", "Z", "0", "Z/-3"]),
+    "metastable_qm": (["2", "4", "5"], ["Z_Gamma", "Z_Lambda", "pi3S2", "nope", '{"Me": 1}']),
+    "gamma": (["3.nu", "3.alpha", "5.x", "3.", "nu"],
+              ["zero", "unknown(2)", "nonzero(3)", "known [1]", "known [0]", "known [1, 2]",
+               "nonzero(1)", "unknown(0)", "known [3,]"]),
+    "pi_products": (["1.eta * 1.eta", "1.eta * 3.nu", "1.eta * 3.mu", "1.eta *"],
+                    ["[1]", "[0]", "[1, 0]", "[]", "[x]"]),
+    "options": (["torsion_exponent_rule", "speed"], ["on", "off", "yes"]),
+}
+assert set(_OVERLAY_LINES) == {*_CODECS, "options"}
+
+
+@st.composite
+def _overlays(draw):
+    """Overlay text: sections of ``key = value`` lines, some headers and lines malformed."""
+    out = []
+    for _ in range(draw(st.integers(1, 3))):
+        section = draw(st.sampled_from(sorted(_OVERLAY_LINES)))
+        keys, values = _OVERLAY_LINES[section]
+        out.append(draw(st.sampled_from([f"[{section}]", f"[{section}", "[nope]"])
+                        if draw(st.integers(0, 7)) == 0 else st.just(f"[{section}]")))
+        for _ in range(draw(st.integers(0, 3))):
+            key, value = draw(st.sampled_from(keys)), draw(st.sampled_from(values))
+            out.append(draw(st.sampled_from([f"{key} = {value}"] * 7 + [f"{key} {value}"])))
+    return "\n".join(out) + "\n"
+
+
+def test_fuzzed_overlays_never_escape_main(problem_file, tmp_path, capsys):
+    problem, overlay = problem_file(SMALLEST), tmp_path / "ov.tbl"
+
+    @given(_overlays())
+    @settings(max_examples=150, deadline=None)
+    def one(text):
+        overlay.write_text(text)
+        code = main(["check", problem, "--tables", str(overlay)])  # nothing may escape
+        capsys.readouterr()
+        if code <= 2:  # a verdict only for tables the overlay grammar and merge accept
+            merge(load_defaults(), loads_tables(text, str(overlay)))
+        assert code in (0, 1, 2, 3)
+    one()
+
+
 _LONG = "1" + "0" * 5000  # past CPython's 4300-digit limit on int(str)
 _MODULE = ('{"Me": {"rank": 1, "torsion": []}, "Mee": {"rank": 1, "torsion": []}, '
            '"H": [[%s]], "P": [[2]]}')
@@ -519,15 +576,16 @@ _CHECK_OV = ["check", "PROBLEM", "--tables", "OV"]
 
 
 @pytest.mark.parametrize("overlay, argv, message", [
-    # Merge time: each overlay parses, and the merged tables are inconsistent.
+    # Merge time: each overlay parses, the merged tables are inconsistent, and
+    # the message names the overlay.
     ("[em_homology]\n4 = Z/2\n[gamma]\n3.alpha = nonzero(3)\n", _CHECK_OV,
-     "gamma(alpha) order 3 exceeds the codomain exponent 2"),
+     "OV: gamma(alpha) order 3 exceeds the codomain exponent 2"),
     ("[gamma]\n3.alpha = known [1]\n", _CHECK_OV,
-     "gamma(alpha) = (1,) has order 6, incompatible with generator order 3"),
+     "OV: gamma(alpha) = (1,) has order 6, incompatible with generator order 3"),
     ("[pi_products]\n1.eta * 3.mu = [1]\n", _CHECK_OV,
-     "pi product references unknown generator 3.mu"),
+     "OV: pi product references unknown generator 3.mu"),
     ("[pi_products]\n1.eta * 1.eta = [1, 0]\n", _CHECK_OV,
-     "pi product 1.eta * 1.eta needs 2-stem coordinates"),
+     "OV: pi product 1.eta * 1.eta needs 2-stem coordinates"),
     # Load time: the message names the overlay and its line.
     ("[gamma]\n3. = zero\n", _CHECK_OV,
      "OV:2: generator keys look like '<stem>.<generator>'"),

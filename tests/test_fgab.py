@@ -37,6 +37,7 @@ from helpers import (
     elementwise_tensor_presentation,
     exhaustive_factor_exists,
     exhaustive_retraction,
+    factor_interleaved,
     gcd_formula_tensor,
     gcd_formula_tor,
     random_group,
@@ -378,10 +379,8 @@ def test_factor_through_agrees_with_exhaustive_search():
 
 # -- trusted homomorphisms and lean congruence solves ----------------------
 
-@st.composite
-def hom_matrices(draw):
-    """(A, B, rows): the rows of a homomorphism A -> B, entries not yet reduced."""
-    a, b = draw(small_groups), draw(small_groups)
+def hom_rows(draw, a, b):
+    """The rows of a homomorphism A -> B, entries not yet reduced."""
     cols = []
     for j in range(a.dim):
         d = a.coord_order(j)
@@ -392,7 +391,14 @@ def hom_matrices(draw):
             step = e // math.gcd(d, e) if e else (0 if d else 1)
             col.append(step * draw(st.integers(-5, 5)))
         cols.append(col)
-    return a, b, tuple(tuple(col[i] for col in cols) for i in range(b.dim))
+    return tuple(tuple(col[i] for col in cols) for i in range(b.dim))
+
+
+@st.composite
+def hom_matrices(draw):
+    """(A, B, rows): the rows of a homomorphism A -> B, entries not yet reduced."""
+    a, b = draw(small_groups), draw(small_groups)
+    return a, b, hom_rows(draw, a, b)
 
 
 @given(hom_matrices())
@@ -453,6 +459,38 @@ def test_lean_congruences_match_the_plain_snf_path(case):
     assert lean.solve(solvable) is not None
     ker = snf.kernel()
     assert lean.kernel() == IntMatrix(n, ker.cols, ker.data[:n])
+
+
+# groups of 0-3 summands, free ones and repeated moduli included
+factor_groups = st.lists(st.sampled_from([0, 2, 2, 3, 4, 6]), max_size=3).map(from_cyclic_orders)
+
+
+@st.composite
+def factor_cases(draw):
+    """(through, target, f, h, images): f and h ∘ through are maps to factor."""
+    a, b, c = draw(factor_groups), draw(factor_groups), draw(factor_groups)
+    through, f, h = (GroupHom(x, y, IntMatrix(y.dim, x.dim, hom_rows(draw, x, y)))
+                     for x, y in ((a, b), (a, c), (b, c)))
+    images = [[draw(st.integers(-12, 12)) for _ in range(c.dim)] for _ in range(a.dim)]
+    return through, c, f, h, images
+
+
+@given(factor_cases())
+@settings(max_examples=300, deadline=None)
+def test_factorizer_blocks_equal_the_interleaved_system(case):
+    # One congruence block per target coordinate must give the witness the
+    # single system over all coordinates gives, entry for entry.
+    through, target, f, h, images = case
+    fz = Factorizer(through, target)
+
+    def data(w):
+        return None if w is None else w.matrix.data
+
+    for goal in (f, h @ through):
+        columns = [goal.matrix.col(j) for j in range(goal.source.dim)]
+        assert data(fz.factor(goal)) == data(factor_interleaved(through, target, columns))
+    assert fz.factor(h @ through) is not None
+    assert data(fz.solve(images)) == data(factor_interleaved(through, target, images))
 
 
 def test_split_injective_examples():

@@ -1,5 +1,6 @@
 """Smith normal form and the exact solvers."""
 
+import hashlib
 import random
 
 import pytest
@@ -11,6 +12,8 @@ from pialg.intlinalg import (
     cokernel_invariants_sparse,
     smith_normal_form,
 )
+
+from helpers import snf_plain
 
 
 def assert_valid_snf(m, s):
@@ -72,8 +75,8 @@ matrices = st.integers(0, 4).flatmap(
             min_size=r, max_size=r).map(lambda rows: IntMatrix(r, c, rows))))
 
 
-def matrices_of(rows, cols):
-    return st.lists(st.lists(st.integers(-30, 30), min_size=cols, max_size=cols),
+def matrices_of(rows, cols, entries=st.integers(-30, 30)):
+    return st.lists(st.lists(entries, min_size=cols, max_size=cols),
                     min_size=rows, max_size=rows).map(lambda data: IntMatrix(rows, cols, data))
 
 
@@ -133,6 +136,42 @@ def test_snf_result_reads_like_a_frozen_record():
         s.u = s.v
     with pytest.raises(ValueError):
         smith_normal_form(m, inverses="v")
+
+
+# shapes 0..8: dense, sparse (about three entries in four are zero), products
+# through a smaller inner dimension (rank-deficient), and diagonal inputs whose
+# diagonal is no divisibility chain
+wide = st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(0, 3))
+sparse_entries = st.integers(-30, 30).map(lambda x: x if abs(x) < 8 else 0)
+diagonal_entries = st.sampled_from([0, 1, 2, 3, 4, -6, 9, 10, 12])
+plain_path_inputs = st.one_of(
+    wide.flatmap(lambda s: matrices_of(s[0], s[1])),
+    wide.flatmap(lambda s: matrices_of(s[0], s[1], sparse_entries)),
+    wide.flatmap(lambda s: st.tuples(matrices_of(s[0], s[2]), matrices_of(s[2], s[1])))
+    .map(lambda ab: ab[0] * ab[1]),
+    wide.flatmap(lambda s: st.lists(diagonal_entries, min_size=min(s[:2]), max_size=min(s[:2]))
+                 .map(lambda d: IntMatrix.diagonal(d, s[0], s[1]))))
+
+
+@given(plain_path_inputs, st.sampled_from([True, "u", False]))
+@settings(max_examples=400, deadline=None)
+def test_snf_equals_the_full_row_reduction(m, inverses):
+    # Row operations read only each row's nonzero span; the plain path runs
+    # every one over the full row, and all five fields must be the same.
+    assert smith_normal_form(m, inverses) == snf_plain(m, inverses)
+
+
+@pytest.mark.parametrize("rows, cols, digest", [
+    (12, 12, "d2c93094da49abc6d1d124219a310858514c0c779baa954b1207f31fcd6d4948"),
+    (24, 24, "242be075ab575a6fc7f7687637955b066d8025e7a173e9ee9a53dd5095a63c24"),
+    (30, 34, "9314042738d314888e1d4b5f9384992815b0858e0fddc27204ac167cd5062039"),
+    (40, 40, "9854a5eb789fc63ffa90a97486dc3129d84ad89261152489c9895a83d695ba48"),
+])
+def test_dense_snf_witnesses_are_pinned(rows, cols, digest):
+    # sha256 of (u, d, v, u_inv, v_inv), computed with full-length row operations
+    s = smith_normal_form(IntMatrix(rows, cols, _seeded(rows, rows, cols)))
+    fields = tuple(f.data for f in (s.u, s.d, s.v, s.u_inv, s.v_inv))
+    assert hashlib.sha256(repr(fields).encode()).hexdigest() == digest
 
 
 @given(matrices, st.data())
