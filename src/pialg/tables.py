@@ -49,7 +49,6 @@ Eilenberg-MacLane columns.
 from __future__ import annotations
 
 import itertools
-import json
 import re
 from functools import cache, cached_property
 from math import gcd
@@ -520,6 +519,7 @@ def parse_group_text(text: str):
     """
     text = text.strip()
     if text.startswith("{"):
+        import json  # here and in the metastable_qm codec only, so `import pialg` skips it
         doc = json.loads(text)
         rank, torsion = doc.get("rank", 0), doc.get("torsion", [])
         if (type(rank) is not int or rank < 0 or type(torsion) is not list
@@ -614,11 +614,13 @@ def _pair(read, sep: str):
 def _quadratic_module(value: str) -> QuadraticModule:
     if value in BUILTIN_QUADRATIC_MODULES:
         return BUILTIN_QUADRATIC_MODULES[value]
+    import json
     return quadratic_module_from_json(json.loads(value))
 
 
 def _quadratic_module_text(qm: QuadraticModule) -> str:
     builtin = [name for name, bqm in BUILTIN_QUADRATIC_MODULES.items() if bqm == qm]
+    import json
     return builtin[0] if builtin else json.dumps(quadratic_module_to_json(qm))
 
 

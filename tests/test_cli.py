@@ -1,6 +1,7 @@
 """CLI: exit codes, report round-trips, determinism."""
 
 import json
+import math
 import re
 import sys
 
@@ -10,9 +11,12 @@ from hypothesis import given, settings, strategies as st
 from pialg import (MissingTableData, PialgError, all_realizable_in_stem, check, cyclic,
                    from_cyclic_orders, intlinalg, load_defaults, load_tables, loads_tables, merge,
                    problem_from_json, realizability, survey_stem, verdict_from_json)
+from pialg import cli
 from pialg.cli import main
 from pialg.fgab import group_from_json
 from pialg.pi_functors import gamma_tilde
+from pialg.quadratic import (BUILTIN_QUADRATIC_MODULES, quadratic_module_from_json,
+                             quadratic_module_to_json)
 from pialg.tables import _CODECS
 
 SMALLEST = {
@@ -36,6 +40,19 @@ def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+@pytest.fixture(autouse=True)
+def machine_reports_are_json_dumps(monkeypatch):
+    """Every machine report these tests print is ``json.dumps(report, indent=2)``, byte for byte."""
+    write = cli._json_text
+
+    def checked(value, pad="\n"):
+        out = write(value, pad)
+        if pad == "\n":  # the whole report, not a nested value
+            assert out == json.dumps(value, indent=2)
+        return out
+    monkeypatch.setattr(cli, "_json_text", checked)
 
 
 def test_check_exit_codes(problem_file, capsys):
@@ -401,9 +418,14 @@ _MATRICES = _mostly(st.sampled_from([[[1, 0]], [[0, 1]], [[1, 1]], [[1]], [[0]],
 
 def _problems(fields: dict):
     """Problem-shaped objects; a key may be missing, or another one added."""
-    doc = st.fixed_dictionaries({key: _mostly(good, _JSON_LEAVES if key in ("n", "k") else _JSON)
-                                 for key, good in fields.items()}, optional={"x": _JSON})
-    return _mostly(doc, doc.flatmap(lambda d: st.sampled_from(sorted(d)).map(
+    return _one_key_dropped(st.fixed_dictionaries(
+        {key: _mostly(good, _JSON_LEAVES if key in ("n", "k") else _JSON)
+         for key, good in fields.items()}, optional={"x": _JSON}))
+
+
+def _one_key_dropped(docs):
+    """``docs``, or one time in eight such a document with one of its keys dropped."""
+    return _mostly(docs, docs.flatmap(lambda d: st.sampled_from(sorted(d)).map(
         lambda dropped: {key: value for key, value in d.items() if key != dropped})))
 
 
@@ -494,6 +516,43 @@ def test_fuzzed_overlays_never_escape_main(problem_file, tmp_path, capsys):
         if code <= 2:  # a verdict only for tables the overlay grammar and merge accept
             merge(load_defaults(), loads_tables(text, str(overlay)))
         assert code in (0, 1, 2, 3)
+    one()
+
+
+@st.composite
+def _module_docs(draw):
+    """A module document whose H and P have the shapes Me and Mee give, when they are groups."""
+    me, mee = draw(_GROUPS), draw(_GROUPS)
+    try:
+        e, ee = group_from_json(me).dim, group_from_json(mee).dim
+    except (AttributeError, TypeError, ValueError):  # malformed groups
+        e, ee = 1, 1
+
+    def matrix(rows, cols):
+        return draw(_mostly(st.lists(st.lists(st.integers(-3, 3), min_size=cols, max_size=cols),
+                                     min_size=rows, max_size=rows), _MATRICES))
+    return {"Me": me, "Mee": mee, "H": matrix(ee, e), "P": matrix(e, ee)}
+
+
+_MODULE_FILES = _mostly(
+    _one_key_dropped(st.sampled_from([quadratic_module_to_json(m)
+                                      for m in BUILTIN_QUADRATIC_MODULES.values()])
+                     | _module_docs()), _JSON)
+
+
+def test_fuzzed_module_files_never_escape_main(tmp_path, capsys):
+    path = tmp_path / "module.json"
+
+    @given(_MODULE_FILES)
+    @settings(max_examples=150, deadline=None)
+    def one(doc):
+        path.write_text(json.dumps(doc))
+        code = main(["quad-tensor", "--group", "Z/2", "--module", f"@{path}",
+                     "--format", "machine"])  # nothing may escape
+        capsys.readouterr()
+        if code <= 2:
+            quadratic_module_from_json(doc)  # a result only for a module the codec accepts
+        assert code in (0, 3)
     one()
 
 
@@ -616,3 +675,65 @@ def test_error_paths_name_their_cause(problem_file, tmp_path, capsys, overlay, a
     tokens = {"PROBLEM": problem_file(SMALLEST), "OV": str(ov)}
     code, out, err = run(capsys, [tokens.get(a, a) for a in argv])
     assert code == 3 and out == "" and err.startswith("pialg: error:") and message in err
+
+
+def test_what_if_check_report_is_json_dumps(tmp_path, problem_file, capsys):
+    # A complete stem whose gamma values are all unknown: the report lists 48
+    # completions with their witnesses, among the largest reports a check writes.
+    overlay = tmp_path / "what-if.tbl"
+    overlay.write_text("[q_stable]\n5 = Z/2<a> + Z/2<b> + Z/3<c>\n[em_homology]\n6 = Z/2 + Z/6\n")
+    doc = {"n": 7, "k": 5, "A_n": {"rank": 1, "torsion": []},
+           "A_nk": {"rank": 0, "torsion": [2, 6]}, "eta": [[1, 1, 0], [0, 0, 0]]}
+    code, out, _ = run(capsys, ["check", problem_file(doc), "--tables", str(overlay),
+                                "--format", "machine"])
+    report = json.loads(out)
+    assert code == 2 and len(report["results"][0]["completions"]) == 48
+    assert out == json.dumps(report, indent=2) + "\n"
+
+
+# Values for the report writer: every JSON type a report holds, strings that
+# need escaping, bools beside ints, ints of 4000 digits, and containers of
+# every kind, empty ones included, nested at least four deep.
+_STRINGS = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\té€\u2028\ud800😀') | st.characters(),
+                   max_size=6)
+_BIG = st.integers(10 ** 3999, 10 ** 4000 - 1)
+_REPORT_LEAVES = (st.none() | st.booleans() | st.integers() | _BIG | _BIG.map(int.__neg__)
+                  | st.floats(allow_nan=False, allow_infinity=False) | _STRINGS)
+
+
+def _containers(inner):
+    return (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+            | st.dictionaries(_STRINGS, inner, max_size=4))
+
+
+_REPORT_VALUES = st.recursive(_REPORT_LEAVES, _containers, max_leaves=12)
+
+
+@st.composite
+def _nested(draw, leaves):
+    """A value from ``leaves`` inside four to six containers, each with siblings."""
+    value = draw(leaves)
+    for kind in draw(st.lists(st.sampled_from(["list", "tuple", "dict"]), min_size=4, max_size=6)):
+        items = draw(st.lists(_REPORT_VALUES, max_size=2))
+        items.insert(draw(st.integers(0, len(items))), value)
+        if kind == "dict":
+            keys = draw(st.lists(_STRINGS, min_size=len(items), max_size=len(items), unique=True))
+            value = dict(zip(keys, items))
+        else:
+            value = items if kind == "list" else tuple(items)
+    return value
+
+
+@given(_nested(_REPORT_VALUES))
+@settings(max_examples=300, deadline=None)
+def test_report_writer_is_json_dumps(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+@given(_nested(st.sampled_from([{1: 0}, {None: 0}, {(1,): 0}, {1.5: 0}, {True: 0}, {1, 2},
+                                frozenset(), math.nan, math.inf, -math.inf, b"x", 1j])))
+@settings(max_examples=100, deadline=None)
+def test_report_writer_refuses_what_json_dumps_would_coerce(value):
+    # json.dumps would write some of these keys as text, and NaN as NaN; no report holds them.
+    with pytest.raises(TypeError):
+        cli._json_text(value)

@@ -179,3 +179,14 @@ def test_importing_pialg_loads_no_code_generation_modules():
     out = subprocess.run([sys.executable, "-I", "-S", "-c", code, src],
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_importing_pialg_and_loading_tables_loads_no_json():
+    # Only the CLI and JSON group or module literals need json; the library's
+    # import and its default tables do not pay for it.
+    src = str(Path(pialg.__file__).resolve().parent.parent)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import pialg; pialg.load_tables(); "
+            "print(sorted(m for m in sys.modules if m == 'json' or m.startswith('json.')))")
+    out = subprocess.run([sys.executable, "-I", "-S", "-c", code, src],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
