@@ -256,8 +256,7 @@ class SnfResult:
 
     ``d`` is diagonal with non-negative entries satisfying the divisibility
     chain d[0] | d[1] | ...; ``u_inv`` and ``v_inv`` are the exact inverses,
-    maintained during the reduction so callers never have to invert a
-    unimodular matrix themselves; one the reduction did not carry is None.
+    so callers never invert a unimodular matrix; one not carried is None.
     A result of ``smith_normal_form`` keeps the reduction's lists and builds
     each of the five fields on its first read. Results are immutable, and
     equality, hashing and repr go by the five fields.
@@ -316,36 +315,37 @@ def smith_normal_form(m: IntMatrix, inverses: bool | str = True) -> SnfResult:
     """Exact Smith normal form over Z, total on all shapes including 0x0.
 
     Hermite reductions in the manner of Kannan and Bachem (SIAM J. Comput.
-    8(4), 1979): a Hermite pass on the rows and one on the columns
-    alternate until the matrix is diagonal (dense inputs usually need two),
-    then 2x2 swaps and gcd/lcm steps make the diagonal a divisibility chain.
-    A pass inserts the rows one at a time into a reduced echelon basis;
-    whenever a pivot p is set, the entries above it are reduced into
-    [0, p), and so are its row's entries under later pivots. Every step is
-    mirrored on ``u``, ``v`` and the inverses carried. Reducing as each
-    pivot is fixed is what bounds coefficient growth: Kannan and Bachem
+    8(4), 1979): a Hermite pass on the rows and one on the columns alternate
+    until the matrix is diagonal (dense inputs usually need two), then 2x2
+    swaps and gcd/lcm steps make the diagonal a divisibility chain. A pass
+    inserts the rows one at a time into a reduced echelon basis; whenever a
+    pivot p is set, the entries above it are reduced into [0, p), and so are
+    its row's entries under later pivots. Every step is applied to ``u`` or
+    ``v``, and column steps are mirrored on ``v_inv``: reading it off
+    D·V⁻¹ = U·M would need the dense product with U. ``u_inv`` is read off
+    U·M·V = D after the passes, as V's sparse columns make M·V cheap (see
+    _u_inverse); the sign and divisibility steps update both. Reducing as
+    each pivot is fixed is what bounds coefficient growth: Kannan and Bachem
     bound every intermediate number by a polynomial in the size of the
     input, and on dense 32x32 inputs with entries in [-100, 100] the
     witnesses stay within twice the digits of ``|det m|``. Steps skip the
     entries known to be zero (see _subtract), so every integer is that of
     full-length rows. The output is deterministic.
 
-    ``inverses`` says which inverses are carried: True (both, the default),
-    "u" (``u_inv`` only) or False (none). An inverse not carried costs no
-    step and reads None; ``u``, ``d`` and ``v`` are the same either way.
+    ``inverses`` is True (both inverses, the default), "u" (``u_inv`` only)
+    or False (none); 1, 0 and other values raise ValueError. An inverse not
+    carried costs nothing and reads None; ``u``, ``d``, ``v`` do not change.
     """
-    if inverses not in (True, "u", False):
+    if inverses is not True and inverses is not False and inverses != "u":
         raise ValueError(f"inverses must be True, 'u' or False, not {inverses!r}")
     rows, cols = m.rows, m.cols
     a = m.to_lists()
     u, v_cols = _identity_lists(rows), _identity_lists(cols)
-    ui = _identity_lists(rows) if inverses else None  # U⁻¹ by columns, when carried
-    vi = _identity_lists(cols) if inverses and inverses != "u" else None  # V⁻¹ by rows
-    # A pass reduces the rows of ``a``, followed by U and mirrored on U⁻¹;
-    # ``a`` is then transposed, so the next pass reduces the columns,
-    # followed by the columns of V and mirrored on V⁻¹.
+    vi = _identity_lists(cols) if inverses is True else None  # V⁻¹ by rows; U⁻¹ by columns
+    # A pass reduces the rows of ``a``, followed by U; ``a`` is then transposed, so
+    # the next pass reduces the columns, followed by V's columns and mirrored on V⁻¹.
     diagonal = _is_diagonal(a)
-    sides = None if diagonal else [(_spanned(u), _spanned(ui), cols),
+    sides = None if diagonal else [(_spanned(u), None, cols),
                                    (_spanned(v_cols), _spanned(vi), rows)]
     while not diagonal:
         _hermite(a, *sides[0])
@@ -353,8 +353,9 @@ def smith_normal_form(m: IntMatrix, inverses: bool | str = True) -> SnfResult:
         if not diagonal:
             a = list(map(list, zip(*a)))
             sides.reverse()
-    # A diagonal input skips the passes, so signs and zeros are fixed here.
     d = [a[i][i] for i in range(min(rows, cols))]
+    ui = (_u_inverse(m.data, u, v_cols, d) if sides else _identity_lists(rows)) if inverses else None
+    # A diagonal input skips the passes, so signs and zeros are fixed here.
     for i, x in enumerate(d):
         if x < 0:
             d[i] = -x
@@ -382,6 +383,35 @@ def smith_normal_form(m: IntMatrix, inverses: bool | str = True) -> SnfResult:
                 _mix((vi, *wv), i, j, xg, yg, e, s)
             d[i], d[j] = g, x * y // g
     return SnfResult._of(rows, cols, u, d, v_cols, ui, vi)
+
+
+def _u_inverse(m: tuple, u: list, v_cols: list, d: list) -> list:
+    """U⁻¹ by columns, read off the diagonal ``d`` = U·M·V the passes left.
+
+    A signed permutation U is inverted by transposing. Otherwise, since
+    U⁻¹·D = M·V, column j of U⁻¹ is (M·V)[:, j] / d[j] for the r nonzero
+    d[j], which come first. The other columns are B = R - A·(U₁·R), where A
+    is the first r, U₁ and U₂ are U's first r and last k rows, and U₂·R = I.
+    A Hermite pass gives W·U₂ᵀ = [T; 0], T unitriangular as U₂'s rows
+    extend to a basis; with T cleared to I, R's columns are W's first rows.
+    The pass reads U₂ᵀ bottom up (so R's columns are reversed): the last
+    columns of U₂, of rows that became zero, are near unit vectors.
+    """
+    rows, mul = len(u), operator.mul
+    if all(row.count(0) == rows - 1 for row in u):
+        return [row[:] for row in u]
+    out = [[sum(map(mul, row, vc)) // x for row in m] for x, vc in zip(d, v_cols) if x]
+    if (r := len(out)) < rows:
+        t, w = list(map(list, zip(*u[r:])))[::-1], _spanned(_identity_lists(rows))
+        _hermite(t, w, None, rows - r)
+        for c in range(rows - r - 1, 0, -1):  # from the right: row c of T reads e_c
+            for i in range(c):
+                _subtract(None, 0, w, None, i, c, t[i][c])
+        a_rows = list(zip(*out)) or [()] * rows
+        for col in w[0][:rows - r]:
+            x = [sum(map(mul, ur, col[::-1])) for ur in u[:r]]
+            out.append([y - sum(map(mul, x, ar)) for y, ar in zip(col[::-1], a_rows)])
+    return out
 
 
 def _identity_lists(n: int) -> list:
@@ -418,8 +448,8 @@ def _xgcd(x: int, y: int) -> tuple:
 
 
 # In-place row operations. Each step of the reduction applies one to the
-# rows of some matrices and the mirrored one to the columns of their
-# inverses, which are held by columns so that it too is a row operation: if
+# rows of some matrices and the mirrored one to the columns of the inverses
+# it carries, held by columns so that it too is a row operation: if
 # rows (i, k) are multiplied by the unimodular [[p, q], [-r, s]], columns
 # (i, k) of the inverse are multiplied by [[s, -q], [r, p]], which is
 # _mix(inv, i, k, s, r, q, p). Only a source row's nonzero span is read: in
@@ -474,12 +504,12 @@ def _hermite(a: list, follow: tuple, mirror: tuple | None, ncols: int) -> None:
     Rows are inserted in order into the echelon basis of the rows before
     them. ``follow``, a (rows, lo, hi) matrix held by rows, takes every row
     operation applied to ``a``; ``mirror``, an inverse held by columns (or
-    None), takes the mirrored column operation, and a caller pays only for
-    the inverse it passes. Each time a pivot (k, c) is set, the entries
-    above it are reduced modulo it, and row k's entries in later pivot
-    columns modulo those pivots; pivots are positive. At the end the rows
-    of every matrix, with their spans, are reordered: pivot rows in column
-    order, then the zero rows.
+    None), takes the mirrored column operation: V⁻¹ in a column pass, none
+    in a row pass. Each time a pivot (k, c) is set, the entries above it
+    are reduced modulo it, and row k's entries in later pivot columns
+    modulo those pivots; pivots are positive. At the end the rows of every
+    matrix, with their spans, are reordered: pivot rows in column order,
+    then the zero rows.
     """
     pivot = [-1] * ncols  # pivot[c]: the row whose leading entry is in column c
     pcols, prows = [], []  # the pivot columns in order, and their rows

@@ -134,8 +134,12 @@ def test_snf_result_reads_like_a_frozen_record():
     assert s != smith_normal_form(m, inverses="u")
     with pytest.raises(AttributeError):
         s.u = s.v
-    with pytest.raises(ValueError):
-        smith_normal_form(m, inverses="v")
+    # only True, "u" and False themselves: 1, 0 and 1.0 compare equal to a
+    # bool but are refused, on a diagonal input as on any other
+    for inverses in ("v", 1, 0, 1.0, None):
+        for bad in (m, IntMatrix(1, 1, [[2]])):
+            with pytest.raises(ValueError):
+                smith_normal_form(bad, inverses)
 
 
 # shapes 0..8: dense, sparse (about three entries in four are zero), products
@@ -161,17 +165,51 @@ def test_snf_equals_the_full_row_reduction(m, inverses):
     assert smith_normal_form(m, inverses) == snf_plain(m, inverses)
 
 
+def _witness_digest(m):
+    """sha256 of the five fields of smith_normal_form(m)."""
+    s = smith_normal_form(m)
+    fields = tuple(f.data for f in (s.u, s.d, s.v, s.u_inv, s.v_inv))
+    return hashlib.sha256(repr(fields).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("rows, cols, digest", [
     (12, 12, "d2c93094da49abc6d1d124219a310858514c0c779baa954b1207f31fcd6d4948"),
     (24, 24, "242be075ab575a6fc7f7687637955b066d8025e7a173e9ee9a53dd5095a63c24"),
     (30, 34, "9314042738d314888e1d4b5f9384992815b0858e0fddc27204ac167cd5062039"),
     (40, 40, "9854a5eb789fc63ffa90a97486dc3129d84ad89261152489c9895a83d695ba48"),
+    (34, 30, "bf0de60d559bb8f1182d611f5183f2131777114f4ad9aad527a102d3b30ca012"),
 ])
 def test_dense_snf_witnesses_are_pinned(rows, cols, digest):
-    # sha256 of (u, d, v, u_inv, v_inv), computed with full-length row operations
-    s = smith_normal_form(IntMatrix(rows, cols, _seeded(rows, rows, cols)))
-    fields = tuple(f.data for f in (s.u, s.d, s.v, s.u_inv, s.v_inv))
-    assert hashlib.sha256(repr(fields).encode()).hexdigest() == digest
+    # computed with full-length row operations and U⁻¹ mirrored on every row
+    # step; the tall 34x30 leaves four zero rows, whose columns of U⁻¹ are
+    # not divided out of M·V
+    assert _witness_digest(IntMatrix(rows, cols, _seeded(rows, rows, cols))) == digest
+
+
+def test_rank_deficient_dense_snf_witnesses_are_pinned():
+    # a dense 16x16 of rank 12, pinned like the full-rank ones above
+    m = IntMatrix(16, 12, _seeded(16, 16, 12)) * IntMatrix(12, 16, _seeded(12, 12, 16))
+    assert _witness_digest(m) == "3523ae2c18bf21df0338ba546149a247b8f45e49f2ff8fc00b6d293670028034"
+
+
+# dense tall and wide shapes beyond the 8x8 above, and products through
+# inner dimensions 2..8, of rank that inner dimension
+_TALL_WIDE = [(14, 10), (22, 16), (30, 24), (12, 17), (20, 26), (28, 30), (18, 12), (25, 25)]
+_PRODUCTS = [(12, 2, 15), (16, 5, 13), (24, 8, 20), (30, 3, 30), (20, 7, 28), (26, 6, 12),
+             (18, 4, 18)]
+
+
+@pytest.mark.parametrize("shape", _TALL_WIDE + _PRODUCTS, ids=lambda s: "x".join(map(str, s)))
+def test_larger_snf_equals_the_full_row_reduction(shape):
+    rows, cols = shape[0], shape[-1]
+    if len(shape) == 2:
+        m = IntMatrix(rows, cols, _seeded(1000 + 37 * rows + cols, rows, cols))
+    else:
+        k = shape[1]
+        m = (IntMatrix(rows, k, _seeded(2000 + 100 * rows + k, rows, k))
+             * IntMatrix(k, cols, _seeded(3000 + 100 * k + cols, k, cols)))
+    for inverses in (True, "u", False):
+        assert smith_normal_form(m, inverses) == snf_plain(m, inverses)
 
 
 @given(matrices, st.data())
