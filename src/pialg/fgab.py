@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from math import gcd, prod
+from operator import mul
 from typing import Iterator, Optional, Sequence
 
 from ._record import field, record
@@ -322,11 +323,16 @@ class GroupHom:
         from ``elements_killed_by`` their generator's order.
         """
         tor = target.torsion
+        return cls._wrap(source, target, IntMatrix._of(target.dim, source.dim, tuple(
+            tuple(x % tor[i] for x in r) if i < len(tor) else r for i, r in enumerate(rows))))
+
+    @classmethod
+    def _wrap(cls, source: FgAbGroup, target: FgAbGroup, matrix: IntMatrix) -> "GroupHom":
+        """``_of`` for a matrix already reduced modulo the target's torsion: sets the fields."""
         h = object.__new__(cls)
         object.__setattr__(h, "source", source)
         object.__setattr__(h, "target", target)
-        object.__setattr__(h, "matrix", IntMatrix._of(target.dim, source.dim, tuple(
-            tuple(x % tor[i] for x in r) if i < len(tor) else r for i, r in enumerate(rows))))
+        object.__setattr__(h, "matrix", matrix)
         return h
 
     @staticmethod
@@ -414,19 +420,18 @@ class Congruences:
         """The particular solution read off the Smith normal form, or None."""
         if len(rhs) != len(self._diag):
             raise ValueError("right-hand side length mismatch")
-        c = [0] * len(self._diag)
+        c = x = None  # U·b and V·z, built from their nonzero terms only
         for b, u in zip(rhs, self._u_cols):
             if b:
-                c = [ci + b * x for ci, x in zip(c, u)]
-        x = [0] * self.n
-        for i, ci in enumerate(c):
+                c = [b * y for y in u] if c is None else [ci + b * y for ci, y in zip(c, u)]
+        for i, ci in enumerate(c or ()):
             if ci:
                 d = self._diag[i]
                 if not d or ci % d:
                     return None
-                z = ci // d
-                x = [xi + z * y for xi, y in zip(x, self._v_cols[i])]
-        return tuple(x)
+                z, v = ci // d, self._v_cols[i]
+                x = [z * y for y in v] if x is None else [xi + z * y for xi, y in zip(x, v)]
+        return (0,) * self.n if x is None else tuple(x)
 
     def kernel(self) -> IntMatrix:
         """Columns generating the solutions of the homogeneous system."""
@@ -460,12 +465,12 @@ class Factorizer:
         self.through = through
         self.target = target
         b = through.target
-        rows = [through.matrix.col(a) for a in range(through.source.dim)]
-        rows += IntMatrix.diagonal(b.torsion, b.dim, b.dim).data[:len(b.torsion)]  # well-definedness
+        self._cols = [through.matrix.col(a) for a in range(through.source.dim)]
+        rows = self._cols + list(IntMatrix.diagonal(b.torsion, b.dim, b.dim).data[:len(b.torsion)])
         self._pad = [0] * len(b.torsion)  # the right-hand sides of well-definedness
-        moduli = [target.coord_order(i) for i in range(target.dim)]
-        systems = {m: Congruences(rows, [m] * len(rows), b.dim) for m in set(moduli)}
-        self._systems = [systems[m] for m in moduli]
+        self._moduli = [target.coord_order(i) for i in range(target.dim)]
+        systems = {m: Congruences(rows, [m] * len(rows), b.dim) for m in set(self._moduli)}
+        self._systems = [systems[m] for m in self._moduli]
 
     def solve(self, targets: Sequence) -> Optional["GroupHom"]:
         """Some h with h(through(e_j)) = targets[j], or None.
@@ -488,15 +493,19 @@ class Factorizer:
         return GroupHom._of(self.through.target, self.target, rows)
 
     def factor(self, f: "GroupHom") -> Optional["GroupHom"]:
-        """Some h with h ∘ through = f, or None; f must share through's source.
+        """Some h with h ∘ through = f, or None; f must share through's source and the target.
 
-        Every witness is checked by composing it back before it is returned.
+        Every witness is checked by composing it back before it is returned:
+        h's reduced rows times through's columns, modulo the target's
+        torsion, must give f's rows.
         """
-        if f.source != self.through.source:
-            raise ValueError("factor_through requires a shared source")
+        if f.source != self.through.source or f.target != self.target:
+            raise ValueError("factor_through requires a shared source and the factorizer's target")
         h = self._solve([x for col in zip(*f.matrix.data) for x in col])
-        if h is not None:
-            assert h @ self.through == f, "solver returned a non-witness"
+        for row, want, m in zip(() if h is None else h.matrix.data, f.matrix.data, self._moduli):
+            back = (sum(map(mul, row, col)) for col in self._cols)
+            if tuple(x % m if m else x for x in back) != want:
+                raise AssertionError("solver returned a non-witness")
         return h
 
 
@@ -705,8 +714,9 @@ class HomGroup:
             raise InfiniteEnumerationError(f"Hom({a}, {b}) is infinite")
         per_gen = [list(b.elements_killed_by(a.coord_order(j))) for j in range(a.dim)]
         for combo in itertools.product(*per_gen):
-            # Each column is killed by its generator's order: a homomorphism.
-            yield GroupHom._of(a, b, [tuple(c[i] for c in combo) for i in range(b.dim)])
+            # Each column is reduced and killed by its generator's order: a homomorphism.
+            yield GroupHom._wrap(a, b, IntMatrix._of(
+                b.dim, a.dim, tuple(zip(*combo)) if combo else ((),) * b.dim))
 
 
 def hom_group(a: FgAbGroup, b: FgAbGroup) -> HomGroup:

@@ -318,9 +318,11 @@ def smith_normal_form(m: IntMatrix, inverses: bool | str = True) -> SnfResult:
     8(4), 1979): a Hermite pass on the rows and one on the columns alternate
     until the matrix is diagonal (dense inputs usually need two), then 2x2
     swaps and gcd/lcm steps make the diagonal a divisibility chain. A pass
-    inserts the rows one at a time into a reduced echelon basis; whenever a
-    pivot p is set, the entries above it are reduced into [0, p), and so are
-    its row's entries under later pivots. Every step is applied to ``u`` or
+    inserts the rows one at a time into an echelon basis; whenever a pivot p
+    is set, the entries above it are reduced into [0, p), and so are its
+    row's entries under later pivots. Later row steps do not reduce them
+    again, so a pass can leave entries above a pivot outside [0, p): it need
+    not end in reduced echelon form. Every step is applied to ``u`` or
     ``v``, and column steps are mirrored on ``v_inv``: reading it off
     D·V⁻¹ = U·M would need the dense product with U. ``u_inv`` is read off
     U·M·V = D after the passes, as V's sparse columns make M·V cheap (see
@@ -499,7 +501,7 @@ def _mix(t: tuple, i: int, k: int, p: int, q: int, r: int, s: int) -> None:
 
 
 def _hermite(a: list, follow: tuple, mirror: tuple | None, ncols: int) -> None:
-    """Row-reduce ``a`` (``ncols`` columns) to Hermite normal form, in place.
+    """Row-reduce ``a`` (``ncols`` columns) to an echelon form, in place.
 
     Rows are inserted in order into the echelon basis of the rows before
     them. ``follow``, a (rows, lo, hi) matrix held by rows, takes every row
@@ -507,9 +509,9 @@ def _hermite(a: list, follow: tuple, mirror: tuple | None, ncols: int) -> None:
     None), takes the mirrored column operation: V⁻¹ in a column pass, none
     in a row pass. Each time a pivot (k, c) is set, the entries above it
     are reduced modulo it, and row k's entries in later pivot columns
-    modulo those pivots; pivots are positive. At the end the rows of every
-    matrix, with their spans, are reordered: pivot rows in column order,
-    then the zero rows.
+    modulo those pivots (later steps on row k do not reduce them again);
+    pivots are positive. At the end the rows of every matrix, with their
+    spans, are reordered: pivot rows in column order, then the zero rows.
     """
     pivot = [-1] * ncols  # pivot[c]: the row whose leading entry is in column c
     pcols, prows = [], []  # the pivot columns in order, and their rows

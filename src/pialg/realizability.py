@@ -266,7 +266,8 @@ def _gammas(tables: StableTables, n: int, k: int, a_n: FgAbGroup) -> tuple:
 
 @_on_tables
 def _factorizers(tables: StableTables, n: int, k: int, a_n: FgAbGroup, target: FgAbGroup) -> tuple:
-    """One ``Factorizer`` per completion, in order; equal gamma maps share one."""
+    """One ``Factorizer`` per completion, in order; equal gamma maps share one,
+    and callers solve each distinct one once per structure map."""
     gammas = _gammas(tables, n, k, a_n)
     built = {g: Factorizer(g, target) for g in dict.fromkeys(gammas)}
     return tuple(built[g] for g in gammas)
@@ -327,7 +328,7 @@ def _status_of(factorable: Sequence[bool]) -> Status:
 def _status_rule(tables: StableTables, entry, n: int, k: int, a_n: FgAbGroup, target: FgAbGroup):
     """eta -> the status ``check_stable`` gives a nonzero eta of this row, with no verdict built."""
     if _enumerates(entry, tables.em(k + 1)):
-        fzs = _factorizers(tables, n, k, a_n, target)
+        fzs = tuple(dict.fromkeys(_factorizers(tables, n, k, a_n, target)))  # each distinct once
         return lambda eta: _status_of([fz.factor(eta) is not None for fz in fzs])
     incl = _forced_dead_inclusion(tables, n, k, a_n)
     gens = () if incl is None else incl.matrix.columns()
@@ -374,11 +375,11 @@ def check_stable(pa: TwoStagePiAlgebra, tables: StableTables) -> Verdict:
 def _check_stable_enumerating(pa: TwoStagePiAlgebra, gt: GammaTildeResult,
                               tables: StableTables) -> Verdict:
     n, k = pa.n, pa.k
-    outcomes = []
-    for comp, fz in zip(_completions(tables, k), _factorizers(tables, n, k, pa.a_n, pa.eta.target)):
-        h = fz.factor(pa.eta)
-        outcomes.append(CompletionOutcome(comp.assignment, h is not None, h, gamma_hom=fz.through))
-    outcomes = tuple(outcomes)
+    fzs = _factorizers(tables, n, k, pa.a_n, pa.eta.target)
+    found = {fz: fz.factor(pa.eta) for fz in dict.fromkeys(fzs)}
+    outcomes = tuple(CompletionOutcome(comp.assignment, found[fz] is not None, found[fz],
+                                       gamma_hom=fz.through)
+                     for comp, fz in zip(_completions(tables, k), fzs))
     status = _status_of([o.factorable for o in outcomes])
     if status is Status.REALIZABLE:
         return Verdict(status, witness=outcomes[0].witness, completions=outcomes)

@@ -3,10 +3,14 @@
 import itertools
 import math
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pialg
 from pialg import (
     Factorizer,
     FgAbGroup,
@@ -491,6 +495,73 @@ def test_factorizer_blocks_equal_the_interleaved_system(case):
         assert data(fz.factor(goal)) == data(factor_interleaved(through, target, columns))
     assert fz.factor(h @ through) is not None
     assert data(fz.solve(images)) == data(factor_interleaved(through, target, images))
+
+
+@pytest.mark.parametrize("a, b, c", [
+    (cyclic(4), TRIVIAL, cyclic(2)), (Z, TRIVIAL, cyclic(3)),  # 0-dimensional through.target
+    (cyclic(4), cyclic(2), TRIVIAL), (Z, cyclic(6), TRIVIAL),  # 0-dimensional target
+    (TRIVIAL, cyclic(2), cyclic(3)), (TRIVIAL, TRIVIAL, TRIVIAL),
+])
+def test_factor_checks_witnesses_on_zero_dimensional_groups(a, b, c):
+    # Empty rows or columns: the compose-back check must still read f's rows
+    # as source.dim entries each, and every answer is the interleaved one.
+    for through in hom_group(a, b):
+        fz = Factorizer(through, c)
+        for f in hom_group(a, c):
+            h, want = fz.factor(f), factor_interleaved(through, c, f.matrix.columns())
+            assert (h is None) == (want is None) == (exhaustive_factor_exists(f, through) is False)
+            if h is not None:
+                assert h.matrix.data == want.matrix.data and h @ through == f
+
+
+def test_factor_raises_on_a_non_witness(monkeypatch):
+    g = GroupHom.from_columns(cyclic(12), cyclic(6), [(1,)])
+    f = GroupHom.from_columns(cyclic(12), cyclic(3), [(1,)])
+    fz = Factorizer(g, cyclic(3))
+    assert fz.factor(f).matrix.to_lists() == [[1]]
+    solve = Congruences.solve
+
+    def perturbed(self, rhs):  # the first entry of each nonzero solution moved by one
+        x = solve(self, rhs)
+        return x if not x else (x[0] + 1,) + x[1:]
+
+    monkeypatch.setattr(Congruences, "solve", perturbed)
+    with pytest.raises(AssertionError, match="non-witness"):
+        fz.factor(f)
+    # two target coordinates, one of them free
+    g = GroupHom.from_columns(Z, from_cyclic_orders([2, 0]), [(1, 1)])
+    f = GroupHom.from_columns(Z, from_cyclic_orders([4, 0]), [(1, 3)])
+    with pytest.raises(AssertionError, match="non-witness"):
+        Factorizer(g, f.target).factor(f)
+
+
+def test_factor_checks_witnesses_without_asserts():
+    # The compose-back check is an explicit raise, so python -O keeps it.
+    src = str(Path(pialg.__file__).resolve().parent.parent)
+    code = ("import sys; sys.path.insert(0, sys.argv[1])\n"
+            "from pialg import Factorizer, GroupHom, cyclic\n"
+            "from pialg.fgab import Congruences\n"
+            "solve = Congruences.solve\n"
+            "Congruences.solve = lambda self, rhs: (solve(self, rhs)[0] + 1,)\n"
+            "g = GroupHom.from_columns(cyclic(12), cyclic(6), [(1,)])\n"
+            "f = GroupHom.from_columns(cyclic(12), cyclic(3), [(1,)])\n"
+            "try:\n"
+            "    print(Factorizer(g, cyclic(3)).factor(f))\n"
+            "except AssertionError as exc:\n"
+            "    print(exc)\n")
+    out = subprocess.run([sys.executable, "-O", "-I", "-S", "-c", code, src],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "solver returned a non-witness"
+
+
+def test_factor_requires_the_factorizers_source_and_target():
+    fz = Factorizer(GroupHom.from_columns(cyclic(12), cyclic(6), [(1,)]), cyclic(3))
+    for f in (GroupHom.from_columns(cyclic(12), cyclic(4), [(1,)]),  # a mismatched target
+              GroupHom.from_columns(cyclic(6), cyclic(3), [(1,)])):
+        with pytest.raises(ValueError, match="shared source and the factorizer's target"):
+            fz.factor(f)
+    labelled = GroupHom.from_columns(cyclic(12), cyclic(3).with_labels(["t"]), [(1,)])
+    assert fz.factor(labelled) is not None  # targets compare without labels
 
 
 def test_split_injective_examples():

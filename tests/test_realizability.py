@@ -627,6 +627,36 @@ def test_survey_and_per_eta_loop_agree_on_errors(tables):
         assert (plain[0] is BoundExceeded) == (max_checks < 717)
 
 
+def test_each_distinct_factorizer_is_asked_once_per_eta(monkeypatch):
+    # Completions with equal gamma_c ⊗ A_n share one Factorizer; check_stable
+    # and a survey row ask each distinct one once per eta, not once per
+    # completion.
+    tables, k = _oracle_tables("what-if"), 5
+    asked = []
+    factor = realizability.Factorizer.factor
+    monkeypatch.setattr(realizability.Factorizer, "factor",
+                        lambda fz, eta: asked.append((id(fz), eta.matrix.data)) or factor(fz, eta))
+
+    def pairs(a_n, target):
+        """(etas, each distinct factorizer with each nonzero eta, once)."""
+        fzs = realizability._factorizers(tables, k + 2, k, a_n, target)
+        assert len(fzs) == 48 and len(set(fzs)) == 16
+        etas = list(hom_group(gamma_tilde(k + 2, k, a_n, tables).group, target))
+        return etas, sorted((id(fz), eta.matrix.data) for fz in set(fzs)
+                            for eta in etas if not eta.is_zero())
+
+    for a_n, target in ((cyclic(2), cyclic(6)), (from_cyclic_orders([2, 2]), cyclic(2))):
+        etas, once = pairs(a_n, target)
+        asked.clear()
+        for eta in etas:
+            check_stable(TwoStagePiAlgebra(k + 2, k, a_n, target, eta), tables)
+        assert sorted(asked) == once
+    asked.clear()
+    survey_stem(k, tables, max_cyclic_order=2, max_summands=1, targets=[cyclic(2)],
+                include_free=False)
+    assert sorted(asked) == pairs(cyclic(2), cyclic(2))[1]
+
+
 def test_survey_bounds_and_empty_targets(tables):
     with pytest.raises(BoundExceeded):
         survey_stem(3, tables, max_cyclic_order=6, max_summands=2,
