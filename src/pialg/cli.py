@@ -21,6 +21,7 @@ import json
 import math
 import sys
 import time
+from itertools import accumulate
 
 from . import __version__
 from .errors import PialgError, TableFormatError
@@ -109,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-order", type=_int_at_least(1), default=4)
     p.add_argument("--max-summands", type=_int_at_least(1), default=1)
     p.add_argument("--targets", default="Z/2,Z/4",
-                   help="comma-separated target group literals")
+                   help="comma-separated group literals; commas inside [] and {} do not split")
     p.add_argument("--no-free", action="store_true", help="exclude Z summands from A_n")
     p.add_argument("--max-checks", type=_int_at_least(1), default=20000)
     _common_flags(p)
@@ -230,7 +231,10 @@ def cmd_tables(args, tables: StableTables) -> tuple:
 
 
 def cmd_survey(args, tables: StableTables) -> tuple:
-    targets = [group_from_text(s) for s in args.targets.split(",") if s.strip()]
+    # Split at the commas outside brackets and braces, so JSON literals stay whole.
+    depth = accumulate((ch in "[{") - (ch in "]}") for ch in args.targets)
+    text = "".join("\0" if ch == "," and not d else ch for ch, d in zip(args.targets, depth))
+    targets = [group_from_text(s) for s in text.split("\0") if s.strip()]
     if not targets:
         raise TableFormatError(f"--targets {args.targets!r} names no group")
     t0 = time.perf_counter()
@@ -335,10 +339,10 @@ def main(argv=None) -> int:
             **fields,
         }
         out = _json_text(report) if args.format == "machine" else "\n".join(lines)
-        # --output is opened first, so a path that cannot be written prints no report.
+        # --output is written and closed first, so a failed write prints no report.
         with open(args.output, "w", encoding="utf-8") if args.output else io.StringIO() as fh:
             fh.write(out + "\n")
-            print(out)
+        print(out)
         return code
     # ValueError covers bad JSON, undecodable bytes and integer literals over
     # CPython's digit limit; RecursionError, JSON nested too deep to decode.

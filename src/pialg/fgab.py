@@ -249,15 +249,14 @@ def canonicalize_full(p: Presentation) -> Canonicalized:
     """Canonical form of coker(relations), its quotient map and a section.
 
     The quotient is the kept rows of U and the section the matching columns
-    of U⁻¹, read from one Smith normal form of the relations that carries
-    U⁻¹ and not V⁻¹.
+    of U⁻¹, read from one Smith normal form of the relations.
 
     >>> str(canonicalize_full(Presentation(2, IntMatrix.from_rows([[2, 0]], cols=2))).group)
     'Z/2 ⊕ Z'
     """
     n = p.n_generators
     m = p.relations.transpose()  # columns = relators inside Z^n
-    s = smith_normal_form(m, inverses="u")
+    s = smith_normal_form(m)
     diag = s._diag
     kept = [i for i in range(n) if i >= len(diag) or diag[i] != 1]
     torsion = [diag[i] for i in kept if i < len(diag) and diag[i] >= 2]
@@ -404,8 +403,7 @@ class Congruences:
             if m:
                 data[-1][slack] = m
                 slack += 1
-        snf = smith_normal_form(IntMatrix._of(len(data), width, tuple(map(tuple, data))),
-                                inverses=False)
+        snf = smith_normal_form(IntMatrix._of(len(data), width, tuple(map(tuple, data))))
         self._u_cols = tuple(zip(*snf._u))
         self._diag = tuple(snf._diag) + (0,) * (len(data) - len(snf._diag))
         self._v_cols = tuple(v[:n_unknowns] for v in snf._v_cols)

@@ -242,10 +242,8 @@ class IntMatrix:
 _FIELDS = ("u", "d", "v", "u_inv", "v_inv")
 
 
-def _square(lists: Optional[list], by_cols: bool = False) -> Optional[IntMatrix]:
-    """The square matrix held by rows (or by columns) in ``lists``; None for None."""
-    if lists is None:
-        return None
+def _square(lists: list, by_cols: bool = False) -> IntMatrix:
+    """The square matrix held by rows (or by columns) in ``lists``."""
     data = tuple(zip(*lists)) if by_cols else tuple(map(tuple, lists))
     return IntMatrix._of(len(lists), len(lists), data)
 
@@ -256,33 +254,34 @@ class SnfResult:
 
     ``d`` is diagonal with non-negative entries satisfying the divisibility
     chain d[0] | d[1] | ...; ``u_inv`` and ``v_inv`` are the exact inverses,
-    so callers never invert a unimodular matrix; one not carried is None.
-    A result of ``smith_normal_form`` keeps the reduction's lists and builds
-    each of the five fields on its first read. Results are immutable, and
-    equality, hashing and repr go by the five fields.
+    so callers never invert a unimodular matrix. A result of
+    ``smith_normal_form`` keeps the input and the reduction's lists, builds
+    ``u``, ``d`` and ``v`` on their first read, and derives each inverse on
+    its first read (see _inverse). Results are immutable, and equality,
+    hashing and repr go by the five fields.
     """
 
-    def __init__(self, u: IntMatrix, d: IntMatrix, v: IntMatrix,
-                 u_inv: Optional[IntMatrix], v_inv: Optional[IntMatrix]):
+    def __init__(self, u: IntMatrix, d: IntMatrix, v: IntMatrix, u_inv: IntMatrix,
+                 v_inv: IntMatrix):
         vars(self).update(zip(_FIELDS, (u, d, v, u_inv, v_inv)))
 
     @classmethod
-    def _of(cls, rows, cols, u, diag, v_cols, u_inv_cols, v_inv) -> "SnfResult":
-        """Trusted construction from a reduction's lists, kept as they are.
+    def _of(cls, m, rows, cols, u, diag, v_cols) -> "SnfResult":
+        """Trusted construction from the input's rows and a reduction's lists.
 
-        ``u`` and ``v_inv`` hold rows, ``v_cols`` and ``u_inv_cols`` columns;
-        ``fgab`` reads them and never changes them.
+        ``u`` holds rows and ``v_cols`` columns, kept as they are; ``fgab``
+        reads them and never changes them.
         """
         s = object.__new__(cls)
-        vars(s).update(_rows=rows, _cols=cols, _u=u, _diag=diag, _v_cols=v_cols,
-                       _u_inv_cols=u_inv_cols, _v_inv=v_inv)
+        vars(s).update(_m=m, _rows=rows, _cols=cols, _u=u, _diag=diag, _v_cols=v_cols)
         return s
 
     u = cached_property(lambda self: _square(self._u))
     d = cached_property(lambda self: IntMatrix.diagonal(self._diag, self._rows, self._cols))
     v = cached_property(lambda self: _square(self._v_cols, by_cols=True))
+    _u_inv_cols = cached_property(lambda self: _inverse(self._u, self._m, self._v_cols, self._diag))
     u_inv = cached_property(lambda self: _square(self._u_inv_cols, by_cols=True))
-    v_inv = cached_property(lambda self: _square(self._v_inv))
+    v_inv = cached_property(lambda self: _square(_inverse(self._v_cols)))
 
     def diagonal(self) -> list:
         return [self.d[i, i] for i in range(min(self.d.rows, self.d.cols))]
@@ -311,7 +310,7 @@ class SnfResult:
                              tuple(tuple(r[j] for j in free) for r in self.v.data))
 
 
-def smith_normal_form(m: IntMatrix, inverses: bool | str = True) -> SnfResult:
+def smith_normal_form(m: IntMatrix) -> SnfResult:
     """Exact Smith normal form over Z, total on all shapes including 0x0.
 
     Hermite reductions in the manner of Kannan and Bachem (SIAM J. Comput.
@@ -322,47 +321,33 @@ def smith_normal_form(m: IntMatrix, inverses: bool | str = True) -> SnfResult:
     is set, the entries above it are reduced into [0, p), and so are its
     row's entries under later pivots. Later row steps do not reduce them
     again, so a pass can leave entries above a pivot outside [0, p): it need
-    not end in reduced echelon form. Every step is applied to ``u`` or
-    ``v``, and column steps are mirrored on ``v_inv``: reading it off
-    D·V⁻¹ = U·M would need the dense product with U. ``u_inv`` is read off
-    U·M·V = D after the passes, as V's sparse columns make M·V cheap (see
-    _u_inverse); the sign and divisibility steps update both. Reducing as
-    each pivot is fixed is what bounds coefficient growth: Kannan and Bachem
-    bound every intermediate number by a polynomial in the size of the
-    input, and on dense 32x32 inputs with entries in [-100, 100] the
-    witnesses stay within twice the digits of ``|det m|``. Steps skip the
-    entries known to be zero (see _subtract), so every integer is that of
-    full-length rows. The output is deterministic.
-
-    ``inverses`` is True (both inverses, the default), "u" (``u_inv`` only)
-    or False (none); 1, 0 and other values raise ValueError. An inverse not
-    carried costs nothing and reads None; ``u``, ``d``, ``v`` do not change.
+    not end in reduced echelon form. Every step is applied to ``u`` or to
+    ``v`` and to nothing else: the result derives each inverse when it is
+    first read (see _inverse). Reducing as each pivot is fixed is what
+    bounds coefficient growth: Kannan and Bachem bound every intermediate
+    number by a polynomial in the size of the input, and on dense 32x32
+    inputs with entries in [-100, 100] the witnesses stay within twice the
+    digits of ``|det m|``. Steps skip the entries known to be zero (see
+    _subtract), so every integer is that of full-length rows. The output is
+    deterministic.
     """
-    if inverses is not True and inverses is not False and inverses != "u":
-        raise ValueError(f"inverses must be True, 'u' or False, not {inverses!r}")
     rows, cols = m.rows, m.cols
     a = m.to_lists()
     u, v_cols = _identity_lists(rows), _identity_lists(cols)
-    vi = _identity_lists(cols) if inverses is True else None  # V⁻¹ by rows; U⁻¹ by columns
-    # A pass reduces the rows of ``a``, followed by U; ``a`` is then transposed, so
-    # the next pass reduces the columns, followed by V's columns and mirrored on V⁻¹.
+    # A pass reduces the rows of ``a``, followed by U; ``a`` is then transposed,
+    # so the next pass reduces the columns, followed by V's columns.
     diagonal = _is_diagonal(a)
-    sides = None if diagonal else [(_spanned(u), None, cols),
-                                   (_spanned(v_cols), _spanned(vi), rows)]
+    sides = None if diagonal else [(_spanned(u), cols), (_spanned(v_cols), rows)]
     while not diagonal:
         _hermite(a, *sides[0])
-        diagonal = _is_diagonal(a)
-        if not diagonal:
+        if not (diagonal := _is_diagonal(a)):
             a = list(map(list, zip(*a)))
             sides.reverse()
     d = [a[i][i] for i in range(min(rows, cols))]
-    ui = (_u_inverse(m.data, u, v_cols, d) if sides else _identity_lists(rows)) if inverses else None
     # A diagonal input skips the passes, so signs and zeros are fixed here.
     for i, x in enumerate(d):
         if x < 0:
-            d[i] = -x
-            for t in filter(None, (u, ui)):
-                t[i] = [-y for y in t[i]]
+            d[i], u[i] = -x, [-y for y in u[i]]
     for i in range(len(d)):
         for j in range(i + 1, len(d)):
             x, y = d[i], d[j]
@@ -370,45 +355,45 @@ def smith_normal_form(m: IntMatrix, inverses: bool | str = True) -> SnfResult:
                 continue
             if x == 0 or x % y == 0:
                 d[i], d[j] = y, x
-                for t in filter(None, (u, v_cols, ui, vi)):
+                for t in (u, v_cols):
                     t[i], t[j] = t[j], t[i]
                 continue
             # diag(x, y) -> diag(g, l), over whole rows: add row j to row i, mix
             # columns i and j so row i reads (g, 0), then clear row j's entry.
             g, s, e = _xgcd(x, y)
-            q, yg, xg = y * e // g, y // g, x // g
-            wu, wv = ([0] * rows, [rows] * rows), ([0] * cols, [cols] * cols)
-            _subtract(None, 0, (u, *wu), ui and (ui, *wu), i, j, -1)
-            _mix((v_cols, *wv), i, j, s, e, yg, xg)
-            _subtract(None, 0, (u, *wu), ui and (ui, *wu), j, i, q)
-            if vi:
-                _mix((vi, *wv), i, j, xg, yg, e, s)
+            wu = (u, [0] * rows, [rows] * rows)
+            _subtract(None, 0, wu, i, j, -1)
+            _mix((v_cols, [0] * cols, [cols] * cols), i, j, s, e, y // g, x // g)
+            _subtract(None, 0, wu, j, i, y * e // g)
             d[i], d[j] = g, x * y // g
-    return SnfResult._of(rows, cols, u, d, v_cols, ui, vi)
+    return SnfResult._of(m.data, rows, cols, u, d, v_cols)
 
 
-def _u_inverse(m: tuple, u: list, v_cols: list, d: list) -> list:
-    """U⁻¹ by columns, read off the diagonal ``d`` = U·M·V the passes left.
+def _inverse(u: list, m: tuple = (), v_cols: list = (), d: list = ()) -> list:
+    """The inverse of the unimodular matrix held by rows in ``u``, by columns.
 
-    A signed permutation U is inverted by transposing. Otherwise, since
-    U⁻¹·D = M·V, column j of U⁻¹ is (M·V)[:, j] / d[j] for the r nonzero
-    d[j], which come first. The other columns are B = R - A·(U₁·R), where A
-    is the first r, U₁ and U₂ are U's first r and last k rows, and U₂·R = I.
-    A Hermite pass gives W·U₂ᵀ = [T; 0], T unitriangular as U₂'s rows
-    extend to a basis; with T cleared to I, R's columns are W's first rows.
-    The pass reads U₂ᵀ bottom up (so R's columns are reversed): the last
-    columns of U₂, of rows that became zero, are near unit vectors.
+    Called with U alone it inverts by the Hermite pass below, so
+    ``_inverse(v_cols)`` is V⁻¹ by rows. Called with M's rows, V's columns
+    and the diagonal ``d`` = U·M·V, it reads U⁻¹ off that product. A signed
+    permutation U is inverted by transposing: ``u`` itself is returned, its
+    rows read as columns. Otherwise, since U⁻¹·D = M·V, column j of U⁻¹ is
+    (M·V)[:, j] / d[j] for the r nonzero d[j], which come first. The other columns are B = R - A·(U₁·R), where A is the
+    first r, U₁ and U₂ are U's first r and last k rows, and U₂·R = I. A
+    Hermite pass gives W·U₂ᵀ = [T; 0], T unitriangular as U₂'s rows extend
+    to a basis; with T cleared to I, R's columns are W's first rows. The
+    pass reads U₂ᵀ bottom up (so R's columns are reversed): the last columns
+    of U₂, of rows that became zero, are near unit vectors.
     """
     rows, mul = len(u), operator.mul
     if all(row.count(0) == rows - 1 for row in u):
-        return [row[:] for row in u]
+        return u
     out = [[sum(map(mul, row, vc)) // x for row in m] for x, vc in zip(d, v_cols) if x]
     if (r := len(out)) < rows:
         t, w = list(map(list, zip(*u[r:])))[::-1], _spanned(_identity_lists(rows))
-        _hermite(t, w, None, rows - r)
+        _hermite(t, w, rows - r)
         for c in range(rows - r - 1, 0, -1):  # from the right: row c of T reads e_c
             for i in range(c):
-                _subtract(None, 0, w, None, i, c, t[i][c])
+                _subtract(None, 0, w, i, c, t[i][c])
         a_rows = list(zip(*out)) or [()] * rows
         for col in w[0][:rows - r]:
             x = [sum(map(mul, ur, col[::-1])) for ur in u[:r]]
@@ -426,9 +411,9 @@ def _identity_lists(n: int) -> list:
     return out
 
 
-def _spanned(t: Optional[list]) -> Optional[tuple]:
-    """(t, lo, hi) for an identity matrix t, whose row r spans [r, r + 1); None for None."""
-    return None if t is None else (t, list(range(len(t))), list(range(1, len(t) + 1)))
+def _spanned(t: list) -> tuple:
+    """(t, lo, hi) for an identity matrix t, whose row r spans [r, r + 1)."""
+    return t, list(range(len(t))), list(range(1, len(t) + 1))
 
 
 def _is_diagonal(a: list) -> bool:
@@ -450,19 +435,17 @@ def _xgcd(x: int, y: int) -> tuple:
 
 
 # In-place row operations. Each step of the reduction applies one to the
-# rows of some matrices and the mirrored one to the columns of the inverses
-# it carries, held by columns so that it too is a row operation: if
-# rows (i, k) are multiplied by the unimodular [[p, q], [-r, s]], columns
-# (i, k) of the inverse are multiplied by [[s, -q], [r, p]], which is
-# _mix(inv, i, k, s, r, q, p). Only a source row's nonzero span is read: in
-# the working matrix, from a column the caller names; in the others, held as
-# (rows, lo, hi), from lo[t] to hi[t] - 1. An identity row t spans [t, t+1),
-# and each operation widens its destination's span to cover its source's.
+# rows of the working matrix and of the transform that follows it: U's rows
+# in a row pass, V's columns in a column pass. Only a source row's nonzero
+# span is read: in the working matrix, from a column the caller names; in
+# the transform, held as (rows, lo, hi), from lo[t] to hi[t] - 1. An
+# identity row t spans [t, t+1), and each operation widens its
+# destination's span to cover its source's.
 # (Indexed loops beat list comprehensions at every row length measured.)
 
 
-def _subtract(a: list | None, c: int, f: tuple, m: tuple | None, dst: int, src: int, q: int):
-    """Row dst -= q * row src in ``a`` from column c and in ``f``; the mirror in ``m``."""
+def _subtract(a: list | None, c: int, f: tuple, dst: int, src: int, q: int):
+    """Row dst -= q * row src in ``a`` from column c and in ``f``."""
     if a is not None:
         rd, rs = a[dst], a[src]
         for j in range(c, len(rd)):
@@ -476,16 +459,6 @@ def _subtract(a: list | None, c: int, f: tuple, m: tuple | None, dst: int, src: 
         lo[dst] = j0
     if j1 > hi[dst]:
         hi[dst] = j1
-    if m:
-        rows, lo, hi = m
-        j0, j1 = lo[dst], hi[dst]
-        rd, rs = rows[src], rows[dst]
-        for j in range(j0, j1):
-            rd[j] += q * rs[j]
-        if j0 < lo[src]:
-            lo[src] = j0
-        if j1 > hi[src]:
-            hi[src] = j1
 
 
 def _mix(t: tuple, i: int, k: int, p: int, q: int, r: int, s: int) -> None:
@@ -500,18 +473,16 @@ def _mix(t: tuple, i: int, k: int, p: int, q: int, r: int, s: int) -> None:
         rk[j] = s * y - r * x
 
 
-def _hermite(a: list, follow: tuple, mirror: tuple | None, ncols: int) -> None:
+def _hermite(a: list, follow: tuple, ncols: int) -> None:
     """Row-reduce ``a`` (``ncols`` columns) to an echelon form, in place.
 
     Rows are inserted in order into the echelon basis of the rows before
     them. ``follow``, a (rows, lo, hi) matrix held by rows, takes every row
-    operation applied to ``a``; ``mirror``, an inverse held by columns (or
-    None), takes the mirrored column operation: V⁻¹ in a column pass, none
-    in a row pass. Each time a pivot (k, c) is set, the entries above it
-    are reduced modulo it, and row k's entries in later pivot columns
-    modulo those pivots (later steps on row k do not reduce them again);
-    pivots are positive. At the end the rows of every matrix, with their
-    spans, are reordered: pivot rows in column order, then the zero rows.
+    operation applied to ``a``. Each time a pivot (k, c) is set, the entries
+    above it are reduced modulo it, and row k's entries in later pivot
+    columns modulo those pivots (later steps on row k do not reduce them
+    again); pivots are positive. At the end the rows of both matrices, with
+    the spans, are reordered: pivot rows in column order, then the zero rows.
     """
     pivot = [-1] * ncols  # pivot[c]: the row whose leading entry is in column c
     pcols, prows = [], []  # the pivot columns in order, and their rows
@@ -531,8 +502,7 @@ def _hermite(a: list, follow: tuple, mirror: tuple | None, ncols: int) -> None:
             if k < 0:
                 if x < 0:
                     row = a[i] = [-y for y in row]
-                    for rows, _, _ in filter(None, (follow, mirror)):
-                        rows[i] = [-y for y in rows[i]]
+                    follow[0][i] = [-y for y in follow[0][i]]
                 k = pivot[c] = i
                 pos = bisect_left(pcols, c)
                 pcols.insert(pos, c)
@@ -540,7 +510,7 @@ def _hermite(a: list, follow: tuple, mirror: tuple | None, ncols: int) -> None:
             else:
                 p = a[k][c]
                 if x % p == 0:
-                    _subtract(a, c, follow, mirror, i, k, x // p)
+                    _subtract(a, c, follow, i, k, x // p)
                     c += 1
                     continue
                 # rows (k, i) -> (s*k + e*i, (p/g)*i - (x/g)*k): (g, 0) in column c
@@ -551,25 +521,23 @@ def _hermite(a: list, follow: tuple, mirror: tuple | None, ncols: int) -> None:
                     y, z = rk[j], row[j]
                     rk[j], row[j] = s * y + e * z, pg * z - xg * y
                 _mix(follow, k, i, s, e, xg, pg)
-                if mirror:
-                    _mix(mirror, k, i, pg, xg, e, s)
                 pos = bisect_left(pcols, c)
             p = a[k][c]
             for k2 in prows[:pos]:  # row k is zero before column c
                 q = a[k2][c] // p
                 if q:
-                    _subtract(a, c, follow, mirror, k2, k, q)
+                    _subtract(a, c, follow, k2, k, q)
             for j in range(pos + 1, len(pcols)):
                 c2, k2 = pcols[j], prows[j]  # row k2 is zero before column c2
                 q = a[k][c2] // a[k2][c2]
                 if q:
-                    _subtract(a, c2, follow, mirror, k, k2, q)
+                    _subtract(a, c2, follow, k, k2, q)
             if k == i:
                 break
             c += 1
     order = prows + zero
     if order != list(range(len(a))):
-        for t in (a, *follow, *(mirror or ())):
+        for t in (a, *follow):
             t[:] = [t[k] for k in order]
 
 
@@ -670,6 +638,6 @@ def cokernel_invariants_sparse(n_gens: int, rows: Iterable[dict]) -> tuple:
             seen.add(key)
             dense_rows.append(vec)
     rel = IntMatrix.from_rows(dense_rows, cols=len(remaining_cols))
-    diag = smith_normal_form(rel.transpose(), inverses=False).diagonal()
+    diag = smith_normal_form(rel.transpose()).diagonal()
     torsion = [x for x in diag if x >= 2]
     return torsion, len(remaining_cols) - sum(1 for x in diag if x != 0)

@@ -12,7 +12,7 @@ import itertools
 from bisect import bisect_left
 from math import gcd, prod
 
-from pialg import FgAbGroup, GroupHom, from_cyclic_orders, hom_group
+from pialg import FgAbGroup, GroupHom, IntMatrix, from_cyclic_orders, hom_group
 from pialg.errors import BoundExceeded
 from pialg.fgab import Congruences
 from pialg.intlinalg import (SnfResult, _identity_lists, _is_diagonal, _xgcd,
@@ -217,18 +217,18 @@ def random_hom(rng, a: FgAbGroup, b: FgAbGroup) -> GroupHom:
 # -- plain paths that optimized ones must equal -------------------------
 
 
-def snf_plain(m, inverses=True):
+def snf_plain(m):
     """``smith_normal_form`` with every row operation over the full row.
 
     The same Kannan-Bachem steps in the same order, with no span
-    bookkeeping: the reference the span-skipping kernel must equal in all
-    five fields.
+    bookkeeping, and with each step mirrored on the inverses (held by
+    columns for U⁻¹, by rows for V⁻¹) instead of deriving them: the
+    reference the span-skipping kernel must equal in all five fields.
     """
     rows, cols = m.rows, m.cols
     a = m.to_lists()
     u, v_cols = _identity_lists(rows), _identity_lists(cols)
-    ui = [_identity_lists(rows)] if inverses else []
-    vi = [_identity_lists(cols)] if inverses and inverses != "u" else []
+    ui, vi = [_identity_lists(rows)], [_identity_lists(cols)]
     sides = [([u], ui, cols), ([v_cols], vi, rows)]
     diagonal = _is_diagonal(a)
     while not diagonal:
@@ -261,7 +261,9 @@ def snf_plain(m, inverses=True):
             for t in vi:
                 _mix_plain(t, i, j, xg, yg, e, s)
             d[i], d[j] = g, x * y // g
-    return SnfResult._of(rows, cols, u, d, v_cols, ui[0] if ui else None, vi[0] if vi else None)
+    return SnfResult(IntMatrix(rows, rows, u), IntMatrix.diagonal(d, rows, cols),
+                     IntMatrix(cols, cols, list(zip(*v_cols))),
+                     IntMatrix(rows, rows, list(zip(*ui[0]))), IntMatrix(cols, cols, vi[0]))
 
 
 def _subtract_plain(rowwise, mirror, dst, src, q):

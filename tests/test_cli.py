@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import re
 import sys
 
@@ -210,6 +211,14 @@ def test_output_flag(problem_file, tmp_path, capsys):
     assert code == 3 and out == "" and err.startswith("pialg: error:")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_output_that_fails_on_flush_prints_no_report(problem_file, capsys):
+    # /dev/full opens, but the buffered write fails when the file is closed;
+    # the report must not reach stdout first.
+    code, out, err = run(capsys, ["check", problem_file(SMALLEST), "--output", "/dev/full"])
+    assert code == 3 and out == "" and "No space left on device" in err
+
+
 def test_gamma_tilde_command(capsys):
     code, out, _ = run(capsys, ["gamma-tilde", "--n", "5", "--k", "3", "--group", "Z"])
     assert code == 0
@@ -261,6 +270,19 @@ def test_survey_command(capsys):
 def test_survey_without_targets_is_a_usage_error(capsys, targets):
     code, out, err = run(capsys, ["survey", "--stem", "3", "--targets", targets])
     assert code == 3 and out == "" and "names no group" in err
+
+
+def test_survey_targets_split_outside_json_brackets(capsys):
+    # the comma inside [2, 3] belongs to the literal {"torsion": [2, 3]} = Z/6
+    reports = []
+    for targets in ('{"torsion": [2, 3]},Z/4', "Z/6,Z/4"):
+        code, out, _ = run(capsys, ["survey", "--stem", "3", "--max-order", "2",
+                                    "--targets", targets, "--format", "machine"])
+        assert code == 0
+        reports.append(json.loads(out)["results"])
+    assert reports[0] == reports[1] and len(reports[0][0]["rows"]) == 4
+    code, out, err = run(capsys, ["survey", "--stem", "3", "--targets", '{"torsion": [2'])
+    assert code == 3 and out == "" and err.startswith("pialg: error:")
 
 
 def test_selftest_command(capsys):
@@ -347,8 +369,8 @@ def test_every_check_and_survey_pass_reduces_through_smith_normal_form(problem_f
     # workload and reads u and v of each result; warm passes must still call it.
     results = []
 
-    def counted(m, inverses=True):
-        results.append(original(m, inverses))
+    def counted(m):
+        results.append(original(m))
         return results[-1]
 
     original = intlinalg.smith_normal_form

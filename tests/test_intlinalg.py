@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pialg import intlinalg
 from pialg.intlinalg import (
     IntMatrix,
     SnfResult,
@@ -111,17 +112,25 @@ snf_inputs = st.one_of(
     .map(lambda ab: ab[0] * ab[1]))
 
 
-@given(snf_inputs, st.sampled_from([True, "u", False]))
+@given(snf_inputs)
 @settings(max_examples=300, deadline=None)
-def test_snf_without_inverses_keeps_u_d_v(m, inverses):
-    full, lean = smith_normal_form(m), smith_normal_form(m, inverses=inverses)
-    assert (lean.u, lean.d, lean.v) == (full.u, full.d, full.v)
-    # each inverse carried equals the full reduction's; one not carried is None
-    assert lean.u_inv == (full.u_inv if inverses else None)
-    assert lean.v_inv == (full.v_inv if inverses is True else None)
-    assert (lean == full) is (inverses is True)
-    if inverses is False:
-        assert lean.u_inv is None and lean.v_inv is None
+def test_snf_derives_each_inverse_when_first_read(m):
+    calls = []
+    original = intlinalg._inverse
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(intlinalg, "_inverse", counted)
+        s = smith_normal_form(m)
+        s.u, s.d, s.v
+        assert len(calls) == 0
+        assert (s.u * s.u_inv).is_identity() and len(calls) == 1
+        assert (s.v * s.v_inv).is_identity() and len(calls) == 2
+        s.u_inv, s.v_inv, s.u_inv, s.v_inv
+        assert len(calls) == 2
 
 
 def test_snf_result_reads_like_a_frozen_record():
@@ -131,15 +140,11 @@ def test_snf_result_reads_like_a_frozen_record():
     same = SnfResult(*fields)
     assert same == s and hash(same) == hash(s) and repr(same) == repr(s)
     assert repr(s).startswith("SnfResult(u=IntMatrix(2x2, ")
-    assert s != smith_normal_form(m, inverses="u")
     with pytest.raises(AttributeError):
         s.u = s.v
-    # only True, "u" and False themselves: 1, 0 and 1.0 compare equal to a
-    # bool but are refused, on a diagonal input as on any other
-    for inverses in ("v", 1, 0, 1.0, None):
-        for bad in (m, IntMatrix(1, 1, [[2]])):
-            with pytest.raises(ValueError):
-                smith_normal_form(bad, inverses)
+    # the matrix is the only argument: there is no mode choosing the inverses
+    with pytest.raises(TypeError):
+        smith_normal_form(m, True)
 
 
 # shapes 0..8: dense, sparse (about three entries in four are zero), products
@@ -157,12 +162,13 @@ plain_path_inputs = st.one_of(
                  .map(lambda d: IntMatrix.diagonal(d, s[0], s[1]))))
 
 
-@given(plain_path_inputs, st.sampled_from([True, "u", False]))
+@given(plain_path_inputs)
 @settings(max_examples=400, deadline=None)
-def test_snf_equals_the_full_row_reduction(m, inverses):
-    # Row operations read only each row's nonzero span; the plain path runs
-    # every one over the full row, and all five fields must be the same.
-    assert smith_normal_form(m, inverses) == snf_plain(m, inverses)
+def test_snf_equals_the_full_row_reduction(m):
+    # Row operations read only each row's nonzero span, and the inverses are
+    # derived when read; the plain path runs every operation over the full
+    # row and mirrors it on both inverses, and all five fields must match.
+    assert smith_normal_form(m) == snf_plain(m)
 
 
 def _witness_digest(m):
@@ -208,8 +214,7 @@ def test_larger_snf_equals_the_full_row_reduction(shape):
         k = shape[1]
         m = (IntMatrix(rows, k, _seeded(2000 + 100 * rows + k, rows, k))
              * IntMatrix(k, cols, _seeded(3000 + 100 * k + cols, k, cols)))
-    for inverses in (True, "u", False):
-        assert smith_normal_form(m, inverses) == snf_plain(m, inverses)
+    assert smith_normal_form(m) == snf_plain(m)
 
 
 @given(matrices, st.data())
