@@ -52,6 +52,20 @@ def frozen(compared: tuple, shown: tuple = None):
     return decorate
 
 
+class lazy:
+    """``functools.cached_property`` without the lock CPython < 3.12 takes on each first
+    read: the value goes into ``vars(obj)``, where later reads find it first."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, cls=None):
+        return self if obj is None else vars(obj).setdefault(self.name, self.fn(obj))
+
+
 def record(cls):
     """Class decorator: the annotated fields of ``cls`` make it a frozen record."""
     fields = {n: f if isinstance(f := vars(cls).get(n, _MISSING), field) else field(default=f)

@@ -452,6 +452,9 @@ class Factorizer:
     diagonal entries, and the sign and permutation steps of an extra pass)
     change U and V, not V·D⁺·U·b.
 
+    ``rows`` is the one solver, on reduced column and row tuples; ``solve``
+    and ``factor`` wrap its rows in a ``GroupHom``, a survey row reads them.
+
     >>> g = GroupHom.from_columns(cyclic(12), cyclic(6), [(1,)])
     >>> fz = Factorizer(g, cyclic(3))
     >>> [fz.factor(GroupHom.from_columns(cyclic(12), cyclic(3), [(x,)])).matrix.to_lists()
@@ -471,40 +474,36 @@ class Factorizer:
         self._systems = [systems[m] for m in self._moduli]
 
     def solve(self, targets: Sequence) -> Optional["GroupHom"]:
-        """Some h with h(through(e_j)) = targets[j], or None.
-
-        ``targets`` holds one element of the target per source generator of
-        ``through``.
-        """
-        reduce = self.target.reduce
-        return self._solve([x for a in range(self.through.source.dim) for x in reduce(targets[a])])
-
-    def _solve(self, rhs: list) -> Optional["GroupHom"]:
-        # rhs: the reduced target coordinates of each source generator's image
-        nc, rows = len(self._systems), []
-        for i, system in enumerate(self._systems):
-            row = system.solve(rhs[i::nc] + self._pad)
-            if row is None:
-                return None
-            rows.append(row)
-        # The systems hold h's well-definedness rows, so h is a homomorphism.
-        return GroupHom._of(self.through.target, self.target, rows)
+        """Some h with h(through(e_j)) = targets[j], one target element per j, or None."""
+        return self._hom(self.rows(tuple(map(self.target.reduce, targets))))
 
     def factor(self, f: "GroupHom") -> Optional["GroupHom"]:
-        """Some h with h ∘ through = f, or None; f must share through's source and the target.
-
-        Every witness is checked by composing it back before it is returned:
-        h's reduced rows times through's columns, modulo the target's
-        torsion, must give f's rows.
-        """
+        """Some h with h ∘ through = f, or None; f must share through's source and the target."""
         if f.source != self.through.source or f.target != self.target:
             raise ValueError("factor_through requires a shared source and the factorizer's target")
-        h = self._solve([x for col in zip(*f.matrix.data) for x in col])
-        for row, want, m in zip(() if h is None else h.matrix.data, f.matrix.data, self._moduli):
+        return self._hom(self.rows(tuple(zip(*f.matrix.data))))
+
+    def _hom(self, rows: Optional[tuple]) -> Optional["GroupHom"]:
+        b = self.through.target  # the systems hold b's well-definedness rows: h is a hom
+        return None if rows is None else GroupHom._wrap(
+            b, self.target, IntMatrix._of(len(rows), b.dim, rows))
+
+    def rows(self, cols: Sequence[tuple]) -> Optional[tuple]:
+        """h's rows, reduced as ``GroupHom._of`` reduces them, for some h ∘ through = f, or
+        None; ``cols`` are f's reduced columns. Each row is checked by composing it back:
+        times through's columns, modulo the target's torsion, it must give f's row."""
+        rows = []
+        for i, (system, m) in enumerate(zip(self._systems, self._moduli)):
+            want = [c[i] for c in cols]
+            row = system.solve(want + self._pad)
+            if row is None:
+                return None
+            row = tuple(x % m for x in row) if m else row
             back = (sum(map(mul, row, col)) for col in self._cols)
-            if tuple(x % m if m else x for x in back) != want:
+            if [x % m if m else x for x in back] != want:
                 raise AssertionError("solver returned a non-witness")
-        return h
+            rows.append(row)
+        return tuple(rows)
 
 
 def factor_through(f: GroupHom, g: GroupHom) -> Optional[GroupHom]:
@@ -696,7 +695,8 @@ def tor(a: FgAbGroup, b: FgAbGroup) -> FgAbGroup:
 
 @record
 class HomGroup:
-    """Hom(A, B) as a group, with enumeration of the maps when finite."""
+    """Hom(A, B) as a group, with enumeration of the maps when finite: ``columns``
+    yields each map's reduced columns, and iterating wraps them in ``GroupHom``s."""
 
     source: FgAbGroup
     target: FgAbGroup
@@ -706,15 +706,19 @@ class HomGroup:
     def is_finite(self) -> bool:
         return self.group.rank == 0
 
-    def __iter__(self) -> Iterator[GroupHom]:
+    def columns(self) -> Iterator[tuple]:
         a, b = self.source, self.target
         if not self.is_finite:
             raise InfiniteEnumerationError(f"Hom({a}, {b}) is infinite")
-        per_gen = [list(b.elements_killed_by(a.coord_order(j))) for j in range(a.dim)]
-        for combo in itertools.product(*per_gen):
-            # Each column is reduced and killed by its generator's order: a homomorphism.
+        # Each column is reduced and killed by its generator's order: a homomorphism.
+        return itertools.product(*[list(b.elements_killed_by(a.coord_order(j)))
+                                   for j in range(a.dim)])
+
+    def __iter__(self) -> Iterator[GroupHom]:
+        a, b = self.source, self.target
+        for cols in self.columns():
             yield GroupHom._wrap(a, b, IntMatrix._of(
-                b.dim, a.dim, tuple(zip(*combo)) if combo else ((),) * b.dim))
+                b.dim, a.dim, tuple(zip(*cols)) if cols else ((),) * b.dim))
 
 
 def hom_group(a: FgAbGroup, b: FgAbGroup) -> HomGroup:

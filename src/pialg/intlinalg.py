@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_left
-from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from ._record import frozen
+from ._record import frozen, lazy
 
 
 def _check_dims(rows: int, cols: int) -> None:
@@ -276,12 +275,12 @@ class SnfResult:
         vars(s).update(_m=m, _rows=rows, _cols=cols, _u=u, _diag=diag, _v_cols=v_cols)
         return s
 
-    u = cached_property(lambda self: _square(self._u))
-    d = cached_property(lambda self: IntMatrix.diagonal(self._diag, self._rows, self._cols))
-    v = cached_property(lambda self: _square(self._v_cols, by_cols=True))
-    _u_inv_cols = cached_property(lambda self: _inverse(self._u, self._m, self._v_cols, self._diag))
-    u_inv = cached_property(lambda self: _square(self._u_inv_cols, by_cols=True))
-    v_inv = cached_property(lambda self: _square(_inverse(self._v_cols)))
+    u = lazy(lambda self: _square(self._u))
+    d = lazy(lambda self: IntMatrix.diagonal(self._diag, self._rows, self._cols))
+    v = lazy(lambda self: _square(self._v_cols, by_cols=True))
+    _u_inv_cols = lazy(lambda self: _inverse(self._u, self._m, self._v_cols, self._diag))
+    u_inv = lazy(lambda self: _square(self._u_inv_cols, by_cols=True))
+    v_inv = lazy(lambda self: _square(_inverse(self._v_cols)))
 
     def diagonal(self) -> list:
         return [self.d[i, i] for i in range(min(self.d.rows, self.d.cols))]

@@ -21,10 +21,9 @@ maps are written column by column.
 from __future__ import annotations
 
 from enum import Enum
-from functools import cached_property
 from typing import Optional
 
-from ._record import field, record
+from ._record import field, lazy, record
 from .errors import MissingTableData
 from .fgab import Congruences, FgAbGroup, GroupHom, TRIVIAL, cyclic, tensor, tensor_induced
 from .quadratic import (
@@ -74,7 +73,7 @@ class GammaTildeResult:
             free_group(len(self.generators)), self.group,
             [g.element for g in self.generators])
 
-    @cached_property
+    @lazy
     def spanning(self) -> Congruences:
         """Coefficients over the semantic generators: one reduction serves every element."""
         return Congruences.spanning(self.group, self.generator_hom().matrix)

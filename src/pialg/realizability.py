@@ -34,6 +34,7 @@ import itertools
 from collections import Counter
 from enum import Enum
 from math import gcd
+from operator import mul
 from typing import Optional, Sequence
 
 from ._record import field, record
@@ -326,14 +327,15 @@ def _status_of(factorable: Sequence[bool]) -> Status:
 
 
 def _status_rule(tables: StableTables, entry, n: int, k: int, a_n: FgAbGroup, target: FgAbGroup):
-    """eta -> the status ``check_stable`` gives a nonzero eta of this row, with no verdict built."""
+    """eta's reduced columns -> the status ``check_stable`` gives a nonzero eta of this row."""
     if _enumerates(entry, tables.em(k + 1)):
         fzs = tuple(dict.fromkeys(_factorizers(tables, n, k, a_n, target)))  # each distinct once
-        return lambda eta: _status_of([fz.factor(eta) is not None for fz in fzs])
+        return lambda cols: _status_of([fz.rows(cols) is not None for fz in fzs])
     incl = _forced_dead_inclusion(tables, n, k, a_n)
     gens = () if incl is None else incl.matrix.columns()
-    return lambda eta: (Status.NON_REALIZABLE if any(any(eta.apply(y)) for y in gens)
-                        else Status.UNDETERMINED)
+    # eta(y) = sum_j y_j·col_j, reduced modulo the target's torsion as eta.apply(y) is
+    return lambda cols: (Status.NON_REALIZABLE if any(any(target.reduce(
+        [sum(map(mul, y, row)) for row in zip(*cols)])) for y in gens) else Status.UNDETERMINED)
 
 
 def check_stable(pa: TwoStagePiAlgebra, tables: StableTables) -> Verdict:
@@ -583,6 +585,8 @@ def survey_stem(k: int, tables: StableTables, max_cyclic_order: int,
     Each case gets ``check_stable``'s status, read from which completions'
     memoized factorizers factor eta (certificate mode: whether eta kills the
     forced-dead subgroup), built at the row's first nonzero eta; no verdicts.
+    Rows are decided on eta's reduced column tuples (no ``GroupHom`` per eta or witness);
+    every factorable answer is still solved and composed back by ``Factorizer.rows``.
     """
     n = k + 2  # minimal stable dimension; stable verdicts do not depend on n
     orders = ([0] if include_free else []) + list(range(2, max_cyclic_order + 1))
@@ -605,8 +609,8 @@ def survey_stem(k: int, tables: StableTables, max_cyclic_order: int,
                     f"survey needs more than {max_checks} checks; tighten the bounds")
             entry = tables.q_stable_entry(k)  # raises where check_stable would
             rule = functools.cache(lambda: _status_rule(tables, entry, n, k, a_n, target))
-            counts = Counter(Status.REALIZABLE.value if eta.is_zero() else rule()(eta).value
-                             for eta in homs)
+            counts = Counter(rule()(cols).value if any(map(any, cols)) else
+                             Status.REALIZABLE.value for cols in homs.columns())
             totals.update(counts)
             rows.append(SurveyRow(a_n, target, tuple(sorted(counts.items()))))
     return SurveyReport(k, n, tuple(rows), tuple(sorted(totals.items())))

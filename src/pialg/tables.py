@@ -50,12 +50,12 @@ from __future__ import annotations
 
 import itertools
 import re
-from functools import cache, cached_property
+from functools import cache
 from math import gcd
 from types import MappingProxyType
 from typing import Iterator, Mapping, Optional, Tuple
 
-from ._record import field, record
+from ._record import field, lazy, record
 from .errors import InconsistentTables, MalformedStructureMap, MissingTableData, TableFormatError
 from .fgab import (
     Factorizer,
@@ -100,7 +100,7 @@ class TabulatedGroup:
             if not re.fullmatch(r"[A-Za-z0-9_^/()]+", n):
                 raise InconsistentTables(f"bad generator name {n!r}")
 
-    @cached_property
+    @lazy
     def _canon(self):
         return _cyclic_sum([d for d, _ in self.summands])
 

@@ -525,9 +525,16 @@ def test_factor_raises_on_a_non_witness(monkeypatch):
         x = solve(self, rhs)
         return x if not x else (x[0] + 1,) + x[1:]
 
+    # a survey row, whose factorizers a first pass has built and memoized
+    tables = pialg.load_tables()
+    survey = lambda: pialg.survey_stem(3, tables, max_cyclic_order=2, max_summands=1,
+                                       targets=[cyclic(2)])
+    assert survey().totals
     monkeypatch.setattr(Congruences, "solve", perturbed)
     with pytest.raises(AssertionError, match="non-witness"):
         fz.factor(f)
+    with pytest.raises(AssertionError, match="non-witness"):
+        survey()
     # two target coordinates, one of them free
     g = GroupHom.from_columns(Z, from_cyclic_orders([2, 0]), [(1, 1)])
     f = GroupHom.from_columns(Z, from_cyclic_orders([4, 0]), [(1, 3)])
@@ -537,21 +544,26 @@ def test_factor_raises_on_a_non_witness(monkeypatch):
 
 def test_factor_checks_witnesses_without_asserts():
     # The compose-back check is an explicit raise, so python -O keeps it.
+    # A Factorizer and a survey row (its factorizers memoized by a first pass).
     src = str(Path(pialg.__file__).resolve().parent.parent)
     code = ("import sys; sys.path.insert(0, sys.argv[1])\n"
-            "from pialg import Factorizer, GroupHom, cyclic\n"
+            "from pialg import Factorizer, GroupHom, cyclic, load_tables, survey_stem\n"
             "from pialg.fgab import Congruences\n"
+            "tables = load_tables()\n"
+            "survey = lambda: survey_stem(3, tables, 2, 1, [cyclic(2)]).totals\n"
+            "survey()\n"
             "solve = Congruences.solve\n"
-            "Congruences.solve = lambda self, rhs: (solve(self, rhs)[0] + 1,)\n"
+            "Congruences.solve = lambda self, rhs: (x := solve(self, rhs)) and (x[0] + 1,) + x[1:]\n"
             "g = GroupHom.from_columns(cyclic(12), cyclic(6), [(1,)])\n"
             "f = GroupHom.from_columns(cyclic(12), cyclic(3), [(1,)])\n"
-            "try:\n"
-            "    print(Factorizer(g, cyclic(3)).factor(f))\n"
-            "except AssertionError as exc:\n"
-            "    print(exc)\n")
+            "for run in (lambda: Factorizer(g, cyclic(3)).factor(f), survey):\n"
+            "    try:\n"
+            "        print(run())\n"
+            "    except AssertionError as exc:\n"
+            "        print(exc)\n")
     out = subprocess.run([sys.executable, "-O", "-I", "-S", "-c", code, src],
                          capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "solver returned a non-witness"
+    assert out.split("\n") == ["solver returned a non-witness"] * 2 + [""]
 
 
 def test_factor_requires_the_factorizers_source_and_target():

@@ -590,7 +590,8 @@ def _outcome(survey, *args, **kwargs):
 @st.composite
 def _survey_problems(draw):
     name, k, orders, most = draw(st.sampled_from(_ORACLE_CASES))
-    targets = draw(st.lists(st.lists(st.sampled_from(orders), min_size=1, max_size=2)
+    # an empty orders list is the trivial target: every eta has zero-row columns
+    targets = draw(st.lists(st.lists(st.sampled_from(orders), min_size=0, max_size=2)
                             .map(from_cyclic_orders), min_size=1, max_size=2))
     return _oracle_tables(name), k, dict(
         max_cyclic_order=draw(st.integers(2, 6)), max_summands=draw(st.integers(1, 2)),
@@ -630,19 +631,20 @@ def test_survey_and_per_eta_loop_agree_on_errors(tables):
 def test_each_distinct_factorizer_is_asked_once_per_eta(monkeypatch):
     # Completions with equal gamma_c ⊗ A_n share one Factorizer; check_stable
     # and a survey row ask each distinct one once per eta, not once per
-    # completion.
+    # completion. Both reach the solver through Factorizer.rows, on eta's
+    # reduced columns.
     tables, k = _oracle_tables("what-if"), 5
     asked = []
-    factor = realizability.Factorizer.factor
-    monkeypatch.setattr(realizability.Factorizer, "factor",
-                        lambda fz, eta: asked.append((id(fz), eta.matrix.data)) or factor(fz, eta))
+    rows = realizability.Factorizer.rows
+    monkeypatch.setattr(realizability.Factorizer, "rows",
+                        lambda fz, cols: asked.append((id(fz), tuple(cols))) or rows(fz, cols))
 
     def pairs(a_n, target):
-        """(etas, each distinct factorizer with each nonzero eta, once)."""
+        """(etas, each distinct factorizer with each nonzero eta's columns, once)."""
         fzs = realizability._factorizers(tables, k + 2, k, a_n, target)
         assert len(fzs) == 48 and len(set(fzs)) == 16
         etas = list(hom_group(gamma_tilde(k + 2, k, a_n, tables).group, target))
-        return etas, sorted((id(fz), eta.matrix.data) for fz in set(fzs)
+        return etas, sorted((id(fz), tuple(eta.matrix.columns())) for fz in set(fzs)
                             for eta in etas if not eta.is_zero())
 
     for a_n, target in ((cyclic(2), cyclic(6)), (from_cyclic_orders([2, 2]), cyclic(2))):

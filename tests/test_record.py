@@ -19,7 +19,7 @@ from pialg import (IntMatrix, Presentation, StableTables, TwoStagePiAlgebra, Z, 
                    all_realizable_in_stem, check, cyclic, direct_sum, fgab, gamma_tilde, hom_group,
                    load_tables, pi_functors, problem_from_json, quad_tensor, quadratic,
                    realizability, survey_stem, tables as tables_module, three_stage_obstruction)
-from pialg._record import _MISSING, FrozenInstanceError
+from pialg._record import _MISSING, FrozenInstanceError, frozen, lazy
 
 MODULES = (fgab, pi_functors, quadratic, realizability, tables_module)
 CLASSES = [c for m in MODULES for c in vars(m).values()
@@ -169,6 +169,23 @@ def test_default_factory_gives_each_instance_its_own_object():
 def test_records_keep_a_dict_for_cached_properties():
     entry = load_tables().q_stable[3]
     assert entry._canon is entry._canon and "_canon" in vars(entry)
+
+
+def test_lazy_fields_are_computed_once_per_instance_and_stay_frozen():
+    calls = []
+
+    @frozen(("x",))
+    class A:
+        def __init__(self, x):
+            vars(self)["x"] = x
+
+        y = lazy(lambda self: calls.append(self.x) or self.x + 1)
+
+    a, b = A(1), A(2)
+    assert isinstance(A.y, lazy) and not hasattr(A.y, "lock")
+    assert (a.y, a.y, b.y, b.y) == (2, 2, 3, 3) and calls == [1, 2] and vars(a)["y"] == 2
+    with pytest.raises(FrozenInstanceError):
+        a.y = 5
 
 
 def test_importing_pialg_loads_no_code_generation_modules():
