@@ -25,6 +25,7 @@ from itertools import accumulate
 
 from . import __version__
 from .errors import PialgError, TableFormatError
+from .fgab import group_to_json
 from .pi_functors import gamma_tilde
 from .quadratic import (
     BUILTIN_QUADRATIC_MODULES,
@@ -34,7 +35,6 @@ from .quadratic import (
 from .realizability import (
     ThreeStageProblem,
     check,
-    group_to_json,
     problem_from_json,
     survey_stem,
     three_stage_obstruction,

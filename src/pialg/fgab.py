@@ -199,6 +199,14 @@ def from_cyclic_orders(orders: Sequence[int], labels: Optional[Sequence[str]] = 
     return grp
 
 
+def group_to_json(g: FgAbGroup) -> dict:
+    """The document ``group_from_json`` reads; ``labels`` only when the group has them."""
+    doc = {"rank": g.rank, "torsion": list(g.torsion)}
+    if g.gen_labels is not None:
+        doc["labels"] = list(g.gen_labels)
+    return doc
+
+
 def group_from_json(doc: dict) -> FgAbGroup:
     """A group read from ``{"rank": r, "torsion": [...], "labels": [...]}``.
 
@@ -385,8 +393,8 @@ class Congruences:
     lists: ``U``'s columns, the diagonal and ``V``'s first ``n_unknowns``
     rows (slack values are never returned). Each ``solve`` costs ``U·b`` and
     ``V·z`` over the nonzero entries of b and z and a divisibility check;
-    its solution is the full reduction's, exactly. This is the only place
-    that turns congruences into a matrix.
+    its solution is the full reduction's, exactly. This is the library's one
+    solver: every solve and kernel goes through it.
 
     >>> Congruences([[2]], [6], 1).solve([4])  # 2x ≡ 4 (mod 6)
     (2,)
@@ -533,25 +541,18 @@ def is_split_injective(f: GroupHom) -> tuple:
 # -- subgroups, kernels, images, cokernels ------------------------------
 
 
-def hom_kernel_lattice(f: GroupHom) -> IntMatrix:
-    """Columns generating {x in Z^dim(A) : f(x) = 0 in B}."""
-    return Congruences.spanning(f.target, f.matrix).kernel()
-
-
 def subgroup(ambient: FgAbGroup, generators: Sequence) -> tuple:
     """(S, inclusion) for the subgroup of ``ambient`` the elements generate."""
     cols = [ambient.reduce(g) for g in generators]
-    phi = GroupHom.from_columns(free_group(len(cols)), ambient, cols)
-    lat = hom_kernel_lattice(phi)
-    pres = Presentation(len(cols), lat.transpose())
-    c = canonicalize_full(pres)
-    incl = GroupHom(c.group, ambient, IntMatrix.from_columns(cols, rows=ambient.dim) * c.section)
-    return c.group, incl
+    gens = IntMatrix.from_columns(cols, rows=ambient.dim)
+    lat = Congruences.spanning(ambient, gens).kernel()
+    c = canonicalize_full(Presentation(len(cols), lat.transpose()))
+    return c.group, GroupHom(c.group, ambient, gens * c.section)
 
 
 def kernel(f: GroupHom) -> tuple:
     """(K, inclusion K -> source) of the kernel subgroup."""
-    lat = hom_kernel_lattice(f)
+    lat = Congruences.spanning(f.target, f.matrix).kernel()
     return subgroup(f.source, [lat.col(j) for j in range(lat.cols)])
 
 
@@ -647,15 +648,14 @@ def tensor(a: FgAbGroup, b: FgAbGroup) -> TensorProduct:
     'Z/2'
     """
     pairs = [(i, j) for i in range(a.dim) for j in range(b.dim)]
-    idx = {p: k for k, p in enumerate(pairs)}
     rows = []
-    for (i, j) in pairs:
+    for p, (i, j) in enumerate(pairs):
         d = a.coord_order(i)
         e = b.coord_order(j)
         if d:
-            rows.append([d if idx[(i, j)] == k else 0 for k in range(len(pairs))])
+            rows.append([d if p == k else 0 for k in range(len(pairs))])
         if e:
-            rows.append([e if idx[(i, j)] == k else 0 for k in range(len(pairs))])
+            rows.append([e if p == k else 0 for k in range(len(pairs))])
     c = canonicalize_full(Presentation(len(pairs), IntMatrix.from_rows(rows, cols=len(pairs))))
     return TensorProduct(a, b, c.group, tuple(pairs), c)
 

@@ -2,8 +2,8 @@
 
 This is the computational engine underneath everything else: immutable
 integer matrices, Smith normal form with unimodular transformation
-witnesses, exact solvers for linear systems over Z, and a sparse
-presentation reducer used by the brute-force oracles.
+witnesses, and a sparse presentation reducer used by the brute-force
+oracles. Linear systems over Z are solved by ``fgab.Congruences``.
 
 All arithmetic uses Python's arbitrary-precision integers; there is no
 overflow anywhere and no floating point.
@@ -284,29 +284,6 @@ class SnfResult:
 
     def diagonal(self) -> list:
         return [self.d[i, i] for i in range(min(self.d.rows, self.d.cols))]
-
-    def solve(self, rhs: Sequence[int]) -> Optional[tuple]:
-        """One integer solution x of ``m @ x == rhs`` for the reduced ``m``, or None.
-
-        ``m x = b`` becomes ``d z = u b`` with ``x = v z``: each coordinate of
-        ``u b`` must be divisible by its diagonal entry (zero where the entry
-        is zero). Reusing one reduction for many right-hand sides costs two
-        matrix-vector products per solve.
-        """
-        if len(rhs) != self.d.rows:
-            raise ValueError("right-hand side length mismatch")
-        c, diag = self.u.mul_vec(rhs), self.diagonal()
-        if any(ci % d if d else ci for ci, d in zip(c, diag)) or any(c[len(diag):]):
-            return None
-        return self.v.mul_vec([ci // d if d else 0 for ci, d in zip(c, diag)]
-                              + [0] * (self.d.cols - len(diag)))
-
-    def kernel(self) -> IntMatrix:
-        """A basis of the integer kernel lattice of the reduced ``m``, as columns."""
-        n = min(self.d.rows, self.d.cols)
-        free = [j for j in range(self.d.cols) if j >= n or self.d[j, j] == 0]
-        return IntMatrix._of(self.d.cols, len(free),
-                             tuple(tuple(r[j] for j in free) for r in self.v.data))
 
 
 def smith_normal_form(m: IntMatrix) -> SnfResult:

@@ -46,6 +46,7 @@ from .fgab import (
     canonicalize_full,
     cyclic,
     group_from_json,
+    group_to_json,
     multiplication_by,
 )
 from .intlinalg import IntMatrix, cokernel_invariants_sparse
@@ -445,8 +446,8 @@ def brute_force_quad_tensor(a: FgAbGroup, m: QuadraticModule,
 
 def quadratic_module_to_json(m: QuadraticModule) -> dict:
     return {
-        "Me": {"rank": m.me.rank, "torsion": list(m.me.torsion)},
-        "Mee": {"rank": m.mee.rank, "torsion": list(m.mee.torsion)},
+        "Me": group_to_json(m.me),
+        "Mee": group_to_json(m.mee),
         "H": m.h.matrix.to_lists(),
         "P": m.p.matrix.to_lists(),
     }

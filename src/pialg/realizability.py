@@ -37,7 +37,7 @@ from math import gcd
 from operator import mul
 from typing import Optional, Sequence
 
-from ._record import field, record
+from ._record import record
 from .errors import (
     BoundExceeded,
     InconsistentTables,
@@ -53,6 +53,7 @@ from .fgab import (
     Factorizer,
     from_cyclic_orders,
     group_from_json,
+    group_to_json,
     hom_group,
     is_split_injective,
     kernel,
@@ -116,7 +117,6 @@ class CompletionOutcome:
     assignment: tuple  # ((generator name, image coords), ...)
     factorable: bool
     witness: Optional[GroupHom] = None
-    gamma_hom: Optional[GroupHom] = field(default=None, compare=False, repr=False)
 
 
 @record
@@ -379,8 +379,7 @@ def _check_stable_enumerating(pa: TwoStagePiAlgebra, gt: GammaTildeResult,
     n, k = pa.n, pa.k
     fzs = _factorizers(tables, n, k, pa.a_n, pa.eta.target)
     found = {fz: fz.factor(pa.eta) for fz in dict.fromkeys(fzs)}
-    outcomes = tuple(CompletionOutcome(comp.assignment, found[fz] is not None, found[fz],
-                                       gamma_hom=fz.through)
+    outcomes = tuple(CompletionOutcome(comp.assignment, found[fz] is not None, found[fz])
                      for comp, fz in zip(_completions(tables, k), fzs))
     status = _status_of([o.factorable for o in outcomes])
     if status is Status.REALIZABLE:
@@ -617,13 +616,6 @@ def survey_stem(k: int, tables: StableTables, max_cyclic_order: int,
 
 
 # -- JSON (de)serialization ------------------------------------------------
-
-
-def group_to_json(g: FgAbGroup) -> dict:
-    doc = {"rank": g.rank, "torsion": list(g.torsion)}
-    if g.gen_labels is not None:
-        doc["labels"] = list(g.gen_labels)
-    return doc
 
 
 def hom_to_json(h: GroupHom) -> dict:

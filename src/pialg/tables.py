@@ -619,9 +619,12 @@ def _quadratic_module(value: str) -> QuadraticModule:
 
 
 def _quadratic_module_text(qm: QuadraticModule) -> str:
-    builtin = [name for name, bqm in BUILTIN_QUADRATIC_MODULES.items() if bqm == qm]
+    """A builtin's name when its JSON, labels included, is the module's; else the JSON."""
+    doc = quadratic_module_to_json(qm)
+    builtin = [name for name, bqm in BUILTIN_QUADRATIC_MODULES.items()
+               if quadratic_module_to_json(bqm) == doc]
     import json
-    return builtin[0] if builtin else json.dumps(quadratic_module_to_json(qm))
+    return builtin[0] if builtin else json.dumps(doc)
 
 
 def _group_text(g: FgAbGroup) -> str:

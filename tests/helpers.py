@@ -266,6 +266,30 @@ def snf_plain(m):
                      IntMatrix(rows, rows, list(zip(*ui[0]))), IntMatrix(cols, cols, vi[0]))
 
 
+def snf_solve(s, rhs):
+    """One integer solution x of ``m @ x == rhs`` for the ``m`` that ``s`` reduces, or None.
+
+    ``m x = b`` becomes ``d z = u b`` with ``x = v z``: each coordinate of
+    ``u b`` must be divisible by its diagonal entry (zero where the entry
+    is zero). The dense full-reduction oracle for ``Congruences.solve``.
+    """
+    if len(rhs) != s.d.rows:
+        raise ValueError("right-hand side length mismatch")
+    c, diag = s.u.mul_vec(rhs), s.diagonal()
+    if any(ci % d if d else ci for ci, d in zip(c, diag)) or any(c[len(diag):]):
+        return None
+    return s.v.mul_vec([ci // d if d else 0 for ci, d in zip(c, diag)]
+                       + [0] * (s.d.cols - len(diag)))
+
+
+def snf_kernel(s):
+    """A basis of the integer kernel lattice of the ``m`` that ``s`` reduces, as columns."""
+    n = min(s.d.rows, s.d.cols)
+    free = [j for j in range(s.d.cols) if j >= n or s.d[j, j] == 0]
+    return IntMatrix._of(s.d.cols, len(free),
+                         tuple(tuple(r[j] for j in free) for r in s.v.data))
+
+
 def _subtract_plain(rowwise, mirror, dst, src, q):
     for rows in rowwise:
         rd, rs = rows[dst], rows[src]

@@ -17,6 +17,7 @@ from pialg import (
     cyclic,
     dumps_tables,
     from_cyclic_orders,
+    gamma_tilde,
     loads_tables,
     merge,
     verify_pi_ring_relations,
@@ -336,6 +337,17 @@ def test_round_trip_of_every_section(tables):
     assert t.torsion_exponent_rule is False and t.metastable_qm[5] == tables.metastable_qm[3]
     assert t.gamma[(5, "y")] == GammaKnowledge.known([0, 4])
     assert t.pi_products[((1, "eta"), (3, "nu"))] == ()
+
+
+@pytest.mark.parametrize("mee", ['{"rank": 1, "torsion": []}', '{"rank": 0, "torsion": [2]}'])
+def test_round_trip_keeps_quadratic_module_labels(tables, mee):
+    # Me = Z/2<x> with H = P = 0: for Mee = Z this equals the builtin pi5S3
+    # (Me = Z/2<eta2>) up to labels, so a dump that wrote the builtin's name,
+    # or Me without its labels, would relabel gamma_tilde.
+    t = loads_tables('[metastable_qm]\n4 = {"Me": {"rank": 0, "torsion": [2], "labels": ["x"]}, '
+                     f'"Mee": {mee}, "H": [[0]], "P": [[0]]}}\n', "qm")
+    for u in (t, loads_tables(dumps_tables(t), "again")):
+        assert gamma_tilde(4, 3, cyclic(2), merge(tables, u)).labels() == ("a1⊗x",)
 
 
 def test_coordinate_lists():
