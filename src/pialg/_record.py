@@ -4,6 +4,8 @@
 gives it: an ``__init__`` that fills in defaults and calls ``__post_init__``,
 and the value methods of ``frozen``. Every method is a closure over the field
 spec, so defining a record executes no source text and imports nothing.
+``trusted`` gives a class a second constructor that skips ``__init__`` and its
+checks, for values the package built itself.
 """
 
 from operator import attrgetter
@@ -32,7 +34,8 @@ def _frozen(self, name, *_):
 def frozen(compared: tuple, shown: tuple = None):
     """Class decorator: instances refuse assignment and deletion, compare and hash
     as the tuple of their ``compared`` attributes, and show ``shown`` (default
-    ``compared``) as ``Name(a=..., b=...)``."""
+    ``compared``) as ``Name(a=..., b=...)``. A method the class defines itself is
+    left alone, as ``dataclasses`` does."""
     key = attrgetter(*compared) if len(compared) > 1 else lambda s: tuple(
         getattr(s, n) for n in compared)
     shown = compared if shown is None else shown
@@ -47,9 +50,21 @@ def frozen(compared: tuple, shown: tuple = None):
 
     def decorate(cls):
         for name, fn in methods.items():
-            setattr(cls, name, fn)
+            if name not in vars(cls):
+                setattr(cls, name, fn)
         return cls
     return decorate
+
+
+def trusted(*names):
+    """A classmethod that sets ``names``, in order, on a new instance from its
+    arguments: no ``__init__`` runs and nothing is checked or copied."""
+    def build(cls, *values):
+        obj = object.__new__(cls)
+        for name, value in zip(names, values):
+            _set(obj, name, value)
+        return obj
+    return classmethod(build)
 
 
 class lazy:

@@ -333,8 +333,10 @@ def main(argv=None) -> int:
         tables = load_tables(args.tables)
         fields, lines, code = handlers[args.command](args, tables)
         report = {
+            # Unset arguments are dropped by identity: a zero-valued one equals False.
             "command": [args.command] + [f"{k}={v}" for k, v in sorted(vars(args).items())
-                                         if k != "command" and v not in (None, [], False)],
+                                         if k != "command" and v is not None
+                                         and v is not False and v != []],
             "tables": list(tables.provenance),
             **fields,
         }

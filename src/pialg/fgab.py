@@ -23,7 +23,7 @@ from math import gcd, prod
 from operator import mul
 from typing import Iterator, Optional, Sequence
 
-from ._record import field, record
+from ._record import field, record, trusted
 from .intlinalg import IntMatrix, smith_normal_form
 
 
@@ -333,14 +333,8 @@ class GroupHom:
         return cls._wrap(source, target, IntMatrix._of(target.dim, source.dim, tuple(
             tuple(x % tor[i] for x in r) if i < len(tor) else r for i, r in enumerate(rows))))
 
-    @classmethod
-    def _wrap(cls, source: FgAbGroup, target: FgAbGroup, matrix: IntMatrix) -> "GroupHom":
-        """``_of`` for a matrix already reduced modulo the target's torsion: sets the fields."""
-        h = object.__new__(cls)
-        object.__setattr__(h, "source", source)
-        object.__setattr__(h, "target", target)
-        object.__setattr__(h, "matrix", matrix)
-        return h
+    # ``_of`` for a matrix already reduced modulo the target's torsion.
+    _wrap = trusted("source", "target", "matrix")
 
     @staticmethod
     def identity(g: FgAbGroup) -> "GroupHom":

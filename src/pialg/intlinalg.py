@@ -15,7 +15,7 @@ import operator
 from bisect import bisect_left
 from typing import Iterable, Optional, Sequence
 
-from ._record import frozen, lazy
+from ._record import frozen, lazy, trusted
 
 
 def _check_dims(rows: int, cols: int) -> None:
@@ -23,6 +23,7 @@ def _check_dims(rows: int, cols: int) -> None:
         raise ValueError("negative matrix dimension")
 
 
+@frozen(("rows", "cols", "data"))
 class IntMatrix:
     """An immutable integer matrix with explicit shape.
 
@@ -48,22 +49,10 @@ class IntMatrix:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "data", tup)
 
-    @classmethod
-    def _of(cls, rows: int, cols: int, data: tuple) -> "IntMatrix":
-        """Trusted construction, for data this package built itself.
-
-        ``data`` must already be a tuple of ``rows`` tuples of ``cols`` ints;
-        nothing is checked or copied. Anything read from outside goes
-        through the validating constructor instead.
-        """
-        m = object.__new__(cls)
-        object.__setattr__(m, "rows", rows)
-        object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "data", data)
-        return m
-
-    def __setattr__(self, *_):
-        raise AttributeError("IntMatrix is immutable")
+    # Trusted construction, for data this package built itself: ``data`` must
+    # already be a tuple of ``rows`` tuples of ``cols`` ints. Anything read from
+    # outside goes through the validating constructor instead.
+    _of = trusted("rows", "cols", "data")
 
     # -- constructors ---------------------------------------------------
 
@@ -222,14 +211,6 @@ class IntMatrix:
             prev = a[k][k]
         return sign * a[n - 1][n - 1]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        return self.rows == other.rows and self.cols == other.cols and self.data == other.data
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.data))
-
     def __repr__(self) -> str:
         return f"IntMatrix({self.rows}x{self.cols}, {self.to_lists()!r})"
 
@@ -264,16 +245,10 @@ class SnfResult:
                  v_inv: IntMatrix):
         vars(self).update(zip(_FIELDS, (u, d, v, u_inv, v_inv)))
 
-    @classmethod
-    def _of(cls, m, rows, cols, u, diag, v_cols) -> "SnfResult":
-        """Trusted construction from the input's rows and a reduction's lists.
-
-        ``u`` holds rows and ``v_cols`` columns, kept as they are; ``fgab``
-        reads them and never changes them.
-        """
-        s = object.__new__(cls)
-        vars(s).update(_m=m, _rows=rows, _cols=cols, _u=u, _diag=diag, _v_cols=v_cols)
-        return s
+    # Trusted construction from the input and a reduction's lists: ``_u`` holds
+    # rows and ``_v_cols`` columns, kept as they are; ``fgab`` reads them and
+    # never changes them.
+    _of = trusted("_m", "_rows", "_cols", "_u", "_diag", "_v_cols")
 
     u = lazy(lambda self: _square(self._u))
     d = lazy(lambda self: IntMatrix.diagonal(self._diag, self._rows, self._cols))
@@ -552,7 +527,6 @@ def cokernel_invariants_sparse(n_gens: int, rows: Iterable[dict]) -> tuple:
 
     heap = [(len(live_rows[i]), i) for i in range(len(live_rows))]
     heapq.heapify(heap)
-    eliminated = 0
 
     while heap:
         _, rid = heapq.heappop(heap)
@@ -569,7 +543,6 @@ def cokernel_invariants_sparse(n_gens: int, rows: Iterable[dict]) -> tuple:
             continue
         # Substitute generator pivot_col out of every other row.
         dead[rid] = True
-        eliminated += 1
         live_cols.discard(pivot_col)
         users = col_index.pop(pivot_col, set())
         for c in row:

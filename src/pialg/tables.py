@@ -521,6 +521,10 @@ def parse_group_text(text: str):
     if text.startswith("{"):
         import json  # here and in the metastable_qm codec only, so `import pialg` skips it
         doc = json.loads(text)
+        extra = sorted(doc.keys() - {"rank", "torsion"})
+        if extra:
+            raise TableFormatError(f"JSON group takes only rank and torsion, got {extra[0]!r} "
+                                   f"in {text}; name generators in the text form, as in Z<x>")
         rank, torsion = doc.get("rank", 0), doc.get("torsion", [])
         if (type(rank) is not int or rank < 0 or type(torsion) is not list
                 or any(type(d) is not int or d < 2 for d in torsion)):

@@ -354,6 +354,25 @@ def test_non_integer_json_groups_exit_three(literal, capsys):
     assert code == 3 and out == "" and "integer" in err
 
 
+@pytest.mark.parametrize("literal", ['{"rank": 1, "torsion": [], "labels": ["x"]}',
+                                     '{"rank": 1, "torsoin": [2]}'])
+def test_json_group_literals_refuse_keys_besides_rank_and_torsion(literal, capsys):
+    # Any other key is refused: dropped, a label would be lost without a word
+    # and a misspelled key would read as its default.
+    code, out, err = run(capsys, ["gamma-tilde", "--n", "5", "--k", "3", "--group", literal])
+    key = "labels" if "labels" in literal else "torsoin"
+    assert code == 3 and out == "" and repr(key) in err and "Z<x>" in err
+    code, out, _ = run(capsys, ["gamma-tilde", "--n", "5", "--k", "3", "--group", "Z<x>"])
+    assert code == 0 and "x⊗nu" in out
+
+
+def test_report_command_keeps_zero_valued_arguments(capsys):
+    # --stem 0 selects one stem, so the report must not read as `tables show`.
+    code, out, _ = run(capsys, ["tables", "show", "--stem", "0", "--format", "machine"])
+    assert code == 0
+    assert json.loads(out)["command"] == ["tables", "action=show", "format=machine", "stem=0"]
+
+
 @pytest.mark.parametrize("value", ["known [1, 2, 3]", "known []"])
 def test_known_gamma_of_the_wrong_length_exits_three(problem_file, tmp_path, capsys, value):
     # HZ_4HZ = Z/6 takes one coordinate; an uncaught ValueError would exit 1,

@@ -20,6 +20,8 @@ from pialg import (IntMatrix, Presentation, StableTables, TwoStagePiAlgebra, Z, 
                    load_tables, pi_functors, problem_from_json, quad_tensor, quadratic,
                    realizability, survey_stem, tables as tables_module, three_stage_obstruction)
 from pialg._record import _MISSING, FrozenInstanceError, frozen, lazy
+from pialg.fgab import GroupHom
+from pialg.intlinalg import SnfResult, smith_normal_form
 
 MODULES = (fgab, pi_functors, quadratic, realizability, tables_module)
 CLASSES = [c for m in MODULES for c in vars(m).values()
@@ -186,6 +188,46 @@ def test_lazy_fields_are_computed_once_per_instance_and_stay_frozen():
     assert (a.y, a.y, b.y, b.y) == (2, 2, 3, 3) and calls == [1, 2] and vars(a)["y"] == 2
     with pytest.raises(FrozenInstanceError):
         a.y = 5
+
+
+def test_int_matrix_refuses_assignment_and_deletion_like_a_record():
+    m = IntMatrix.from_rows([[1, 2], [3, 4]])
+    for name in ("rows", "cols", "data", "not_a_field"):
+        # A deleted slot would leave == and hash raising AttributeError.
+        with pytest.raises(FrozenInstanceError):
+            delattr(m, name)
+        with pytest.raises(FrozenInstanceError):
+            setattr(m, name, 1)
+    assert m == IntMatrix.from_rows([[1, 2], [3, 4]]) and hash(m) == hash((2, 2, m.data))
+
+
+def test_frozen_keeps_the_methods_a_class_defines():
+    @frozen(("x",))
+    class A:
+        def __init__(self, x):
+            vars(self)["x"] = x
+
+        def __repr__(self):
+            return f"<{self.x}>"
+
+    assert repr(A(1)) == "<1>" and A(1) == A(1) and A(1) != A(2)
+    assert repr(IntMatrix.identity(2)) == "IntMatrix(2x2, [[1, 0], [0, 1]])"
+
+
+def test_trusted_and_validated_instances_agree():
+    m = IntMatrix.from_rows([[2, 4], [6, 8]])
+    pairs = [(IntMatrix._of(2, 2, ((2, 4), (6, 8))), m)]
+    for h in hom_group(cyclic(4), cyclic(6)):
+        pairs.append((GroupHom._wrap(h.source, h.target, h.matrix),
+                      GroupHom(h.source, h.target, h.matrix)))
+    s = smith_normal_form(m)
+    pairs.append((s, SnfResult(s.u, s.d, s.v, s.u_inv, s.v_inv)))
+    for built, checked in pairs:
+        assert type(built) is type(checked)
+        assert built == checked and hash(built) == hash(checked)
+        assert repr(built) == repr(checked)
+        if type(built) is GroupHom:
+            assert list(vars(built)) == list(vars(checked)) == ["source", "target", "matrix"]
 
 
 def test_importing_pialg_loads_no_code_generation_modules():

@@ -218,6 +218,8 @@ def test_group_literal_grammar():
     '{"rank": 1.5}', '{"rank": -1}', '{"rank": true}', '{"rank": "1"}',
     '{"torsion": 4}', '{"torsion": [2.0]}', '{"torsion": [1]}', '{"torsion": [0]}',
     '{"torsion": [true]}',
+    # only rank and torsion: names go in the text form, and a misspelled key is no default
+    '{"rank": 1, "labels": ["x"]}', '{"torsoin": [2]}',
 ])
 def test_json_group_literals_must_hold_integers(literal):
     from pialg.tables import group_from_text
