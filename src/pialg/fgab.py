@@ -23,7 +23,7 @@ from math import gcd, prod
 from operator import mul
 from typing import Iterator, Optional, Sequence
 
-from ._record import field, record, trusted
+from ._record import field, lazy, record, trusted
 from .intlinalg import IntMatrix, smith_normal_form
 
 
@@ -690,15 +690,28 @@ def tor(a: FgAbGroup, b: FgAbGroup) -> FgAbGroup:
 @record
 class HomGroup:
     """Hom(A, B) as a group, with enumeration of the maps when finite: ``columns``
-    yields each map's reduced columns, and iterating wraps them in ``GroupHom``s."""
+    yields each map's reduced columns, and iterating wraps them in ``GroupHom``s.
+    ``is_finite`` and ``order()``, which a survey counts by, are closed forms
+    (Hom(Z/d, Z/e) = Z/gcd(d, e)); the canonical ``group`` is built when first read."""
 
     source: FgAbGroup
     target: FgAbGroup
-    group: FgAbGroup
+
+    def _cyclic_orders(self) -> list:
+        """Orders of cyclic groups (0 meaning Z) whose direct sum is Hom(A, B)."""
+        a, b = self.source, self.target
+        orders = [o for d in a.torsion for e in b.torsion if (o := gcd(d, e)) != 1]
+        return orders + (list(b.torsion) + [0] * b.rank) * a.rank
+
+    group = lazy(lambda self: from_cyclic_orders(self._cyclic_orders()))
 
     @property
     def is_finite(self) -> bool:
-        return self.group.rank == 0
+        return not (self.source.rank and self.target.rank)
+
+    def order(self) -> Optional[int]:
+        """|Hom(A, B)|, or None when infinite, as ``group.order()`` without building it."""
+        return prod(self._cyclic_orders()) if self.is_finite else None
 
     def columns(self) -> Iterator[tuple]:
         a, b = self.source, self.target
@@ -716,19 +729,14 @@ class HomGroup:
 
 
 def hom_group(a: FgAbGroup, b: FgAbGroup) -> HomGroup:
-    """The abelian group Hom(A, B).
+    """The abelian group Hom(A, B); a survey counts it by the closed-form ``order()``,
+    and the canonical ``group`` (one Smith normal form) is built only when first read.
 
+    >>> hom_group(cyclic(4), cyclic(6)).order()
+    2
     >>> str(hom_group(cyclic(4), cyclic(6)).group)
     'Z/2'
     >>> len(list(hom_group(cyclic(4), cyclic(6))))
     2
     """
-    orders = []
-    for d in a.torsion:
-        for e in b.torsion:
-            orders.append(gcd(d, e))
-        # Hom(Z/d, Z) = 0
-    for _ in range(a.rank):
-        orders.extend(b.torsion)
-        orders.extend([0] * b.rank)
-    return HomGroup(a, b, from_cyclic_orders([o for o in orders if o != 1]))
+    return HomGroup(a, b)

@@ -602,7 +602,7 @@ def survey_stem(k: int, tables: StableTables, max_cyclic_order: int,
             homs = hom_group(gt.group, target)
             if not homs.is_finite:
                 continue
-            budget += homs.group.order()
+            budget += homs.order()
             if budget > max_checks:
                 raise BoundExceeded(
                     f"survey needs more than {max_checks} checks; tighten the bounds")

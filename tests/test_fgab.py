@@ -329,6 +329,14 @@ def test_hom_group_examples():
     assert hom_group(Z, g).group == g
     assert hom_group(cyclic(4), cyclic(6)).group == cyclic(2)
     assert hom_group(cyclic(2), Z).group == TRIVIAL
+    # order() and is_finite are closed forms; the group is built on first read.
+    for a, b, order in [(Z, TRIVIAL, 1), (cyclic(2), Z, 1), (Z, Z, None),
+                        (from_cyclic_orders([0, 0]), cyclic(3), 9),
+                        (from_cyclic_orders([0, 4]), cyclic(6), 12)]:
+        hg = hom_group(a, b)
+        assert hg.order() == order and hg.is_finite == (order is not None), (a, b)
+        assert "group" not in vars(hg)
+        assert hg.group.order() == order and "group" in vars(hg)
 
 
 def test_hom_group_enumeration():
@@ -344,6 +352,19 @@ def test_hom_group_enumeration():
     with pytest.raises(ValueError):
         list(hom_group(Z, Z))
     assert hom_group(Z, Z).group == Z
+
+
+@given(small_groups, small_groups)
+@settings(max_examples=150, deadline=None)
+def test_hom_group_closed_form_matches_the_canonical_group(a, b):
+    # order() and is_finite are read off the invariant factors; the canonical
+    # group, built by one Smith normal form on first read, is the oracle.
+    hg = hom_group(a, b)
+    order, group = hg.order(), hom_group(a, b).group
+    assert order == group.order()
+    assert hg.is_finite == (group.rank == 0)
+    if order is not None and order <= 3000:
+        assert sum(1 for _ in hg.columns()) == order
 
 
 # -- factorization ---------------------------------------------------------

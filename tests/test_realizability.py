@@ -345,6 +345,27 @@ def test_refused_survey_canonicalizes_only_the_groups_it_reaches(tables, monkeyp
     assert 1 <= len(calls) <= 5
 
 
+def test_warm_survey_pass_counts_hom_groups_in_closed_form(monkeypatch):
+    # The survey reads only |Hom(gamma_tilde, T)| and its finiteness, both in
+    # closed form: a warm pass on the bench's bounds canonicalizes no Hom group,
+    # and its 27 Smith normal forms are the A_n enumeration's (105 when every
+    # row also canonicalized its Hom group).
+    from pialg import fgab
+    snfs, reads = [], []
+    real_snf, real_group = fgab.smith_normal_form, vars(fgab.HomGroup)["group"]
+    monkeypatch.setattr(fgab, "smith_normal_form", lambda m: snfs.append(m) or real_snf(m))
+    monkeypatch.setattr(fgab.HomGroup, "group", property(
+        lambda self: reads.append(self) or real_group.__get__(self, fgab.HomGroup)))
+    tables = load_defaults()
+    survey = functools.partial(survey_stem, 3, tables, max_cyclic_order=6, max_summands=2,
+                               targets=[cyclic(2), cyclic(4), cyclic(12)])
+    first = survey()
+    snfs.clear()
+    assert survey() == first and dict(first.totals) == {
+        "non-realizable": 324, "realizable": 148, "undetermined": 245}
+    assert len(snfs) == 27 and reads == []
+
+
 def _tallies(rep):
     # group equality ignores labels, so the target's labels are compared too
     return [(r.a_n, r.target, r.target.gen_labels, r.counts) for r in rep.rows], rep.totals
