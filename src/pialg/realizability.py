@@ -489,7 +489,7 @@ def all_realizable_in_stem(k: int, tables: StableTables) -> StemVerdict:
             k, StemAnswer.NO,
             note=f"gamma kills {m}·{name} != 0, so it is not injective; "
                  f"the projection onto <{name}> is a non-realizable instance")
-    if entry.complete and tables.exponent_rule_enabled:
+    if entry.complete:
         orders = [d for d, _ in entry.summands]
         exact = all(
             (know := tables.gamma.get((k, name))) is not None

@@ -33,17 +33,15 @@ text format, read and written by one codec per section (``_CODECS``)::
     [pi_products]
     1.eta * 1.eta = [1]
 
-    [options]
-    torsion_exponent_rule = on
-
 Group literals are sums of ``Z``, ``Z^r`` and ``Z/d`` terms, each optionally
 carrying a generator name in angle brackets; the names in one literal must
 differ. Coordinate lists (``known [...]`` and ``pi_products`` values) are
 bracketed, comma-separated integers; ``[]`` is the empty list. Sections may
 appear in any order; later keys override earlier ones; ``merge`` gives
 overlay entries priority and re-validates all consistency invariants,
-including the single-power-of-p rule for the torsion of the
-Eilenberg-MacLane columns.
+including the single-power-of-p rule: all torsion of HZ_mHZ (m >= 1) has
+order exactly p (Cartan), so every ``em_homology`` entry must have
+squarefree torsion. The rule always holds; no overlay can switch it off.
 """
 
 from __future__ import annotations
@@ -211,17 +209,12 @@ class StableTables:
     metastable_qm: Mapping[int, QuadraticModule] = field(default_factory=dict)
     gamma: Mapping[Tuple[int, str], GammaKnowledge] = field(default_factory=dict)
     pi_products: Mapping[Tuple[Tuple[int, str], Tuple[int, str]], tuple] = field(default_factory=dict)
-    torsion_exponent_rule: Optional[bool] = None
     provenance: tuple = field(default=(), compare=False)
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for name in _CODECS:
             object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
-
-    @property
-    def exponent_rule_enabled(self) -> bool:
-        return True if self.torsion_exponent_rule is None else self.torsion_exponent_rule
 
     # -- lookups ----------------------------------------------------------
 
@@ -252,9 +245,6 @@ def merge(base: StableTables, overlay: StableTables) -> StableTables:
     """Overlay entries override base entries; the result is re-validated."""
     out = StableTables(
         **{name: {**getattr(base, name), **getattr(overlay, name)} for name in _CODECS},
-        torsion_exponent_rule=(overlay.torsion_exponent_rule
-                               if overlay.torsion_exponent_rule is not None
-                               else base.torsion_exponent_rule),
         provenance=base.provenance + overlay.provenance,
     )
     validate_tables(out)
@@ -265,15 +255,14 @@ def validate_tables(t: StableTables) -> None:
     for m, g in t.em_homology.items():
         if m >= 1 and g.rank:
             raise InconsistentTables(f"em_homology[{m}] = {g} is infinite, but HZ_{m}HZ is finite")
-    if t.exponent_rule_enabled:
-        for m, g in t.em_homology.items():
-            if g.torsion:
-                e = g.torsion[-1]
-                for p in prime_factors(e):
-                    if e % (p * p) == 0:
-                        raise InconsistentTables(
-                            f"em_homology[{m}] = {g} has p^2-torsion at p={p}; "
-                            "the single-power-of-p rule forbids that")
+    for m, g in t.em_homology.items():
+        if g.torsion:
+            e = g.torsion[-1]
+            for p in prime_factors(e):
+                if e % (p * p) == 0:
+                    raise InconsistentTables(
+                        f"em_homology[{m}] = {g} has p^2-torsion at p={p}; "
+                        "the single-power-of-p rule forbids that")
     for (stem, gen), know in t.gamma.items():
         if stem not in t.q_stable:
             raise InconsistentTables(f"gamma entry {stem}.{gen} has no Q_{stem}^S table")
@@ -388,7 +377,6 @@ def _defaults() -> StableTables:
             ((3, "nu"), (3, "nu")): (1,),
             ((3, "alpha"), (3, "alpha")): (0,),
         },
-        torsion_exponent_rule=True,
         provenance=("defaults",),
     )
     validate_tables(t)
@@ -460,18 +448,15 @@ class GammaCompletion:
 
 
 def _candidate_images(know: Optional[GammaKnowledge], d: int, cod: FgAbGroup) -> list:
-    elems = list(cod.elements_killed_by(d))
-    if know is None:
-        return elems
-    if know.state == "known":
-        v = cod.reduce(know.value)
-        return [v] if v in elems else []
-    if know.state == "zero":
-        return [cod.zero()]
-    if know.state == "nonzero":
+    """Images of a generator of order d: all killed by ``know.kill_multiplier``, the one place
+    each state's order bound is written; ``nonzero(q)`` keeps order q, ``known`` its value."""
+    elems = list(cod.elements_killed_by(d if know is None else know.kill_multiplier(cod, d)))
+    state = None if know is None else know.state
+    if state == "known":
+        return [e for e in elems if e == cod.reduce(know.value)]
+    if state == "nonzero":
         return [e for e in elems if cod.element_order(e) == know.order]
-    # unknown with order bound
-    return [e for e in elems if (know.bound % (cod.element_order(e) or 1)) == 0]
+    return elems
 
 
 def admissible_gamma_completions(k: int, tables: StableTables) -> list:
@@ -601,18 +586,17 @@ def _tabulated(value: str) -> TabulatedGroup:
     return TabulatedGroup(summands, complete=body == value)
 
 
-def _stem_gen(text: str) -> tuple:
-    stem, gen = text.strip().split(".")
-    if not gen:
-        raise TableFormatError("generator keys look like '<stem>.<generator>'")
-    return int(stem), gen
-
-
-def _pair(read, sep: str):
+def _pair(read_a, read_b, sep: str, form: str):
+    """Reads keys '<a><sep><b>' with both parts nonempty; refuses others, naming ``form``."""
     def read_pair(text: str) -> tuple:
-        a, b = text.split(sep)
-        return read(a), read(b)
+        parts = text.strip().split(sep)
+        if len(parts) != 2 or not all(part.strip() for part in parts):
+            raise TableFormatError(f"{form}, got {text.strip()!r}")
+        return read_a(parts[0]), read_b(parts[1])
     return read_pair
+
+
+_stem_gen = _pair(int, str, ".", "generator keys look like '<stem>.<generator>'")
 
 
 def _quadratic_module(value: str) -> QuadraticModule:
@@ -640,19 +624,21 @@ def _group_text(g: FgAbGroup) -> str:
 _CODECS = {
     "pi_stable": (int, _tabulated, str, str),
     "q_stable": (int, _tabulated, str, str),
-    "q_unstable": (_pair(int, ","), group_from_text, "{0[0]},{0[1]}".format, _group_text),
+    "q_unstable": (_pair(int, int, ",", "q_unstable keys look like '<k>,<n>'"), group_from_text,
+                   "{0[0]},{0[1]}".format, _group_text),
     "em_homology": (int, group_from_text, str, _group_text),
     "metastable_qm": (int, _quadratic_module, str, _quadratic_module_text),
     "gamma": (_stem_gen, parse_gamma_value, "{0[0]}.{0[1]}".format, str),
-    "pi_products": (_pair(_stem_gen, "*"), _coords,
-                    lambda ab: "%d.%s * %d.%s" % (*ab[0], *ab[1]), _coords_text),
+    "pi_products": (_pair(_stem_gen, _stem_gen, "*",
+                          "product keys look like '<stem>.<generator> * <stem>.<generator>'"),
+                    _coords, lambda ab: "%d.%s * %d.%s" % (*ab[0], *ab[1]), _coords_text),
 }
 
 
 def loads_tables(text: str, name: str = "<string>") -> StableTables:
     """Parse overlay text into a (possibly partial) StableTables."""
     fields: dict = {section: {} for section in _CODECS}
-    rule = section = None
+    section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -662,7 +648,7 @@ def loads_tables(text: str, name: str = "<string>") -> StableTables:
                 if not line.endswith("]"):
                     raise TableFormatError("unterminated section header")
                 section = line[1:-1].strip()
-                if section not in (*_CODECS, "options"):
+                if section not in _CODECS:
                     raise TableFormatError(f"unknown section {section!r}")
                 continue
             if section is None:
@@ -670,28 +656,19 @@ def loads_tables(text: str, name: str = "<string>") -> StableTables:
             if "=" not in line:
                 raise TableFormatError("expected 'key = value'")
             key, _, value = (part.strip() for part in line.partition("="))
-            if section != "options":
-                read_key, read_value, _, _ = _CODECS[section]
-                fields[section][read_key(key)] = read_value(value)
-            elif key != "torsion_exponent_rule":
-                raise TableFormatError(f"unknown option {key!r}")
-            elif value not in ("on", "off"):
-                raise TableFormatError("torsion_exponent_rule must be 'on' or 'off'")
-            else:
-                rule = value == "on"
-        except (TableFormatError, ValueError, KeyError, MalformedStructureMap) as exc:
+            read_key, read_value, _, _ = _CODECS[section]
+            fields[section][read_key(key)] = read_value(value)
+        except (TableFormatError, ValueError, KeyError, MalformedStructureMap,
+                RecursionError) as exc:  # RecursionError: JSON nested past the interpreter's limit
             raise TableFormatError(f"{name}:{lineno}: {exc}") from exc
         except InconsistentTables as exc:
             raise InconsistentTables(f"{name}:{lineno}: {exc}") from exc
-    return StableTables(torsion_exponent_rule=rule, provenance=(name,), **fields)
+    return StableTables(provenance=(name,), **fields)
 
 
 def dumps_tables(t: StableTables) -> str:
     """Serialize tables in the overlay format; loads_tables round-trips it."""
     lines = []
-    if t.torsion_exponent_rule is not None:
-        lines += ["[options]",
-                  f"torsion_exponent_rule = {'on' if t.torsion_exponent_rule else 'off'}", ""]
     for section, (_, _, write_key, write_value) in _CODECS.items():
         table = getattr(t, section)
         if table:

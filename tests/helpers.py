@@ -192,6 +192,26 @@ def survey_by_checks(k, tables, max_cyclic_order, max_summands, targets,
     return SurveyReport(k, n, tuple(rows), tuple(sorted(totals.items())))
 
 
+def candidate_images_by_state(know, d, cod):
+    """The images of a generator of order d that each gamma knowledge state admits.
+
+    The plain path: one filter per state over the elements killed by d,
+    without ``GammaKnowledge.kill_multiplier``.
+    """
+    elems = list(cod.elements_killed_by(d))
+    if know is None:
+        return elems
+    if know.state == "known":
+        v = cod.reduce(know.value)
+        return [v] if v in elems else []
+    if know.state == "zero":
+        return [cod.zero()]
+    if know.state == "nonzero":
+        return [e for e in elems if cod.element_order(e) == know.order]
+    # unknown with order bound
+    return [e for e in elems if (know.bound % (cod.element_order(e) or 1)) == 0]
+
+
 def random_group(rng, max_order=16, max_summands=2, allow_free=True):
     orders = []
     for _ in range(rng.randrange(1, max_summands + 1)):

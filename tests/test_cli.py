@@ -689,21 +689,31 @@ _CHECK_OV = ["check", "PROBLEM", "--tables", "OV"]
     # Load time: the message names the overlay and its line.
     ("[gamma]\n3. = zero\n", _CHECK_OV,
      "OV:2: generator keys look like '<stem>.<generator>'"),
+    ("[gamma]\n3 = zero\n", _CHECK_OV,
+     "OV:2: generator keys look like '<stem>.<generator>', got '3'"),
+    ("[gamma]\n3.nu.x = zero\n", _CHECK_OV,
+     "OV:2: generator keys look like '<stem>.<generator>', got '3.nu.x'"),
+    ("[q_unstable]\n4 = 0\n", _CHECK_OV,
+     "OV:2: q_unstable keys look like '<k>,<n>', got '4'"),
+    ("[pi_products]\n1.eta = [1]\n", _CHECK_OV,
+     "OV:2: product keys look like '<stem>.<generator> * <stem>.<generator>', got '1.eta'"),
     ("[gamma\n3.nu = zero\n", _CHECK_OV,
      "OV:1: unterminated section header"),
     ("[gamma]\n3.nu zero\n", _CHECK_OV,
      "OV:2: expected 'key = value'"),
-    ("[options]\nspeed = fast\n", _CHECK_OV,
-     "OV:2: unknown option 'speed'"),
-    ("[options]\ntorsion_exponent_rule = yes\n", _CHECK_OV,
-     "OV:2: torsion_exponent_rule must be 'on' or 'off'"),
+    ("[options]\ntorsion_exponent_rule = off\n[em_homology]\n2 = Z/4\n", _CHECK_OV,
+     "OV:1: unknown section 'options'"),
+    ("[metastable_qm]\n4 = " + "[" * 100_000 + "\n", _CHECK_OV,
+     "OV:2: maximum recursion depth exceeded"),
     (None, _CHECK_OV, "No such file or directory: 'OV'"),
     (None, ["tables", "show", "--stem", "99"], "no table entry for stem 99"),
     # A library call: stem 9 needs HZ_10HZ, which neither a table nor a rule gives.
     ("[q_stable]\n9 = Z/4<x>\n", None, "cannot settle stem 9: HZ_10HZ is untabulated"),
 ], ids=["gamma-order-over-exponent", "known-gamma-order", "product-unknown-generator",
-        "product-coordinate-count", "empty-generator-key", "unterminated-header", "no-equals",
-        "unknown-option", "bad-rule-value", "missing-overlay", "unknown-stem", "untabulated-em"])
+        "product-coordinate-count", "empty-generator-key", "stem-only-generator-key",
+        "two-dot-generator-key", "one-part-unstable-key", "one-part-product-key",
+        "unterminated-header", "no-equals", "options-section", "deep-json-value", "missing-overlay",
+        "unknown-stem", "untabulated-em"])
 def test_error_paths_name_their_cause(problem_file, tmp_path, capsys, overlay, argv, message):
     ov = tmp_path / "ov.tbl"
     if overlay is not None:

@@ -1,6 +1,7 @@
 """Table defaults, the overlay format, merging, and consistency validation."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pialg import (
     FgAbGroup,
@@ -22,6 +23,9 @@ from pialg import (
     merge,
     verify_pi_ring_relations,
 )
+from pialg.tables import _candidate_images
+
+from helpers import candidate_images_by_state
 
 
 def test_default_values(tables):
@@ -39,7 +43,6 @@ def test_default_values(tables):
     assert tables.gamma[(7, "alpha_2")].state == "zero"
     assert tables.gamma[(3, "nu")] == GammaKnowledge.unknown(2)
     assert tables.gamma[(3, "alpha")] == GammaKnowledge.nonzero(3)
-    assert tables.exponent_rule_enabled
 
 
 def test_unstable_rule(tables):
@@ -102,6 +105,24 @@ def test_completions_respect_states(tables):
         e = tables.q_stable_entry(3)
         assert comp.hom.apply(e.element_of("nu")) == a["nu"]
         assert comp.hom.apply(e.element_of("alpha")) == a["alpha"]
+
+
+_KNOWLEDGE = st.one_of(
+    st.none(), st.just(GammaKnowledge.zero()), st.integers(2, 12).map(GammaKnowledge.nonzero),
+    st.integers(1, 12).map(GammaKnowledge.unknown), st.just("known"))
+
+
+@given(orders=st.lists(st.integers(2, 12), max_size=3), d=st.integers(0, 12), know=_KNOWLEDGE,
+       data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_candidate_images_equal_the_per_state_filter(orders, d, know, data):
+    # Codomains with and without squarefree torsion (Z/4, Z/12, ...), generator
+    # orders including 0 (infinite) and 1, and every knowledge state.
+    cod = from_cyclic_orders(orders)
+    if know == "known":
+        know = GammaKnowledge.known(data.draw(st.lists(st.integers(-30, 30), min_size=cod.dim,
+                                                       max_size=cod.dim)))
+    assert _candidate_images(know, d, cod) == candidate_images_by_state(know, d, cod)
 
 
 def test_round_trip(tables):
@@ -167,10 +188,9 @@ def test_exponent_rule(tables):
         merge(tables, loads_tables("[em_homology]\n2 = Z/4\n", "b"))
     ok = merge(tables, loads_tables("[em_homology]\n2 = Z/2\n", "o"))
     assert ok.em(2) == cyclic(2)
-    off = merge(tables, loads_tables("[options]\ntorsion_exponent_rule = off\n"
-                                     "[em_homology]\n2 = Z/4\n", "o2"))
-    assert off.em(2) == cyclic(4)
-    assert not off.exponent_rule_enabled
+    # The rule always holds: there is no [options] section to switch it off.
+    with pytest.raises(TableFormatError, match=r"^o2:1: unknown section 'options'"):
+        loads_tables("[options]\ntorsion_exponent_rule = off\n[em_homology]\n2 = Z/4\n", "o2")
 
 
 @pytest.mark.parametrize("overlay", ["[q_stable]\n5 = Z<x>\n[em_homology]\n6 = Z\n",
@@ -195,6 +215,10 @@ def test_parse_errors_carry_line_numbers():
         loads_tables("[gamma]\n3.nu = maybe\n", "f")
     with pytest.raises(TableFormatError, match=r"^ov\.tbl:2: duplicate generator names"):
         loads_tables("[em_homology]\n4 = Z/2<x> + Z/3<x>\n", "ov.tbl")
+    # JSON nested past the recursion limit, where json.loads raises RecursionError.
+    for section, head in (("metastable_qm", ""), ("em_homology", '{"torsion": ')):
+        with pytest.raises(TableFormatError, match=r"^deep\.tbl:2: maximum recursion depth"):
+            loads_tables(f"[{section}]\n4 = {head}{'[' * 100_000}\n", "deep.tbl")
 
 
 def test_group_literal_grammar():
@@ -300,13 +324,10 @@ def test_inconsistent_overlay_lines_name_their_file_and_line(body):
 def test_defaults_dump_is_pinned(tables):
     import hashlib
     assert hashlib.sha256(dumps_tables(tables).encode()).hexdigest() == \
-        "0956d7de8225f74e6270c0d154c3bc85aad08c4c0d66b437aa77dd181f0daa61"
+        "3fc56e5d62a0a479e0c12d6d014024f2016da7d43d4f99674f2f31022e5d4df8"
 
 
-EVERY_SECTION = """[options]
-torsion_exponent_rule = off
-
-[pi_stable]
+EVERY_SECTION = """[pi_stable]
 7 = Z/240<sigma>
 
 [q_stable]
@@ -336,7 +357,7 @@ def test_round_trip_of_every_section(tables):
     t = loads_tables(EVERY_SECTION, "every")
     assert dumps_tables(t) == EVERY_SECTION.rstrip("\n") + "\n"
     assert loads_tables(dumps_tables(t), "again") == t
-    assert t.torsion_exponent_rule is False and t.metastable_qm[5] == tables.metastable_qm[3]
+    assert t.metastable_qm[5] == tables.metastable_qm[3]
     assert t.gamma[(5, "y")] == GammaKnowledge.known([0, 4])
     assert t.pi_products[((1, "eta"), (3, "nu"))] == ()
 
