@@ -701,6 +701,12 @@ _CHECK_OV = ["check", "PROBLEM", "--tables", "OV"]
      "OV:1: unterminated section header"),
     ("[gamma]\n3.nu zero\n", _CHECK_OV,
      "OV:2: expected 'key = value'"),
+    # The [options] section is gone: any option in it, known or not, is refused
+    # with the section, before its value is read.
+    ("[options]\nspeed = fast\n", _CHECK_OV,
+     "OV:1: unknown section 'options'"),
+    ("[options]\ntorsion_exponent_rule = yes\n", _CHECK_OV,
+     "OV:1: unknown section 'options'"),
     ("[options]\ntorsion_exponent_rule = off\n[em_homology]\n2 = Z/4\n", _CHECK_OV,
      "OV:1: unknown section 'options'"),
     ("[metastable_qm]\n4 = " + "[" * 100_000 + "\n", _CHECK_OV,
@@ -712,8 +718,8 @@ _CHECK_OV = ["check", "PROBLEM", "--tables", "OV"]
 ], ids=["gamma-order-over-exponent", "known-gamma-order", "product-unknown-generator",
         "product-coordinate-count", "empty-generator-key", "stem-only-generator-key",
         "two-dot-generator-key", "one-part-unstable-key", "one-part-product-key",
-        "unterminated-header", "no-equals", "options-section", "deep-json-value", "missing-overlay",
-        "unknown-stem", "untabulated-em"])
+        "unterminated-header", "no-equals", "unknown-option", "bad-rule-value", "options-section",
+        "deep-json-value", "missing-overlay", "unknown-stem", "untabulated-em"])
 def test_error_paths_name_their_cause(problem_file, tmp_path, capsys, overlay, argv, message):
     ov = tmp_path / "ov.tbl"
     if overlay is not None:
