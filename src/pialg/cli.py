@@ -143,11 +143,18 @@ def _verdict_lines(v) -> list:
     return lines
 
 
+def _json_file(path: str):
+    """The JSON document in ``path``; one that does not decode raises an error naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (ValueError, RecursionError) as exc:
+        raise PialgError(f"{path}: {exc}") from exc
+
+
 def cmd_check(args, tables: StableTables) -> tuple:
     t0 = time.perf_counter()
-    with open(args.problem, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    problem = problem_from_json(doc, tables)
+    problem = problem_from_json(_json_file(args.problem), tables)
     if isinstance(problem, ThreeStageProblem):
         _, verdict = three_stage_obstruction(problem)
     else:
@@ -177,8 +184,7 @@ def cmd_gamma_tilde(args, tables: StableTables) -> tuple:
 def cmd_quad_tensor(args, tables: StableTables) -> tuple:
     g = group_from_text(args.group)
     if args.module.startswith("@"):
-        with open(args.module[1:], "r", encoding="utf-8") as fh:
-            qm = quadratic_module_from_json(json.load(fh))
+        qm = quadratic_module_from_json(_json_file(args.module[1:]))
     elif args.module in BUILTIN_QUADRATIC_MODULES:
         qm = BUILTIN_QUADRATIC_MODULES[args.module]
     else:
@@ -346,8 +352,8 @@ def main(argv=None) -> int:
             fh.write(out + "\n")
         print(out)
         return code
-    # ValueError covers bad JSON, undecodable bytes and integer literals over
-    # CPython's digit limit; RecursionError, JSON nested too deep to decode.
+    # ValueError and RecursionError also come from text arguments: a --group
+    # literal with an integer over CPython's digit limit, or nested too deep.
     except (PialgError, OSError, ValueError, RecursionError) as exc:
         print(f"pialg: error: {exc}", file=sys.stderr)
         return 3

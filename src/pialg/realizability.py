@@ -192,13 +192,15 @@ def _forced_kill_generators(entry, tables: StableTables, k: int):
     return out
 
 
-def _unknown_blockers(entry, tables: StableTables, k: int) -> list:
-    out = []
-    for _, name in entry.summands:
-        know = tables.gamma.get((k, name))
-        if know is None or know.state == "unknown":
-            out.append(f"stem{k}.{name}")
-    return out
+def _blockers(entry, tables: StableTables, k: int) -> tuple:
+    """What leaves stem k open: unknown gamma entries, then what stops enumeration."""
+    out = [f"stem{k}.{name}" for _, name in entry.summands
+           if (know := tables.gamma.get((k, name))) is None or know.state == "unknown"]
+    if tables.em(k + 1) is None:
+        out.append(f"em_homology[{k + 1}] untabulated")
+    if not entry.complete:
+        out.append(f"Q_{k}^S partially tabulated")
+    return tuple(out)
 
 
 def _obstruction_from_dead(pa: TwoStagePiAlgebra, gt: GammaTildeResult, tables: StableTables,
@@ -251,15 +253,10 @@ def _completions(tables: StableTables, k: int) -> list:
 
 
 @_on_tables
-def _tensor(tables: StableTables, a: FgAbGroup, b: FgAbGroup):
-    return tensor(a, b)
-
-
-@_on_tables
 def _gammas(tables: StableTables, n: int, k: int, a_n: FgAbGroup) -> tuple:
     """gamma_c ⊗ A_n: gamma_tilde -> A_n ⊗ HZ_{k+1}HZ, one per completion."""
     src_tp = _gamma_tilde(tables, n, k, a_n)._tensor
-    tgt_tp = _tensor(tables, a_n, tables.em(k + 1))
+    tgt_tp = tensor(a_n, tables.em(k + 1))
     id_a = GroupHom.identity(a_n)
     return tuple(tensor_induced(id_a, c.hom, source=src_tp, target=tgt_tp)
                  for c in _completions(tables, k))
@@ -293,9 +290,7 @@ def _forced_dead_inclusion(tables: StableTables, n: int, k: int,
     gt = _gamma_tilde(tables, n, k, a_n)
     dead_gens = []
     for mult, name in _forced_kill_generators(entry, tables, k):
-        scaled = entry.group.smul(mult, entry.element_of(name))
-        if not any(scaled):
-            continue
+        scaled = entry.group.smul(mult, entry.element_of(name))  # nonzero: m·q != 0
         for i in range(a_n.dim):
             unit = [1 if r == i else 0 for r in range(a_n.dim)]
             dead_gens.append(gt._tensor.pure(unit, scaled))
@@ -315,27 +310,28 @@ def _candidates(tables: StableTables, incl: GroupHom) -> tuple:
     return tuple(incl.matrix.columns()), elements
 
 
-def _enumerates(entry, cod: Optional[FgAbGroup]) -> bool:
-    """Enumerating mode: the stem and its codomain are tabulated; else certificate mode."""
-    return entry.complete and cod is not None
+def _decider(tables: StableTables, entry, n: int, k: int, a_n: FgAbGroup, target: FgAbGroup):
+    """eta's reduced columns -> (status, found): the one decision of a nonzero stable eta.
 
-
-def _status_of(factorable: Sequence[bool]) -> Status:
-    """Realizable if every completion passes, non-realizable if none does, else undetermined."""
-    return (Status.REALIZABLE if all(factorable) else
-            Status.UNDETERMINED if any(factorable) else Status.NON_REALIZABLE)
-
-
-def _status_rule(tables: StableTables, entry, n: int, k: int, a_n: FgAbGroup, target: FgAbGroup):
-    """eta's reduced columns -> the status ``check_stable`` gives a nonzero eta of this row."""
-    if _enumerates(entry, tables.em(k + 1)):
+    Enumerating mode (the stem and its codomain are tabulated): ``found`` is ``Factorizer.rows``'
+    answer (None: no factoring) for each distinct memoized factorizer, in first-completion order.
+    Certificate mode: ``found`` is None, and eta is non-realizable exactly when it does not
+    kill the forced-dead subgroup.
+    """
+    if entry.complete and tables.em(k + 1) is not None:
         fzs = tuple(dict.fromkeys(_factorizers(tables, n, k, a_n, target)))  # each distinct once
-        return lambda cols: _status_of([fz.rows(cols) is not None for fz in fzs])
+
+        def decide(cols):
+            found = [fz.rows(cols) for fz in fzs]
+            return (Status.REALIZABLE if None not in found else Status.NON_REALIZABLE
+                    if found.count(None) == len(found) else Status.UNDETERMINED), found
+        return decide
     incl = _forced_dead_inclusion(tables, n, k, a_n)
     gens = () if incl is None else incl.matrix.columns()
     # eta(y) = sum_j y_j·col_j, reduced modulo the target's torsion as eta.apply(y) is
     return lambda cols: (Status.NON_REALIZABLE if any(any(target.reduce(
-        [sum(map(mul, y, row)) for row in zip(*cols)])) for y in gens) else Status.UNDETERMINED)
+        [sum(map(mul, y, row)) for row in zip(*cols)])) for y in gens) else Status.UNDETERMINED,
+        None)
 
 
 def check_stable(pa: TwoStagePiAlgebra, tables: StableTables) -> Verdict:
@@ -348,40 +344,26 @@ def check_stable(pa: TwoStagePiAlgebra, tables: StableTables) -> Verdict:
     cod = tables.em(k + 1)
 
     if pa.eta.is_zero():
-        witness = None
-        if cod is not None:
-            witness = GroupHom.zero(_tensor(tables, pa.a_n, cod).group, pa.a_nk)
+        witness = None if cod is None else GroupHom.zero(tensor(pa.a_n, cod).group, pa.a_nk)
         return Verdict(Status.REALIZABLE, witness=witness,
                        note="zero structure map; a product of Eilenberg-MacLane "
                             "spaces realizes it")
 
-    if _enumerates(entry, cod):
-        return _check_stable_enumerating(pa, gt, tables)
+    target = pa.eta.target
+    status, found = _decider(tables, entry, n, k, pa.a_n, target)(tuple(zip(*pa.eta.matrix.data)))
+    if found is None:
+        # Certificate mode: the codomain is not tabulated (or the stem is
+        # partial), so only forced non-realizability is decidable.
+        if status is Status.UNDETERMINED:
+            return Verdict(status, blocking=_blockers(entry, tables, k),
+                           note="cannot enumerate gamma completions from the available tables")
+        incl = _forced_dead_inclusion(tables, n, k, pa.a_n)
+        return Verdict(status, obstruction=_obstruction_from_dead(pa, gt, tables, incl))
 
-    # Certificate mode: the codomain is not tabulated (or the stem is
-    # partial), so only forced non-realizability is decidable.
-    incl = _forced_dead_inclusion(tables, n, k, pa.a_n)
-    if incl is not None:
-        obs = _obstruction_from_dead(pa, gt, tables, incl)
-        if obs is not None:
-            return Verdict(Status.NON_REALIZABLE, obstruction=obs)
-    blockers = _unknown_blockers(entry, tables, k)
-    if cod is None:
-        blockers.append(f"em_homology[{k + 1}] untabulated")
-    if not entry.complete:
-        blockers.append(f"Q_{k}^S partially tabulated")
-    return Verdict(Status.UNDETERMINED, blocking=tuple(blockers),
-                   note="cannot enumerate gamma completions from the available tables")
-
-
-def _check_stable_enumerating(pa: TwoStagePiAlgebra, gt: GammaTildeResult,
-                              tables: StableTables) -> Verdict:
-    n, k = pa.n, pa.k
-    fzs = _factorizers(tables, n, k, pa.a_n, pa.eta.target)
-    found = {fz: fz.factor(pa.eta) for fz in dict.fromkeys(fzs)}
-    outcomes = tuple(CompletionOutcome(comp.assignment, found[fz] is not None, found[fz])
+    fzs = _factorizers(tables, n, k, pa.a_n, target)
+    homs = {fz: fz._hom(rows) for fz, rows in zip(dict.fromkeys(fzs), found)}
+    outcomes = tuple(CompletionOutcome(comp.assignment, homs[fz] is not None, homs[fz])
                      for comp, fz in zip(_completions(tables, k), fzs))
-    status = _status_of([o.factorable for o in outcomes])
     if status is Status.REALIZABLE:
         return Verdict(status, witness=outcomes[0].witness, completions=outcomes)
     if status is Status.NON_REALIZABLE:
@@ -389,10 +371,8 @@ def _check_stable_enumerating(pa: TwoStagePiAlgebra, gt: GammaTildeResult,
         if obs is None:
             obs = Obstruction(note="no completion admits a factorization")
         return Verdict(status, obstruction=obs, completions=outcomes)
-    return Verdict(Status.UNDETERMINED,
-                   blocking=tuple(_unknown_blockers(tables.q_stable_entry(k), tables, k)),
-                   completions=outcomes,
-                   note="factorability depends on unknown gamma entries")
+    return Verdict(status, blocking=_blockers(entry, tables, k),
+                   completions=outcomes, note="factorability depends on unknown gamma entries")
 
 
 # -- low stems and dispatch ----------------------------------------------
@@ -470,17 +450,16 @@ def all_realizable_in_stem(k: int, tables: StableTables) -> StemVerdict:
     if entry.group.is_trivial:
         return StemVerdict(k, StemAnswer.YES, note="trivial operations in this stem")
     cod = tables.em(k + 1)
-    if _enumerates(entry, cod):
+    if entry.complete and cod is not None:  # every completion is enumerated
         results = tuple((c.assignment, is_split_injective(c.hom)[0])
                         for c in _completions(tables, k))
-        status = _status_of([split for _, split in results])
-        if status is Status.REALIZABLE:
+        if all(split for _, split in results):
             return StemVerdict(k, StemAnswer.YES, completions=results)
-        if status is Status.NON_REALIZABLE:
+        if not any(split for _, split in results):
             return StemVerdict(k, StemAnswer.NO, completions=results,
                                note="gamma is split injective under no admissible completion")
         return StemVerdict(k, StemAnswer.UNDETERMINED, completions=results,
-                           blocking=tuple(_unknown_blockers(entry, tables, k)))
+                           blocking=_blockers(entry, tables, k))
 
     # Rule-based fallbacks when the codomain is unknown.
     if forced := _forced_kill_generators(entry, tables, k):
@@ -574,18 +553,18 @@ class SurveyReport:
 def survey_stem(k: int, tables: StableTables, max_cyclic_order: int,
                 max_summands: int, targets: Sequence[FgAbGroup],
                 include_free: bool = True, max_checks: int = 20000) -> SurveyReport:
-    """Sweep small groups and every structure map, tallying statuses.
+    """Sweep small groups and every structure map, tallying ``check``'s statuses.
 
     A_n ranges over direct sums of at most ``max_summands`` cyclic groups
     of order up to ``max_cyclic_order`` (plus Z summands unless disabled);
-    eta ranges over all of Hom(gamma_tilde, target) for each target. Raises
-    BoundExceeded when more than ``max_checks`` checks would run.
+    eta ranges over all of Hom(gamma_tilde, target) for each target, and a
+    target whose Hom group is infinite is skipped. Raises BoundExceeded when
+    more than ``max_checks`` checks would run.
 
-    Each case gets ``check_stable``'s status, read from which completions'
-    memoized factorizers factor eta (certificate mode: whether eta kills the
-    forced-dead subgroup), built at the row's first nonzero eta; no verdicts.
-    Rows are decided on eta's reduced column tuples (no ``GroupHom`` per eta or witness);
-    every factorable answer is still solved and composed back by ``Factorizer.rows``.
+    Each row dispatches on ``gt.regime`` as ``check`` does: at stems 1 and 2
+    every map is realizable; a stable row counts each nonzero eta's status
+    from ``check_stable``'s ``_decider``, built at the row's first nonzero
+    eta and fed eta's reduced column tuples, with no ``GroupHom`` or verdict.
     """
     n = k + 2  # minimal stable dimension; stable verdicts do not depend on n
     orders = ([0] if include_free else []) + list(range(2, max_cyclic_order + 1))
@@ -606,10 +585,13 @@ def survey_stem(k: int, tables: StableTables, max_cyclic_order: int,
             if budget > max_checks:
                 raise BoundExceeded(
                     f"survey needs more than {max_checks} checks; tighten the bounds")
-            entry = tables.q_stable_entry(k)  # raises where check_stable would
-            rule = functools.cache(lambda: _status_rule(tables, entry, n, k, a_n, target))
-            counts = Counter(rule()(cols).value if any(map(any, cols)) else
-                             Status.REALIZABLE.value for cols in homs.columns())
+            if gt.regime in _ALWAYS_REALIZABLE:
+                counts = Counter({Status.REALIZABLE.value: homs.order()})
+            else:
+                entry = tables.q_stable_entry(k)  # raises where check_stable would
+                decide = functools.cache(lambda: _decider(tables, entry, n, k, a_n, target))
+                counts = Counter(decide()(cols)[0].value if any(map(any, cols)) else
+                                 Status.REALIZABLE.value for cols in homs.columns())
             totals.update(counts)
             rows.append(SurveyRow(a_n, target, tuple(sorted(counts.items()))))
     return SurveyReport(k, n, tuple(rows), tuple(sorted(totals.items())))

@@ -586,16 +586,27 @@ def _tabulated(value: str) -> TabulatedGroup:
     return TabulatedGroup(summands, complete=body == value)
 
 
+def _key(read, form: str):
+    """Reads keys with ``read``; refuses one it cannot read (a ValueError), naming ``form``."""
+    def read_key(text: str):
+        try:
+            return read(text)
+        except ValueError:
+            raise TableFormatError(f"{form}, got {text.strip()!r}") from None
+    return read_key
+
+
 def _pair(read_a, read_b, sep: str, form: str):
     """Reads keys '<a><sep><b>' with both parts nonempty; refuses others, naming ``form``."""
     def read_pair(text: str) -> tuple:
-        parts = text.strip().split(sep)
-        if len(parts) != 2 or not all(part.strip() for part in parts):
-            raise TableFormatError(f"{form}, got {text.strip()!r}")
-        return read_a(parts[0]), read_b(parts[1])
-    return read_pair
+        a, b = text.strip().split(sep)  # a ValueError unless there are two parts
+        if not (a.strip() and b.strip()):
+            raise ValueError
+        return read_a(a), read_b(b)
+    return _key(read_pair, form)
 
 
+_degree = _key(int, "keys look like an integer degree")
 _stem_gen = _pair(int, str, ".", "generator keys look like '<stem>.<generator>'")
 
 
@@ -622,12 +633,12 @@ def _group_text(g: FgAbGroup) -> str:
 #: Each mapping field of ``StableTables``, in overlay-file order, with its
 #: codec: (read key, read value, write key, write value).
 _CODECS = {
-    "pi_stable": (int, _tabulated, str, str),
-    "q_stable": (int, _tabulated, str, str),
+    "pi_stable": (_degree, _tabulated, str, str),
+    "q_stable": (_degree, _tabulated, str, str),
     "q_unstable": (_pair(int, int, ",", "q_unstable keys look like '<k>,<n>'"), group_from_text,
                    "{0[0]},{0[1]}".format, _group_text),
-    "em_homology": (int, group_from_text, str, _group_text),
-    "metastable_qm": (int, _quadratic_module, str, _quadratic_module_text),
+    "em_homology": (_degree, group_from_text, str, _group_text),
+    "metastable_qm": (_degree, _quadratic_module, str, _quadratic_module_text),
     "gamma": (_stem_gen, parse_gamma_value, "{0[0]}.{0[1]}".format, str),
     "pi_products": (_pair(_stem_gen, _stem_gen, "*",
                           "product keys look like '<stem>.<generator> * <stem>.<generator>'"),

@@ -14,11 +14,11 @@ from math import gcd, prod
 
 from pialg import FgAbGroup, GroupHom, IntMatrix, from_cyclic_orders, hom_group
 from pialg.errors import BoundExceeded
-from pialg.fgab import Congruences
+from pialg.fgab import Congruences, factor_through
 from pialg.intlinalg import (SnfResult, _identity_lists, _is_diagonal, _xgcd,
                              cokernel_invariants_sparse)
-from pialg.realizability import (SurveyReport, SurveyRow, TwoStagePiAlgebra, _gamma_tilde,
-                                 check_stable)
+from pialg.realizability import (Status, SurveyReport, SurveyRow, TwoStagePiAlgebra,
+                                 _forced_dead_inclusion, _gamma_tilde, _gammas, check)
 
 
 def all_abelian_group_orders_up_to(n: int):
@@ -154,13 +154,13 @@ def exhaustive_retraction(f: GroupHom):
 
 
 def survey_by_checks(k, tables, max_cyclic_order, max_summands, targets,
-                     include_free=True, max_checks=20000, check=check_stable):
+                     include_free=True, max_checks=20000, check=check):
     """``survey_stem``'s report, each case decided by its own ``check`` call.
 
     The plain path the survey's verdict-free tally must equal: the same
     rows, in the same order, and one full verdict per eta in ``hom_group``
-    order. Pass a wrapper of ``check_stable`` as ``check`` to see each
-    (problem, verdict).
+    order. Pass a wrapper of ``check`` or ``check_stable`` as ``check`` to
+    see each (problem, verdict).
     """
     n = k + 2
     orders = ([0] if include_free else []) + list(range(2, max_cyclic_order + 1))
@@ -190,6 +190,29 @@ def survey_by_checks(k, tables, max_cyclic_order, max_summands, targets,
                 totals[v.status.value] = totals.get(v.status.value, 0) + 1
             rows.append(SurveyRow(a_n, target, tuple(sorted(counts.items()))))
     return SurveyReport(k, n, tuple(rows), tuple(sorted(totals.items())))
+
+
+def plain_status(pa: TwoStagePiAlgebra, tables) -> Status:
+    """``check``'s status for a problem of stem 1 or 2 or of the stable range, per completion.
+
+    The plain path the shared decider must equal: k = 1, k = 2 and a zero
+    eta are realizable; with the stem and its codomain tabulated, eta is
+    factored through every completion's gamma_c ⊗ A_n by ``factor_through``,
+    equal maps included; otherwise eta is non-realizable exactly when it
+    does not kill some generator of the forced-dead subgroup.
+    """
+    if pa.k <= 2 or pa.eta.is_zero():
+        return Status.REALIZABLE
+    entry, cod = tables.q_stable_entry(pa.k), tables.em(pa.k + 1)
+    if entry.complete and cod is not None:
+        factorable = [factor_through(pa.eta, g) is not None
+                      for g in _gammas(tables, pa.n, pa.k, pa.a_n)]
+        return (Status.REALIZABLE if all(factorable) else
+                Status.UNDETERMINED if any(factorable) else Status.NON_REALIZABLE)
+    incl = _forced_dead_inclusion(tables, pa.n, pa.k, pa.a_n)
+    dead = () if incl is None else incl.matrix.columns()
+    return (Status.NON_REALIZABLE if any(any(pa.eta.apply(y)) for y in dead)
+            else Status.UNDETERMINED)
 
 
 def candidate_images_by_state(know, d, cod):

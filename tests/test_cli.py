@@ -257,6 +257,26 @@ def test_tables_command(capsys):
     assert json.loads(out)["ring_relation_failures"] == []
 
 
+@pytest.mark.parametrize("overlay, failure", [
+    ("[pi_stable]\n1 = Z/4<eta>\n", "2·eta = 0 fails: eta does not have order 2"),
+    ("[pi_products]\n1.eta * 2.eta^2 = [0, 0]\n", "eta^3 = 4·nu fails"),
+    ("[pi_stable]\n3 = Z/4<nu> + Z/3<alpha>\n", "4·nu should be nonzero (eta^3 detects it)"),
+    ("[pi_stable]\n4 = Z/2<x>\n[pi_products]\n1.eta * 3.nu = [1]\n", "eta·nu = 0 fails"),
+    ("[pi_stable]\n6 = Z/4<nu^2>\n", "2·nu^2 = 0 fails"),
+    ("[pi_products]\n3.nu * 3.nu = [0]\n", "nu^2 should generate the 6-stem"),
+    ("[pi_stable]\n3 = Z/8<nu> + Z/9<alpha>\n", "3·alpha = 0 fails: alpha does not have order 3"),
+    ("[pi_products]\n3.alpha * 3.alpha = [1]\n", "alpha^2 = 0 fails"),
+], ids=["eta-order", "eta-cubed", "four-nu", "eta-nu", "nu-squared-order",
+        "nu-squared-generates", "alpha-order", "alpha-squared"])
+def test_tables_show_reports_each_broken_ring_relation(tmp_path, capsys, overlay, failure):
+    # Each overlay breaks one relation; the tables still load, and the machine
+    # report lists that relation's failure alone.
+    path = tmp_path / "ring.tbl"
+    path.write_text(overlay)
+    code, out, _ = run(capsys, ["tables", "show", "--format", "machine", "--tables", str(path)])
+    assert code == 0 and json.loads(out)["ring_relation_failures"] == [failure]
+
+
 def test_survey_command(capsys):
     code, out, _ = run(capsys, ["survey", "--stem", "2", "--max-order", "3",
                                 "--max-summands", "1", "--targets", "Z/2"])
@@ -607,20 +627,26 @@ _MODULE = ('{"Me": {"rank": 1, "torsion": []}, "Mee": {"rank": 1, "torsion": []}
     ("ov.tbl", b"[gamma]\n\xff\n", ["check", "TMP/smallest.json", "--tables", "TMP/ov.tbl"]),
     ("p.json", b"[" * 200_000, ["check", "TMP/p.json"]),
     ("m.json", b"[" * 200_000, ["quad-tensor", "--group", "Z/2", "--module", "@TMP/m.json"]),
+    ("p.json", b"{", ["check", "TMP/p.json"]),
+    ("m.json", b"\xff{}", ["quad-tensor", "--group", "Z/2", "--module", "@TMP/m.json"]),
     ("p.json", json.dumps(SMALLEST).replace("[[1, 0]]", f"[[{_LONG}, 0]]").encode(),
      ["check", "TMP/p.json"]),
     ("m.json", (_MODULE % _LONG).encode(),
      ["quad-tensor", "--group", "Z/2", "--module", "@TMP/m.json"]),
     (None, None, ["gamma-tilde", "--n", "5", "--k", "3", "--group", f'{{"rank": {_LONG}}}']),
 ], ids=["undecodable-problem", "undecodable-overlay", "deep-problem", "deep-module",
+        "truncated-problem", "undecodable-module",
         "long-int-problem", "long-int-module", "long-int-group"])
 def test_malformed_encodings_exit_three(tmp_path, capsys, name, data, argv):
-    # Each ended in a traceback (exit 1), which reads as "non-realizable".
+    # Each ended in a traceback (exit 1), which reads as "non-realizable". A
+    # file that does not decode is named: problem and module files as overlays are.
     (tmp_path / "smallest.json").write_text(json.dumps(SMALLEST))
     if name:
         (tmp_path / name).write_bytes(data)
     code, out, err = run(capsys, [a.replace("TMP", str(tmp_path)) for a in argv])
     assert code == 3 and out == "" and err.startswith("pialg: error:")
+    if name:
+        assert err.startswith(f"pialg: error: {tmp_path / name}: ")
     if name == "ov.tbl":
         assert f"{tmp_path / name}: 'utf-8' codec can't decode" in err
 
@@ -697,6 +723,13 @@ _CHECK_OV = ["check", "PROBLEM", "--tables", "OV"]
      "OV:2: q_unstable keys look like '<k>,<n>', got '4'"),
     ("[pi_products]\n1.eta = [1]\n", _CHECK_OV,
      "OV:2: product keys look like '<stem>.<generator> * <stem>.<generator>', got '1.eta'"),
+    # An integer part that does not parse names the key's form too.
+    ("[gamma]\nx.nu = zero\n", _CHECK_OV,
+     "OV:2: generator keys look like '<stem>.<generator>', got 'x.nu'"),
+    ("[em_homology]\nfour = Z/2\n", _CHECK_OV,
+     "OV:2: keys look like an integer degree, got 'four'"),
+    ("[q_unstable]\na,b = 0\n", _CHECK_OV,
+     "OV:2: q_unstable keys look like '<k>,<n>', got 'a,b'"),
     ("[gamma\n3.nu = zero\n", _CHECK_OV,
      "OV:1: unterminated section header"),
     ("[gamma]\n3.nu zero\n", _CHECK_OV,
@@ -718,6 +751,7 @@ _CHECK_OV = ["check", "PROBLEM", "--tables", "OV"]
 ], ids=["gamma-order-over-exponent", "known-gamma-order", "product-unknown-generator",
         "product-coordinate-count", "empty-generator-key", "stem-only-generator-key",
         "two-dot-generator-key", "one-part-unstable-key", "one-part-product-key",
+        "non-integer-generator-stem", "non-integer-degree", "non-integer-unstable-key",
         "unterminated-header", "no-equals", "unknown-option", "bad-rule-value", "options-section",
         "deep-json-value", "missing-overlay", "unknown-stem", "untabulated-em"])
 def test_error_paths_name_their_cause(problem_file, tmp_path, capsys, overlay, argv, message):

@@ -4,7 +4,7 @@ import functools
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pialg import (
     BoundExceeded,
@@ -19,6 +19,7 @@ from pialg import (
     ThreeStageProblem,
     TwoStagePiAlgebra,
     UnsupportedRegime,
+    Verdict,
     Z,
     all_realizable_in_stem,
     build_structure_map,
@@ -46,7 +47,7 @@ from pialg import realizability
 from pialg.realizability import format_semantic
 from pialg.tables import admissible_gamma_completions, alpha_family_overlay
 
-from helpers import survey_by_checks
+from helpers import plain_status, survey_by_checks
 
 
 def smallest_problem(tables, target=None, nu_to=1, alpha_to=0):
@@ -590,15 +591,19 @@ def _oracle_tables(name):
             "[q_stable]\n5 = Z/2<a> + Z/2<b> + Z/3<c>\n[em_homology]\n6 = Z/2 + Z/6\n", "what-if"))
     if name == "alpha":
         return merge(base, alpha_family_overlay(5, 2))
+    if name == "free-q":  # gamma_tilde is infinite when A_n has a Z summand
+        return merge(base, loads_tables("[q_stable]\n5 = Z<x>\n[em_homology]\n6 = Z/2\n",
+                                        "free-q"))
     return base
 
-
 # (tables, stem, target orders, largest max_checks): enumerating and
-# certificate mode, and a what-if stem whose checks are dear
+# certificate mode, a what-if stem whose checks are dear, and a free
+# generator whose rows into Z (order 0) are infinite
 _ORACLE_CASES = [("defaults", 1, (2, 4, 6), 2000), ("defaults", 2, (2, 3, 4), 2000),
                  ("defaults", 3, (2, 3, 4, 6, 12), 2000), ("defaults", 7, (3, 9, 27), 2000),
                  ("defaults", 11, (3, 9, 27), 2000), ("what-if", 5, (2, 3, 6), 150),
-                 ("alpha", 7, (3, 5, 15, 25), 2000), ("alpha", 15, (3, 5, 25), 2000)]
+                 ("alpha", 7, (3, 5, 15, 25), 2000), ("alpha", 15, (3, 5, 25), 2000),
+                 ("free-q", 5, (0, 2, 4), 2000)]
 
 
 def _outcome(survey, *args, **kwargs):
@@ -624,11 +629,45 @@ def _survey_problems(draw):
 @settings(max_examples=100, deadline=None)
 def test_survey_rows_equal_the_per_eta_tallies(problem):
     # survey_stem tallies statuses without building verdicts; the per-eta
-    # check_stable loop is the plain path. BoundExceeded trips at the same
-    # max_checks on both.
+    # loop over plain_status, which factors eta through each completion in
+    # turn, is the plain path. BoundExceeded trips at the same max_checks on both.
     tables, k, bounds = problem
-    assert _outcome(survey_stem, k, tables, **bounds) == _outcome(survey_by_checks, k, tables,
-                                                                  **bounds)
+    assert _outcome(survey_stem, k, tables, **bounds) == _outcome(
+        survey_by_checks, k, tables, **bounds, check=lambda pa, t: Verdict(plain_status(pa, t)))
+
+
+@st.composite
+def _oracle_problems(draw):
+    name, k, orders, _ = draw(st.sampled_from(_ORACLE_CASES))
+    tables = _oracle_tables(name)
+    a_n = from_cyclic_orders(draw(st.lists(st.sampled_from([0, 2, 3, 4, 5, 6, 9]),
+                                           min_size=1, max_size=2)))
+    target = from_cyclic_orders(draw(st.lists(st.sampled_from(orders), max_size=2)))
+    homs = hom_group(gamma_tilde(k + 2, k, a_n, tables).group, target)
+    assume(homs.is_finite)
+    eta = next(itertools.islice(homs, draw(st.integers(0, homs.order() - 1)), None))
+    return tables, TwoStagePiAlgebra(k + 2, k, a_n, target, eta)
+
+
+@given(_oracle_problems())
+@settings(max_examples=150, deadline=None)
+def test_check_status_equals_the_plain_status(problem):
+    # check decides a stable eta through the shared decider; plain_status
+    # factors through every completion, or reads the forced-dead generators.
+    tables, pa = problem
+    assert check(pa, tables).status is plain_status(pa, tables)
+
+
+def test_free_generator_survey_skips_infinite_rows():
+    # Q_5^S = Z<x>: gamma_tilde is infinite when A_n has a Z summand, so its
+    # rows into Z are skipped; the other 37 rows are counted.
+    tables = _oracle_tables("free-q")
+    bounds = dict(max_cyclic_order=4, max_summands=2, targets=[Z, cyclic(2), cyclic(4)])
+    rep = survey_stem(5, tables, **bounds)
+    assert len(rep.rows) == 37
+    assert dict(rep.totals) == {"non-realizable": 52, "realizable": 37, "undetermined": 48}
+    assert not [r for r in rep.rows if r.a_n.rank and r.target == Z]
+    assert _tallies(rep) == _tallies(survey_by_checks(5, tables, **bounds))
 
 
 def test_survey_and_per_eta_loop_agree_on_errors(tables):
