@@ -45,6 +45,7 @@ from .tables import (
     StableTables,
     group_from_text,
     load_tables,
+    read_int,
     verify_pi_ring_relations,
 )
 
@@ -58,10 +59,10 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(3)
 
 
-def _int_at_least(least: int):
-    """An argparse type: an integer no smaller than ``least``."""
+def _int_at_least(least=-math.inf):
+    """An argparse type: an integer, read as overlays read one, no smaller than ``least``."""
     def int_(text: str) -> int:
-        if (value := int(text)) < least:
+        if (value := read_int(text)) < least:
             raise argparse.ArgumentTypeError(f"must be an integer >= {least}, got {value}")
         return value
     int_.__name__ = "int"  # argparse names the type in "invalid int value: ..."
@@ -102,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tables", help="inspect the stable tables")
     p.add_argument("action", choices=("show",))
-    p.add_argument("--stem", type=int, default=None)
+    p.add_argument("--stem", type=_int_at_least(), default=None)
     _common_flags(p)
 
     p = sub.add_parser("survey", help="sweep a stem over small groups and all structure maps")

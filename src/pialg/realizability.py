@@ -203,15 +203,15 @@ def _blockers(entry, tables: StableTables, k: int) -> tuple:
     return tuple(out)
 
 
-def _obstruction_from_dead(pa: TwoStagePiAlgebra, gt: GammaTildeResult, tables: StableTables,
-                           incl: GroupHom) -> Optional[Obstruction]:
-    """An element of the dead subgroup ``incl`` with nonzero eta, if any.
+def _obstruction_from_dead(pa: TwoStagePiAlgebra, gt: GammaTildeResult,
+                           dead: tuple) -> Optional[Obstruction]:
+    """An element of the dead subgroup ``dead`` (``_dead``'s pair) with nonzero eta, if any.
 
-    The subgroup's ``_candidates`` are searched: the first sorted element
-    eta does not kill is the lightest such, the first enumerated among
-    equals. Unlisted subgroups report a generator.
+    The sorted elements are searched: the first that eta does not kill is the
+    lightest such, the first enumerated among equals. A subgroup too large to
+    list reports its first such generator.
     """
-    gens, elements = _candidates(tables, incl)
+    gens, elements = dead
     if not any(any(pa.eta.apply(y)) for y in gens):
         return None
     elem = next(y for y in (gens if elements is None else elements) if any(pa.eta.apply(y)))
@@ -272,38 +272,27 @@ def _factorizers(tables: StableTables, n: int, k: int, a_n: FgAbGroup, target: F
 
 
 @_on_tables
-def _dead_inclusion(tables: StableTables, n: int, k: int, a_n: FgAbGroup) -> GroupHom:
-    """The subgroup every completion kills: the kernel of the stacked gammas."""
-    stacked, _ = stack_homs(list(_gammas(tables, n, k, a_n)))
-    return kernel(stacked)[1]
+def _dead(tables: StableTables, n: int, k: int, a_n: FgAbGroup) -> tuple:
+    """(generators, elements) of the subgroup of gamma_tilde every admissible gamma kills.
 
-
-@_on_tables
-def _forced_dead_inclusion(tables: StableTables, n: int, k: int,
-                           a_n: FgAbGroup) -> Optional[GroupHom]:
-    """Certificate mode's subgroup every admissible gamma must kill, or None.
-
-    It is spanned by x ⊗ m·q for each canonical generator x of A_n and
-    each forced kill (m, q) of the tables; None when nothing is forced.
+    Exact when the stem and its codomain are tabulated: the kernel of the
+    stacked gamma_c ⊗ A_n. Otherwise the forced lower bound, spanned by
+    x ⊗ m·q for each canonical generator x of A_n and each forced kill
+    (m, q); ``((), ())`` when nothing is forced. ``elements`` are the images
+    in gamma_tilde stably sorted by weight (the sum of absolute coordinates);
+    None for an infinite subgroup or one over 4096 elements.
     """
     entry = tables.q_stable_entry(k)
-    gt = _gamma_tilde(tables, n, k, a_n)
-    dead_gens = []
-    for mult, name in _forced_kill_generators(entry, tables, k):
-        scaled = entry.group.smul(mult, entry.element_of(name))  # nonzero: m·q != 0
-        for i in range(a_n.dim):
-            unit = [1 if r == i else 0 for r in range(a_n.dim)]
-            dead_gens.append(gt._tensor.pure(unit, scaled))
-    return subgroup(gt.group, dead_gens)[1] if dead_gens else None
-
-
-@_on_tables
-def _candidates(tables: StableTables, incl: GroupHom) -> tuple:
-    """(generators, elements) of a dead subgroup, as images incl(x) in gamma_tilde.
-
-    ``elements`` is stably sorted by weight (the sum of absolute
-    coordinates); None for an infinite subgroup or one over 4096 elements.
-    """
+    if entry.complete and tables.em(k + 1) is not None:
+        incl = kernel(stack_homs(list(_gammas(tables, n, k, a_n)))[0])[1]
+    else:
+        gt = _gamma_tilde(tables, n, k, a_n)
+        gens = [gt._tensor.pure(x, entry.group.smul(m, entry.element_of(name)))  # m·q != 0
+                for m, name in _forced_kill_generators(entry, tables, k)
+                for x in IntMatrix.identity(a_n.dim).columns()]
+        if not gens:
+            return (), ()
+        incl = subgroup(gt.group, gens)[1]
     dead = incl.source
     elements = None if dead.rank or dead.order() > 4096 else tuple(
         sorted(map(incl.apply, dead.elements()), key=lambda y: sum(map(abs, y))))
@@ -316,7 +305,7 @@ def _decider(tables: StableTables, entry, n: int, k: int, a_n: FgAbGroup, target
     Enumerating mode (the stem and its codomain are tabulated): ``found`` is ``Factorizer.rows``'
     answer (None: no factoring) for each distinct memoized factorizer, in first-completion order.
     Certificate mode: ``found`` is None, and eta is non-realizable exactly when it does not
-    kill the forced-dead subgroup.
+    kill some generator of ``_dead``, the forced-dead subgroup.
     """
     if entry.complete and tables.em(k + 1) is not None:
         fzs = tuple(dict.fromkeys(_factorizers(tables, n, k, a_n, target)))  # each distinct once
@@ -326,8 +315,7 @@ def _decider(tables: StableTables, entry, n: int, k: int, a_n: FgAbGroup, target
             return (Status.REALIZABLE if None not in found else Status.NON_REALIZABLE
                     if found.count(None) == len(found) else Status.UNDETERMINED), found
         return decide
-    incl = _forced_dead_inclusion(tables, n, k, a_n)
-    gens = () if incl is None else incl.matrix.columns()
+    gens = _dead(tables, n, k, a_n)[0]
     # eta(y) = sum_j y_j·col_j, reduced modulo the target's torsion as eta.apply(y) is
     return lambda cols: (Status.NON_REALIZABLE if any(any(target.reduce(
         [sum(map(mul, y, row)) for row in zip(*cols)])) for y in gens) else Status.UNDETERMINED,
@@ -351,28 +339,21 @@ def check_stable(pa: TwoStagePiAlgebra, tables: StableTables) -> Verdict:
 
     target = pa.eta.target
     status, found = _decider(tables, entry, n, k, pa.a_n, target)(tuple(zip(*pa.eta.matrix.data)))
-    if found is None:
-        # Certificate mode: the codomain is not tabulated (or the stem is
-        # partial), so only forced non-realizability is decidable.
-        if status is Status.UNDETERMINED:
-            return Verdict(status, blocking=_blockers(entry, tables, k),
-                           note="cannot enumerate gamma completions from the available tables")
-        incl = _forced_dead_inclusion(tables, n, k, pa.a_n)
-        return Verdict(status, obstruction=_obstruction_from_dead(pa, gt, tables, incl))
-
-    fzs = _factorizers(tables, n, k, pa.a_n, target)
-    homs = {fz: fz._hom(rows) for fz, rows in zip(dict.fromkeys(fzs), found)}
-    outcomes = tuple(CompletionOutcome(comp.assignment, homs[fz] is not None, homs[fz])
-                     for comp, fz in zip(_completions(tables, k), fzs))
+    outcomes = ()  # certificate mode (found is None) lists no completions
+    if found is not None:
+        fzs = _factorizers(tables, n, k, pa.a_n, target)
+        homs = {fz: fz._hom(rows) for fz, rows in zip(dict.fromkeys(fzs), found)}
+        outcomes = tuple(CompletionOutcome(comp.assignment, homs[fz] is not None, homs[fz])
+                         for comp, fz in zip(_completions(tables, k), fzs))
     if status is Status.REALIZABLE:
         return Verdict(status, witness=outcomes[0].witness, completions=outcomes)
     if status is Status.NON_REALIZABLE:
-        obs = _obstruction_from_dead(pa, gt, tables, _dead_inclusion(tables, n, k, pa.a_n))
-        if obs is None:
-            obs = Obstruction(note="no completion admits a factorization")
-        return Verdict(status, obstruction=obs, completions=outcomes)
-    return Verdict(status, blocking=_blockers(entry, tables, k),
-                   completions=outcomes, note="factorability depends on unknown gamma entries")
+        obs = _obstruction_from_dead(pa, gt, _dead(tables, n, k, pa.a_n))
+        return Verdict(status, completions=outcomes, obstruction=obs or Obstruction(
+            note="no completion admits a factorization"))
+    return Verdict(status, blocking=_blockers(entry, tables, k), completions=outcomes,
+                   note="cannot enumerate gamma completions from the available tables"
+                   if found is None else "factorability depends on unknown gamma entries")
 
 
 # -- low stems and dispatch ----------------------------------------------
@@ -518,11 +499,7 @@ def three_stage_obstruction(problem: ThreeStageProblem) -> tuple:
     o = problem.eta2 @ q2 @ problem.eta1 @ q1 @ incl
     if o.is_zero():
         return o, Verdict(Status.REALIZABLE, note="obstruction vanishes")
-    for j in range(tor.dim):
-        unit = [1 if r == j else 0 for r in range(tor.dim)]
-        if any(o.apply(unit)):
-            elem = tor.reduce(unit)
-            break
+    elem = next(tor.reduce(x) for x in IntMatrix.identity(tor.dim).columns() if any(o.apply(x)))
     obs = Obstruction(element=elem,
                       label=f"two-torsion generator {list(incl.apply(elem))} of A_n",
                       note="the composite obstruction is nonzero on it")

@@ -491,7 +491,18 @@ def admissible_gamma_completions(k: int, tables: StableTables) -> list:
 # -- text format ---------------------------------------------------------
 
 
-_TERM_RE = re.compile(r"^(Z(?:\^(\d+))?|Z/(\d+))(?:<([A-Za-z0-9_^/()]+)>)?$")
+#: Every integer of the text format; ``int`` and ``\d`` also read '1_0' as 10 and '٣' as 3.
+_INT = "-?[0-9]+"
+
+
+def read_int(text: str) -> int:
+    """An integer written as ``_INT``, blanks around it aside; ValueError otherwise."""
+    if not re.fullmatch(_INT, text := text.strip()):
+        raise ValueError(f"expected an integer, got {text!r}")
+    return int(text)
+
+
+_TERM_RE = re.compile(r"^(Z(?:\^([0-9]+))?|Z/([0-9]+))(?:<([A-Za-z0-9_^/()]+)>)?$")
 
 
 def parse_group_text(text: str):
@@ -548,7 +559,7 @@ def group_from_text(text: str) -> FgAbGroup:
                               labels if all(labels) and labels else None)
 
 
-_COORDS_RE = re.compile(r"\[\s*(-?\d+(?:\s*,\s*-?\d+)*)?\s*\]")
+_COORDS_RE = re.compile(rf"\[\s*({_INT}(?:\s*,\s*{_INT})*)?\s*\]")
 
 
 def _coords(text: str) -> tuple:
@@ -563,7 +574,7 @@ def _coords_text(coords) -> str:
     return f"[{', '.join(map(str, coords))}]"
 
 
-_GAMMA_VALUE_RE = re.compile(r"^(?:zero|nonzero\((\d+)\)|unknown\((\d+)\)|known\s*(\[.*))$")
+_GAMMA_VALUE_RE = re.compile(r"^(?:zero|nonzero\(([0-9]+)\)|unknown\(([0-9]+)\)|known\s*(\[.*))$")
 
 
 def parse_gamma_value(text: str) -> GammaKnowledge:
@@ -606,8 +617,8 @@ def _pair(read_a, read_b, sep: str, form: str):
     return _key(read_pair, form)
 
 
-_degree = _key(int, "keys look like an integer degree")
-_stem_gen = _pair(int, str, ".", "generator keys look like '<stem>.<generator>'")
+_degree = _key(read_int, "keys look like an integer degree")
+_stem_gen = _pair(read_int, str, ".", "generator keys look like '<stem>.<generator>'")
 
 
 def _quadratic_module(value: str) -> QuadraticModule:
@@ -635,8 +646,8 @@ def _group_text(g: FgAbGroup) -> str:
 _CODECS = {
     "pi_stable": (_degree, _tabulated, str, str),
     "q_stable": (_degree, _tabulated, str, str),
-    "q_unstable": (_pair(int, int, ",", "q_unstable keys look like '<k>,<n>'"), group_from_text,
-                   "{0[0]},{0[1]}".format, _group_text),
+    "q_unstable": (_pair(read_int, read_int, ",", "q_unstable keys look like '<k>,<n>'"),
+                   group_from_text, "{0[0]},{0[1]}".format, _group_text),
     "em_homology": (_degree, group_from_text, str, _group_text),
     "metastable_qm": (_degree, _quadratic_module, str, _quadratic_module_text),
     "gamma": (_stem_gen, parse_gamma_value, "{0[0]}.{0[1]}".format, str),

@@ -17,8 +17,9 @@ from pialg.errors import BoundExceeded
 from pialg.fgab import Congruences, factor_through
 from pialg.intlinalg import (SnfResult, _identity_lists, _is_diagonal, _xgcd,
                              cokernel_invariants_sparse)
+from pialg.pi_functors import gamma_tilde
 from pialg.realizability import (Status, SurveyReport, SurveyRow, TwoStagePiAlgebra,
-                                 _forced_dead_inclusion, _gamma_tilde, _gammas, check)
+                                 _gamma_tilde, _gammas, check)
 
 
 def all_abelian_group_orders_up_to(n: int):
@@ -192,6 +193,26 @@ def survey_by_checks(k, tables, max_cyclic_order, max_summands, targets,
     return SurveyReport(k, n, tuple(rows), tuple(sorted(totals.items())))
 
 
+def forced_dead_elements(n: int, k: int, a_n: FgAbGroup, tables) -> list:
+    """Generators of certificate mode's forced-dead subgroup of gamma_tilde, built plainly.
+
+    x ⊗ m·q for each named generator q of stem k with m·q != 0, m from
+    ``GammaKnowledge.kill_multiplier``, and each canonical generator x of
+    A_n, in that order; from the tensor's pure elements, with no subgroup
+    and no memo.
+    """
+    entry, cod = tables.q_stable_entry(k), tables.em(k + 1)
+    tp, out = gamma_tilde(n, k, a_n, tables)._tensor, []
+    for d, name in entry.summands:
+        if (know := tables.gamma.get((k, name))) is not None:
+            m = know.kill_multiplier(cod, d)
+            mq = entry.group.reduce([m * c for c in entry.element_of(name)])
+            if any(mq):
+                out += [tp.pure([int(r == i) for r in range(a_n.dim)], mq)
+                        for i in range(a_n.dim)]
+    return out
+
+
 def plain_status(pa: TwoStagePiAlgebra, tables) -> Status:
     """``check``'s status for a problem of stem 1 or 2 or of the stable range, per completion.
 
@@ -199,7 +220,7 @@ def plain_status(pa: TwoStagePiAlgebra, tables) -> Status:
     eta are realizable; with the stem and its codomain tabulated, eta is
     factored through every completion's gamma_c ⊗ A_n by ``factor_through``,
     equal maps included; otherwise eta is non-realizable exactly when it
-    does not kill some generator of the forced-dead subgroup.
+    does not kill one of the ``forced_dead_elements``.
     """
     if pa.k <= 2 or pa.eta.is_zero():
         return Status.REALIZABLE
@@ -209,8 +230,7 @@ def plain_status(pa: TwoStagePiAlgebra, tables) -> Status:
                       for g in _gammas(tables, pa.n, pa.k, pa.a_n)]
         return (Status.REALIZABLE if all(factorable) else
                 Status.UNDETERMINED if any(factorable) else Status.NON_REALIZABLE)
-    incl = _forced_dead_inclusion(tables, pa.n, pa.k, pa.a_n)
-    dead = () if incl is None else incl.matrix.columns()
+    dead = forced_dead_elements(pa.n, pa.k, pa.a_n, tables)
     return (Status.NON_REALIZABLE if any(any(pa.eta.apply(y)) for y in dead)
             else Status.UNDETERMINED)
 

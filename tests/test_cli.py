@@ -368,6 +368,22 @@ def test_out_of_range_degrees_are_usage_errors(argv, capsys):
     assert "must be an integer >=" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["survey", "--stem", "٣"],
+    ["survey", "--stem", "3", "--max-order", "1_0"],
+    ["survey", "--stem", "+3"],
+    ["gamma-tilde", "--n", "٥", "--k", "3", "--group", "Z/2"],
+    ["tables", "show", "--stem", "٣"],
+    ["tables", "show", "--stem", "1_0"],
+])
+def test_integer_arguments_are_ascii_digits(argv, capsys):
+    # int() reads '1_0' as 10 and '٣' as 3; the CLI reads integers as overlays do.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 3
+    assert "invalid int value" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("literal", ['{"rank": 1.5}', '{"torsion": 4}'])
 def test_non_integer_json_groups_exit_three(literal, capsys):
     code, out, err = run(capsys, ["gamma-tilde", "--n", "5", "--k", "3", "--group", literal])
@@ -730,6 +746,22 @@ _CHECK_OV = ["check", "PROBLEM", "--tables", "OV"]
      "OV:2: keys look like an integer degree, got 'four'"),
     ("[q_unstable]\na,b = 0\n", _CHECK_OV,
      "OV:2: q_unstable keys look like '<k>,<n>', got 'a,b'"),
+    # Integers are ASCII digits: no underscores and no other script's digits.
+    ("[em_homology]\n1_0 = Z/2\n", _CHECK_OV,
+     "OV:2: keys look like an integer degree, got '1_0'"),
+    ("[em_homology]\n٦ = Z/2\n", _CHECK_OV,
+     "OV:2: keys look like an integer degree, got '٦'"),
+    ("[em_homology]\n6 = Z/٣\n", _CHECK_OV,
+     "OV:2: cannot parse group term 'Z/٣'"),
+    ("[gamma]\n٣.nu = zero\n", _CHECK_OV,
+     "OV:2: generator keys look like '<stem>.<generator>', got '٣.nu'"),
+    ("[q_unstable]\n2,٢ = 0\n", _CHECK_OV,
+     "OV:2: q_unstable keys look like '<k>,<n>', got '2,٢'"),
+    ("[pi_products]\n1.eta * 1.eta = [١]\n", _CHECK_OV,
+     "OV:2: expected a coordinate list like [1, 0], got '[١]'"),
+    ("[gamma]\n3.nu = unknown(٢)\n", _CHECK_OV,
+     "OV:2: cannot parse gamma value 'unknown(٢)'"),
+    (None, ["survey", "--stem", "3", "--targets", "Z/٢"], "cannot parse group term 'Z/٢'"),
     ("[gamma\n3.nu = zero\n", _CHECK_OV,
      "OV:1: unterminated section header"),
     ("[gamma]\n3.nu zero\n", _CHECK_OV,
@@ -752,6 +784,9 @@ _CHECK_OV = ["check", "PROBLEM", "--tables", "OV"]
         "product-coordinate-count", "empty-generator-key", "stem-only-generator-key",
         "two-dot-generator-key", "one-part-unstable-key", "one-part-product-key",
         "non-integer-generator-stem", "non-integer-degree", "non-integer-unstable-key",
+        "underscore-degree", "arabic-indic-degree", "arabic-indic-order",
+        "arabic-indic-generator-stem", "arabic-indic-unstable-key", "arabic-indic-product-value",
+        "arabic-indic-gamma-bound", "arabic-indic-survey-target",
         "unterminated-header", "no-equals", "unknown-option", "bad-rule-value", "options-section",
         "deep-json-value", "missing-overlay", "unknown-stem", "untabulated-em"])
 def test_error_paths_name_their_cause(problem_file, tmp_path, capsys, overlay, argv, message):

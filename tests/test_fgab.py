@@ -488,6 +488,11 @@ def test_lean_congruences_match_the_plain_snf_path(case):
     assert lean.kernel() == IntMatrix(n, ker.cols, ker.data[:n])
 
 
+def test_congruences_refuse_a_right_hand_side_of_the_wrong_length():
+    with pytest.raises(ValueError, match="right-hand side length mismatch"):
+        Congruences([[2]], [6], 1).solve([1, 2])
+
+
 # groups of 0-3 summands, free ones and repeated moduli included
 factor_groups = st.lists(st.sampled_from([0, 2, 2, 3, 4, 6]), max_size=3).map(from_cyclic_orders)
 

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import re
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -47,7 +48,7 @@ from pialg import realizability
 from pialg.realizability import format_semantic
 from pialg.tables import admissible_gamma_completions, alpha_family_overlay
 
-from helpers import plain_status, survey_by_checks
+from helpers import forced_dead_elements, plain_status, survey_by_checks
 
 
 def smallest_problem(tables, target=None, nu_to=1, alpha_to=0):
@@ -126,6 +127,18 @@ def test_eta_source_validated(tables):
     eta = GroupHom.zero(cyclic(2), cyclic(4))  # wrong source group
     with pytest.raises(MalformedStructureMap):
         check(TwoStagePiAlgebra(2, 1, cyclic(2), cyclic(4), eta), tables)
+
+
+def test_problem_inputs_are_validated(tables):
+    gt = gamma_tilde(5, 3, Z, tables)
+    eta = build_structure_map(gt, [(1,), (0,)], cyclic(4))
+    with pytest.raises(ValueError, match="need n >= 2 and k >= 1"):
+        TwoStagePiAlgebra(1, 3, Z, cyclic(4), eta)
+    with pytest.raises(MalformedStructureMap, match=re.escape("eta must land in A_{n+k}")):
+        TwoStagePiAlgebra(5, 3, Z, cyclic(2), eta)
+    with pytest.raises(MalformedStructureMap,
+                       match=re.escape("expected 2 columns (1⊗nu, 1⊗alpha), got 1")):
+        build_structure_map(gt, [(1,)], cyclic(4))
 
 
 def test_undetermined_blocks_on_nu(tables):
@@ -271,6 +284,9 @@ def test_three_stage_validation(tables):
     bad = GroupHom.from_columns(cyclic(4), c2, [(1,)])
     with pytest.raises(MalformedStructureMap):
         three_stage_obstruction(ThreeStageProblem(4, c2, c2, c2, bad, e))
+    with pytest.raises(MalformedStructureMap,
+                       match=re.escape("eta2 must map A_{n+1} ⊗ Z/2 to A_{n+2}")):
+        three_stage_obstruction(ThreeStageProblem(4, c2, c2, c2, e, bad))
 
 
 # -- whole stems -------------------------------------------------------------
@@ -557,12 +573,16 @@ def _obstruction_by_full_scan(eta, dead_incl):
 
 
 def test_sorted_obstruction_candidates_match_the_full_scan(tables):
-    from pialg.realizability import _dead_inclusion, _forced_dead_inclusion
+    # The dead subgroups are rebuilt here: the kernel of the stacked gammas,
+    # and the span of the plainly built forced-dead elements.
+    from pialg.fgab import kernel, stack_homs, subgroup
+    from pialg.realizability import _gammas
     decided = []
 
     def recording(pa, tables):
         v = check_stable(pa, tables)
-        decided.append((pa, v, _dead_inclusion(tables, pa.n, pa.k, pa.a_n)))
+        stacked, _ = stack_homs(list(_gammas(tables, pa.n, pa.k, pa.a_n)))
+        decided.append((pa, v, kernel(stacked)[1]))
         return v
 
     bounds = dict(max_cyclic_order=6, max_summands=2, targets=[cyclic(2), cyclic(4), cyclic(12)])
@@ -571,7 +591,7 @@ def test_sorted_obstruction_candidates_match_the_full_scan(tables):
     for k in (7, 11):  # certificate mode: the forced-dead subgroup
         for a_n in (Z, cyclic(3), cyclic(9), from_cyclic_orders([3, 9])):
             gt = gamma_tilde(k + 2, k, a_n, tables)
-            incl = _forced_dead_inclusion(tables, k + 2, k, a_n)
+            incl = subgroup(gt.group, forced_dead_elements(k + 2, k, a_n, tables))[1]
             for target in (cyclic(3), cyclic(9)):
                 for eta in hom_group(gt.group, target):
                     pa = TwoStagePiAlgebra(k + 2, k, a_n, target, eta)
