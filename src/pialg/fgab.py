@@ -211,9 +211,9 @@ def group_from_json(doc: dict) -> FgAbGroup:
     """A group read from ``{"rank": r, "torsion": [...], "labels": [...]}``.
 
     Rank and torsion must be JSON integers, and labels, when present, a list
-    of distinct strings; a missing rank or torsion reads as 0 or (). Raises
-    ValueError (or TypeError, AttributeError for a document of the wrong
-    shape).
+    of distinct strings; a missing rank or torsion reads as 0 or (), and any
+    other key is refused. Raises ValueError (or TypeError, AttributeError for
+    a document of the wrong shape).
     """
     rank, torsion, labels = doc.get("rank", 0), tuple(doc.get("torsion", ())), doc.get("labels")
     if type(rank) is not int or any(type(d) is not int for d in torsion):
@@ -221,6 +221,8 @@ def group_from_json(doc: dict) -> FgAbGroup:
     if "labels" in doc and (type(labels) is not list or any(type(x) is not str for x in labels)
                             or len(set(labels)) != len(labels)):
         raise ValueError(f"labels must be a list of distinct strings, got {labels!r}")
+    if extra := [key for key in doc if key not in ("rank", "torsion", "labels")]:
+        raise ValueError(f"unknown key {extra[0]!r}; a group takes only rank, torsion and labels")
     return FgAbGroup(rank, torsion, None if labels is None else tuple(labels))
 
 
@@ -558,9 +560,7 @@ def image(f: GroupHom) -> tuple:
 def cokernel(f: GroupHom) -> tuple:
     """(C, projection target -> C) of the cokernel."""
     b = f.target
-    tt = len(b.torsion)
-    rel_rows = [[b.torsion[i] if j == i else 0 for j in range(b.dim)] for i in range(tt)]
-    rel_rows += [list(f.matrix.col(j)) for j in range(f.source.dim)]
+    rel_rows = list(IntMatrix.diagonal(b.torsion, cols=b.dim).data) + f.matrix.columns()
     c = canonicalize_full(Presentation(b.dim, IntMatrix.from_rows(rel_rows, cols=b.dim)))
     proj = GroupHom(b, c.group, c.quotient.matrix)
     return c.group, proj
@@ -642,14 +642,9 @@ def tensor(a: FgAbGroup, b: FgAbGroup) -> TensorProduct:
     'Z/2'
     """
     pairs = [(i, j) for i in range(a.dim) for j in range(b.dim)]
-    rows = []
-    for p, (i, j) in enumerate(pairs):
-        d = a.coord_order(i)
-        e = b.coord_order(j)
-        if d:
-            rows.append([d if p == k else 0 for k in range(len(pairs))])
-        if e:
-            rows.append([e if p == k else 0 for k in range(len(pairs))])
+    left = IntMatrix.diagonal([a.coord_order(i) for i, _ in pairs]).data
+    right = IntMatrix.diagonal([b.coord_order(j) for _, j in pairs]).data
+    rows = [row for both in zip(left, right) for row in both if any(row)]  # d, then e, per pair
     c = canonicalize_full(Presentation(len(pairs), IntMatrix.from_rows(rows, cols=len(pairs))))
     return TensorProduct(a, b, c.group, tuple(pairs), c)
 
@@ -673,7 +668,7 @@ def tensor_induced(f: GroupHom, g: GroupHom,
 def mod_reduction(a: FgAbGroup, n: int) -> tuple:
     """(A ⊗ Z/n, natural quotient A -> A ⊗ Z/n)."""
     tp = tensor(a, cyclic(n))
-    cols = [tp.pure([1 if k == j else 0 for k in range(a.dim)], (1,)) for j in range(a.dim)]
+    cols = [tp.pure(unit, (1,)) for unit in IntMatrix.identity(a.dim).columns()]
     return tp, GroupHom.from_columns(a, tp.group, cols)
 
 

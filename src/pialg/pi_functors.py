@@ -26,6 +26,7 @@ from typing import Optional
 from ._record import field, lazy, record
 from .errors import MissingTableData
 from .fgab import Congruences, FgAbGroup, GroupHom, TRIVIAL, cyclic, tensor, tensor_induced
+from .intlinalg import IntMatrix
 from .quadratic import (
     QuadTensorResult,
     exterior_square,
@@ -104,8 +105,7 @@ def _from_tensor(a: FgAbGroup, coeff: FgAbGroup, coeff_gens, regime: Regime,
     tp = tensor(a, coeff)
     la = a.labels()
     gens = []
-    for i in range(a.dim):
-        unit = [1 if r == i else 0 for r in range(a.dim)]
+    for i, unit in enumerate(IntMatrix.identity(a.dim).columns()):
         for name, elem in coeff_gens:
             img = tp.pure(unit, elem)
             gens.append(SemanticGenerator(f"{la[i]}⊗{name}", img,
@@ -118,9 +118,7 @@ def _tabulated_gens(entry: TabulatedGroup):
 
 
 def _plain_group_gens(g: FgAbGroup):
-    labels = g.labels()
-    return [(labels[i], tuple(1 if r == i else 0 for r in range(g.dim)))
-            for i in range(g.dim)]
+    return list(zip(g.labels(), IntMatrix.identity(g.dim).columns()))
 
 
 def gamma_tilde(n: int, k: int, a: FgAbGroup, tables: StableTables) -> GammaTildeResult:

@@ -124,6 +124,8 @@ class FreeQuadTensor:
     ee-blocks (i, j, q) for i < j lexicographically and q over Mee
     generators. Each basis coordinate carries the torsion of its Me/Mee
     generator; the whole thing is a presented group, not a canonical one.
+    The expansion rules take one Me or Mee generator by its index: a map is
+    induced on basis vectors, so no other element needs expanding.
     """
 
     s: int
@@ -159,83 +161,65 @@ class FreeQuadTensor:
 
     # -- expansion rules -------------------------------------------------
 
-    def expand_e(self, c: Sequence[int], m_vec: Sequence[int]) -> list:
-        """(sum_k c_k e_k) ⊗ m as a basis vector; m given by Me coordinates."""
-        me, mee = self.module.me, self.module.mee
-        h, p_map = self.module.h, self.module.p
+    def expand_e(self, c: Sequence[int], p: int) -> list:
+        """(sum_k c_k e_k) ⊗ m_p as a basis vector, for the p-th Me generator m_p."""
+        h_m = self.module.h.matrix.col(p)  # H(m_p): the stored matrix is reduced
+        ph_m = self.module.p.apply(h_m)
         out = [0] * self.size
-        for p, mu in enumerate(m_vec):
-            if not mu:
+        for k, ck in enumerate(c):
+            if not ck:
                 continue
-            h_m = h.apply([1 if r == p else 0 for r in range(me.dim)])
-            ph_m = p_map.apply(h_m)
-            for k, ck in enumerate(c):
-                if not ck:
+            out[self.e_index(k, p)] += ck
+            b = _binom2(ck)
+            if b:
+                for r, v in enumerate(ph_m):
+                    if v:
+                        out[self.e_index(k, r)] += b * v
+        for k in range(self.s):
+            if not c[k]:
+                continue
+            for l in range(k + 1, self.s):
+                m2 = c[k] * c[l]
+                if not m2:
                     continue
-                out[self.e_index(k, p)] += mu * ck
-                b = _binom2(ck)
-                if b:
-                    for r, v in enumerate(ph_m):
-                        if v:
-                            out[self.e_index(k, r)] += mu * b * v
-            for k in range(self.s):
-                if not c[k]:
-                    continue
-                for l in range(k + 1, self.s):
-                    m2 = c[k] * c[l]
-                    if not m2:
-                        continue
-                    for q, v in enumerate(h_m):
-                        if v:
-                            out[self.ee_index(k, l, q)] += mu * m2 * v
+                for q, v in enumerate(h_m):
+                    if v:
+                        out[self.ee_index(k, l, q)] += m2 * v
         return out
 
-    def expand_ee(self, c: Sequence[int], f: Sequence[int], n_vec: Sequence[int]) -> list:
-        """[sum c_k e_k, sum f_l e_l] ⊗ n as a basis vector."""
-        mee = self.module.mee
-        t = self.module.involution()
-        p_map = self.module.p
+    def expand_ee(self, c: Sequence[int], f: Sequence[int], q: int, t_n: Sequence[int]) -> list:
+        """[sum c_k e_k, sum f_l e_l] ⊗ n_q as a basis vector, for the q-th Mee
+        generator n_q; ``t_n`` is T(n_q), column q of the involution."""
+        p_n = self.module.p.matrix.col(q)
         out = [0] * self.size
-        for q, nu in enumerate(n_vec):
-            if not nu:
+        for k, ck in enumerate(c):
+            if not ck:
                 continue
-            unit_q = [1 if r == q else 0 for r in range(mee.dim)]
-            t_n = t.apply(unit_q)
-            p_n = p_map.apply(unit_q)
-            for k, ck in enumerate(c):
-                if not ck:
+            for l, fl in enumerate(f):
+                m2 = ck * fl
+                if not m2:
                     continue
-                for l, fl in enumerate(f):
-                    m2 = ck * fl
-                    if not m2:
-                        continue
-                    if k < l:
-                        out[self.ee_index(k, l, q)] += nu * m2
-                    elif k > l:
-                        for q2, v in enumerate(t_n):
-                            if v:
-                                out[self.ee_index(l, k, q2)] += nu * m2 * v
-                    else:
-                        for r, v in enumerate(p_n):
-                            if v:
-                                out[self.e_index(k, r)] += nu * m2 * v
+                if k < l:
+                    out[self.ee_index(k, l, q)] += m2
+                elif k > l:
+                    for q2, v in enumerate(t_n):
+                        if v:
+                            out[self.ee_index(l, k, q2)] += m2 * v
+                else:
+                    for r, v in enumerate(p_n):
+                        if v:
+                            out[self.e_index(k, r)] += m2 * v
         return out
 
     def induced_matrix(self, phi: IntMatrix, target: "FreeQuadTensor") -> IntMatrix:
         """Matrix of the induced map into ``target`` along phi: Z^s -> Z^s'."""
         if phi.cols != self.s or phi.rows != target.s:
             raise ValueError("shape mismatch in induced map")
-        me, mee = self.module.me, self.module.mee
-        cols = []
-        for i in range(self.s):
-            ci = phi.col(i)
-            for p in range(me.dim):
-                cols.append(target.expand_e(ci, [1 if r == p else 0 for r in range(me.dim)]))
-        for i in range(self.s):
-            for j in range(i + 1, self.s):
-                ci, cj = phi.col(i), phi.col(j)
-                for q in range(mee.dim):
-                    cols.append(target.expand_ee(ci, cj, [1 if r == q else 0 for r in range(mee.dim)]))
+        phi_cols, t_cols = phi.columns(), target.module.involution().matrix.columns()
+        cols = [target.expand_e(ci, p) for ci in phi_cols for p in range(self.module.me.dim)]
+        cols += [target.expand_ee(phi_cols[i], phi_cols[j], q, t_n)
+                 for i in range(self.s) for j in range(i + 1, self.s)
+                 for q, t_n in enumerate(t_cols)]
         return IntMatrix.from_columns(cols, rows=target.size)
 
 
@@ -275,25 +259,14 @@ def _quad_tensor(a: FgAbGroup, m: QuadraticModule, e_label: str,
     tgt = FreeQuadTensor(s, m)
     src = FreeQuadTensor(t + s, m)
     # (f,1) and (0,1): R + F -> F for the canonical presentation R -f-> F of A.
-    cols1 = []
-    cols0 = []
-    for i in range(t):
-        cols1.append([a.torsion[i] if r == i else 0 for r in range(s)])
-        cols0.append([0] * s)
-    for j in range(s):
-        unit = [1 if r == j else 0 for r in range(s)]
-        cols1.append(unit)
-        cols0.append(unit)
-    phi1 = IntMatrix.from_columns(cols1, rows=s)
-    phi0 = IntMatrix.from_columns(cols0, rows=s)
+    units = IntMatrix.identity(s).columns()
+    phi1 = IntMatrix.from_columns(IntMatrix.diagonal(a.torsion, s, t).columns() + units, rows=s)
+    phi0 = IntMatrix.from_columns([(0,) * s] * t + units, rows=s)
     delta = src.induced_matrix(phi1, tgt) - src.induced_matrix(phi0, tgt)
 
-    rows = []
-    for pos, d in enumerate(tgt.orders()):
-        if d:
-            rows.append([d if r == pos else 0 for r in range(tgt.size)])
-    for col in range(delta.cols):
-        rows.append(list(delta.col(col)))
+    orders = tgt.orders()
+    rows = [row for row, d in zip(IntMatrix.diagonal(orders).data, orders) if d]
+    rows += delta.columns()
     c = canonicalize_full(Presentation(tgt.size, IntMatrix.from_rows(rows, cols=tgt.size)))
 
     # The generators are tgt's basis, in its order: e-blocks, then ee-blocks.
@@ -374,11 +347,8 @@ def brute_force_quad_tensor(a: FgAbGroup, m: QuadraticModule,
     def ee_sym(ai: int, bi: int, q: int) -> int:
         return n * ge + (ai * n + bi) * gee + q
 
-    h, p_map = m.h, m.p
-    t_map = m.involution()
-    h_gen = [h.apply([1 if r == p else 0 for r in range(ge)]) for p in range(ge)]
-    p_gen = [p_map.apply([1 if r == q else 0 for r in range(gee)]) for q in range(gee)]
-    t_gen = [t_map.apply([1 if r == q else 0 for r in range(gee)]) for q in range(gee)]
+    h_gen, p_gen = m.h.matrix.columns(), m.p.matrix.columns()
+    t_gen = m.involution().matrix.columns()
 
     rows = []
 

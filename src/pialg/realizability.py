@@ -176,31 +176,7 @@ def format_semantic(gt: GammaTildeResult, element: Sequence[int]) -> str:
 
 # -- stable checker -------------------------------------------------------
 
-
-def _forced_kill_generators(entry, tables: StableTables, k: int):
-    """(m, name) for each named generator q with m·q != 0 that every admissible gamma kills."""
-    cod = tables.em(k + 1)
-    out = []
-    for d, name in entry.summands:
-        know = tables.gamma.get((k, name))
-        if know is None:
-            continue
-        m = know.kill_multiplier(cod, d)
-        if d and m == d:
-            continue  # kills only the whole cyclic summand's zero
-        out.append((m, name))
-    return out
-
-
-def _blockers(entry, tables: StableTables, k: int) -> tuple:
-    """What leaves stem k open: unknown gamma entries, then what stops enumeration."""
-    out = [f"stem{k}.{name}" for _, name in entry.summands
-           if (know := tables.gamma.get((k, name))) is None or know.state == "unknown"]
-    if tables.em(k + 1) is None:
-        out.append(f"em_homology[{k + 1}] untabulated")
-    if not entry.complete:
-        out.append(f"Q_{k}^S partially tabulated")
-    return tuple(out)
+_ZERO_ETA = "zero structure map; a product of Eilenberg-MacLane spaces realizes it"
 
 
 def _obstruction_from_dead(pa: TwoStagePiAlgebra, gt: GammaTildeResult,
@@ -243,13 +219,38 @@ def _gamma_tilde(tables: StableTables, n: int, k: int, a_n: FgAbGroup) -> GammaT
 
 
 @_on_tables
-def _completions(tables: StableTables, k: int) -> list:
-    """The admissible completions of stem k; InconsistentTables when an overlay leaves none."""
-    completions = admissible_gamma_completions(k, tables)
-    if not completions:
-        raise InconsistentTables(f"no admissible gamma completion exists in stem {k}; "
-                                 "the tables are contradictory")
-    return completions
+def _stem(tables: StableTables, k: int) -> tuple:
+    """(completions, kills, blockers): how stem k is decided, worked out once per stem.
+
+    ``completions`` are the admissible completions when Q_k^S is complete and
+    HZ_{k+1}HZ is tabulated, the one test of enumerating mode
+    (InconsistentTables when an overlay leaves none); None in certificate
+    mode. ``kills`` are (m, name) for each named generator q with m·q != 0
+    that every admissible gamma kills. ``blockers`` is what an undetermined
+    verdict lists: unknown gamma entries, then what stops enumeration.
+    """
+    entry, cod = tables.q_stable_entry(k), tables.em(k + 1)
+    completions = None
+    if entry.complete and cod is not None:
+        completions = admissible_gamma_completions(k, tables)
+        if not completions:
+            raise InconsistentTables(f"no admissible gamma completion exists in stem {k}; "
+                                     "the tables are contradictory")
+    kills, blockers = [], []
+    for d, name in entry.summands:
+        know = tables.gamma.get((k, name))
+        if know is None or know.state == "unknown":
+            blockers.append(f"stem{k}.{name}")
+        if know is None:
+            continue
+        m = know.kill_multiplier(cod, d)
+        if not d or m != d:  # m = d kills only the cyclic summand's zero
+            kills.append((m, name))
+    if cod is None:
+        blockers.append(f"em_homology[{k + 1}] untabulated")
+    if not entry.complete:
+        blockers.append(f"Q_{k}^S partially tabulated")
+    return completions, tuple(kills), tuple(blockers)
 
 
 @_on_tables
@@ -259,7 +260,7 @@ def _gammas(tables: StableTables, n: int, k: int, a_n: FgAbGroup) -> tuple:
     tgt_tp = tensor(a_n, tables.em(k + 1))
     id_a = GroupHom.identity(a_n)
     return tuple(tensor_induced(id_a, c.hom, source=src_tp, target=tgt_tp)
-                 for c in _completions(tables, k))
+                 for c in _stem(tables, k)[0])
 
 
 @_on_tables
@@ -282,13 +283,13 @@ def _dead(tables: StableTables, n: int, k: int, a_n: FgAbGroup) -> tuple:
     in gamma_tilde stably sorted by weight (the sum of absolute coordinates);
     None for an infinite subgroup or one over 4096 elements.
     """
-    entry = tables.q_stable_entry(k)
-    if entry.complete and tables.em(k + 1) is not None:
+    completions, kills, _ = _stem(tables, k)
+    if completions is not None:
         incl = kernel(stack_homs(list(_gammas(tables, n, k, a_n)))[0])[1]
     else:
-        gt = _gamma_tilde(tables, n, k, a_n)
+        entry, gt = tables.q_stable_entry(k), _gamma_tilde(tables, n, k, a_n)
         gens = [gt._tensor.pure(x, entry.group.smul(m, entry.element_of(name)))  # m·q != 0
-                for m, name in _forced_kill_generators(entry, tables, k)
+                for m, name in kills
                 for x in IntMatrix.identity(a_n.dim).columns()]
         if not gens:
             return (), ()
@@ -299,7 +300,7 @@ def _dead(tables: StableTables, n: int, k: int, a_n: FgAbGroup) -> tuple:
     return tuple(incl.matrix.columns()), elements
 
 
-def _decider(tables: StableTables, entry, n: int, k: int, a_n: FgAbGroup, target: FgAbGroup):
+def _decider(tables: StableTables, n: int, k: int, a_n: FgAbGroup, target: FgAbGroup):
     """eta's reduced columns -> (status, found): the one decision of a nonzero stable eta.
 
     Enumerating mode (the stem and its codomain are tabulated): ``found`` is ``Factorizer.rows``'
@@ -307,7 +308,7 @@ def _decider(tables: StableTables, entry, n: int, k: int, a_n: FgAbGroup, target
     Certificate mode: ``found`` is None, and eta is non-realizable exactly when it does not
     kill some generator of ``_dead``, the forced-dead subgroup.
     """
-    if entry.complete and tables.em(k + 1) is not None:
+    if _stem(tables, k)[0] is not None:
         fzs = tuple(dict.fromkeys(_factorizers(tables, n, k, a_n, target)))  # each distinct once
 
         def decide(cols):
@@ -327,31 +328,29 @@ def check_stable(pa: TwoStagePiAlgebra, tables: StableTables) -> Verdict:
     n, k = pa.n, pa.k
     if k > n - 2:
         raise NotStableRange(f"k = {k} is not <= n - 2 = {n - 2}")
-    entry = tables.q_stable_entry(k)
     gt = _validated_gt(pa, tables)
     cod = tables.em(k + 1)
 
     if pa.eta.is_zero():
         witness = None if cod is None else GroupHom.zero(tensor(pa.a_n, cod).group, pa.a_nk)
-        return Verdict(Status.REALIZABLE, witness=witness,
-                       note="zero structure map; a product of Eilenberg-MacLane "
-                            "spaces realizes it")
+        return Verdict(Status.REALIZABLE, witness=witness, note=_ZERO_ETA)
 
     target = pa.eta.target
-    status, found = _decider(tables, entry, n, k, pa.a_n, target)(tuple(zip(*pa.eta.matrix.data)))
+    status, found = _decider(tables, n, k, pa.a_n, target)(tuple(zip(*pa.eta.matrix.data)))
+    completions, _, blockers = _stem(tables, k)
     outcomes = ()  # certificate mode (found is None) lists no completions
     if found is not None:
         fzs = _factorizers(tables, n, k, pa.a_n, target)
         homs = {fz: fz._hom(rows) for fz, rows in zip(dict.fromkeys(fzs), found)}
         outcomes = tuple(CompletionOutcome(comp.assignment, homs[fz] is not None, homs[fz])
-                         for comp, fz in zip(_completions(tables, k), fzs))
+                         for comp, fz in zip(completions, fzs))
     if status is Status.REALIZABLE:
         return Verdict(status, witness=outcomes[0].witness, completions=outcomes)
     if status is Status.NON_REALIZABLE:
         obs = _obstruction_from_dead(pa, gt, _dead(tables, n, k, pa.a_n))
         return Verdict(status, completions=outcomes, obstruction=obs or Obstruction(
             note="no completion admits a factorization"))
-    return Verdict(status, blocking=_blockers(entry, tables, k), completions=outcomes,
+    return Verdict(status, blocking=blockers, completions=outcomes,
                    note="cannot enumerate gamma completions from the available tables"
                    if found is None else "factorability depends on unknown gamma entries")
 
@@ -391,8 +390,7 @@ def check(pa: TwoStagePiAlgebra, tables: StableTables) -> Verdict:
         return Verdict(Status.REALIZABLE, note="trivial operations; a product of "
                                                "Eilenberg-MacLane spaces realizes it")
     if pa.eta.is_zero():
-        return Verdict(Status.REALIZABLE, note="zero structure map; a product of "
-                                               "Eilenberg-MacLane spaces realizes it")
+        return Verdict(Status.REALIZABLE, note=_ZERO_ETA)
     raise UnsupportedRegime(
         "the realizability criterion requires unstable gamma data for K(A_n, n), "
         "which the tables do not carry; only gamma_tilde is computable here")
@@ -430,21 +428,19 @@ def all_realizable_in_stem(k: int, tables: StableTables) -> StemVerdict:
     entry = tables.q_stable_entry(k)
     if entry.group.is_trivial:
         return StemVerdict(k, StemAnswer.YES, note="trivial operations in this stem")
-    cod = tables.em(k + 1)
-    if entry.complete and cod is not None:  # every completion is enumerated
-        results = tuple((c.assignment, is_split_injective(c.hom)[0])
-                        for c in _completions(tables, k))
+    completions, kills, blockers = _stem(tables, k)
+    if completions is not None:  # every completion is enumerated
+        results = tuple((c.assignment, is_split_injective(c.hom)[0]) for c in completions)
         if all(split for _, split in results):
             return StemVerdict(k, StemAnswer.YES, completions=results)
         if not any(split for _, split in results):
             return StemVerdict(k, StemAnswer.NO, completions=results,
                                note="gamma is split injective under no admissible completion")
-        return StemVerdict(k, StemAnswer.UNDETERMINED, completions=results,
-                           blocking=_blockers(entry, tables, k))
+        return StemVerdict(k, StemAnswer.UNDETERMINED, completions=results, blocking=blockers)
 
     # Rule-based fallbacks when the codomain is unknown.
-    if forced := _forced_kill_generators(entry, tables, k):
-        m, name = forced[0]
+    if kills:
+        m, name = kills[0]
         return StemVerdict(
             k, StemAnswer.NO,
             note=f"gamma kills {m}·{name} != 0, so it is not injective; "
@@ -565,8 +561,7 @@ def survey_stem(k: int, tables: StableTables, max_cyclic_order: int,
             if gt.regime in _ALWAYS_REALIZABLE:
                 counts = Counter({Status.REALIZABLE.value: homs.order()})
             else:
-                entry = tables.q_stable_entry(k)  # raises where check_stable would
-                decide = functools.cache(lambda: _decider(tables, entry, n, k, a_n, target))
+                decide = functools.cache(lambda: _decider(tables, n, k, a_n, target))
                 counts = Counter(decide()(cols)[0].value if any(map(any, cols)) else
                                  Status.REALIZABLE.value for cols in homs.columns())
             totals.update(counts)

@@ -125,9 +125,13 @@ def test_check_with_overlay(problem_file, tmp_path, capsys):
     # "xy" was read as ["x", "y"]; ["x", "x"] spelled obstructions over an ambiguous x.
     *(dict(SMALLEST, A_n={"rank": 2, "torsion": [], "labels": labels}, eta=[[1, 0, 0, 0]])
       for labels in ("xy", ["x", "x"], ["x", 1], None)),
+    # A misspelled key was dropped: A_n read as Z, A_n1 as an unlabelled Z/2.
+    dict(SMALLEST, A_n={"rank": 1, "torsoin": [2]}),
+    dict(THREE_STAGE, A_n1={"rank": 0, "torsion": [2], "lables": ["y"]}),
 ], ids=["missing-n", "top-level-array", "torsion-not-a-chain", "fractional-n",
         "fractional-torsion", "fractional-eta", "string-eta", "bool-eta", "fractional-eta1",
-        "string-labels", "repeated-labels", "integer-label", "null-labels"])
+        "string-labels", "repeated-labels", "integer-label", "null-labels",
+        "misspelled-group-key", "misspelled-group-key-three-stage"])
 def test_malformed_problem_files_exit_three(problem_file, capsys, doc):
     code, _, err = run(capsys, ["check", problem_file(doc)])
     assert code == 3 and "malformed problem file" in err
@@ -190,6 +194,7 @@ def test_module_file_entries_must_be_integers(tmp_path, capsys):
     for key, value, message in (("H", [[0.0]], "JSON integers"),
                                 ("Me", {"rank": 1.5, "torsion": [2]}, "must be integers"),
                                 ("Me", {"rank": 0, "torsion": [2.5]}, "must be integers"),
+                                ("Me", {"rank": 1, "torsoin": [2]}, "must be groups"),
                                 ("Mee", None, "missing 'Mee'")):
         doc = dict(good, **{key: value})
         if value is None:

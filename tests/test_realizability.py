@@ -708,6 +708,24 @@ def test_survey_and_per_eta_loop_agree_on_errors(tables):
         assert (plain[0] is BoundExceeded) == (max_checks < 717)
 
 
+def test_contradictory_stem_is_met_only_past_the_zero_eta():
+    # The zero structure map is realizable without looking at the stem's
+    # completions; a nonzero eta and the whole-stem answer both reach them
+    # and raise. Unvalidated tables leave stem 5 with no admissible completion.
+    broken = loads_tables("[q_stable]\n5 = Z/2<x>\n[em_homology]\n6 = Z/3\n"
+                          "[gamma]\n5.x = nonzero(2)\n", "broken")
+    a_n = target = cyclic(2)
+    gt = gamma_tilde(7, 5, a_n, broken)
+    zero = TwoStagePiAlgebra(7, 5, a_n, target, GroupHom.zero(gt.group, target))
+    assert check(zero, broken).status is Status.REALIZABLE
+    nonzero = TwoStagePiAlgebra(7, 5, a_n, target, build_structure_map(gt, [(1,)], target))
+    message = "no admissible gamma completion exists in stem 5"
+    with pytest.raises(InconsistentTables, match=message):
+        check(nonzero, broken)
+    with pytest.raises(InconsistentTables, match=message):
+        all_realizable_in_stem(5, broken)
+
+
 def test_each_distinct_factorizer_is_asked_once_per_eta(monkeypatch):
     # Completions with equal gamma_c ⊗ A_n share one Factorizer; check_stable
     # and a survey row ask each distinct one once per eta, not once per
