@@ -376,6 +376,15 @@ def multiplication_by(n: int, g: FgAbGroup) -> GroupHom:
     return GroupHom(g, g, IntMatrix.identity(g.dim).scale(n))
 
 
+def hom_from_images(source: FgAbGroup, target: FgAbGroup, images: Sequence[Sequence[int]],
+                    section: IntMatrix) -> GroupHom:
+    """The map sending generator j of a presentation of ``source`` to ``images[j]``: images
+    times ``section`` (each canonical generator over the presentation's), the only candidate,
+    with nothing solved. Trusted: the caller vouches that it is a homomorphism, or checks."""
+    rows = tuple(zip(*images)) if images else ((),) * target.dim
+    return GroupHom._of(source, target, (IntMatrix._of(target.dim, len(images), rows) * section).data)
+
+
 # -- congruence systems -------------------------------------------------
 
 
@@ -573,41 +582,45 @@ def two_torsion_subgroup(a: FgAbGroup) -> tuple:
 
 @record
 class DirectSum:
+    """The canonical direct sum of ``summands``; each summand's injection and projection
+    are read off the sum's quotient and section when first read."""
+
     group: FgAbGroup
-    injections: tuple
-    projections: tuple
+    summands: tuple
+    _canon: Canonicalized = field(compare=False, repr=False)
+
+    def _blocks(self) -> list:  # (summand, its coordinates in the sum's presentation)
+        ends = itertools.accumulate(g.dim for g in self.summands)
+        return [(g, range(e - g.dim, e)) for g, e in zip(self.summands, ends)]
+
+    injections = lazy(lambda self: tuple(GroupHom.from_columns(
+        g, self.group, [self._canon.quotient.matrix.col(j) for j in b]) for g, b in self._blocks()))
+    projections = lazy(lambda self: tuple(GroupHom(self.group, g, IntMatrix.from_rows(
+        [self._canon.section.row(j) for j in b], cols=self.group.dim)) for g, b in self._blocks()))
 
 
 def direct_sum(*groups: FgAbGroup) -> DirectSum:
     """Canonical direct sum with its injections and projections."""
     c = _cyclic_sum([d for g in groups for d in g.torsion + (0,) * g.rank])
-    injections = []
-    projections = []
-    off = 0
-    for g in groups:
-        block = range(off, off + g.dim)
-        injections.append(GroupHom.from_columns(g, c.group, [c.quotient.matrix.col(j) for j in block]))
-        projections.append(GroupHom(c.group, g, IntMatrix.from_rows(
-            [c.section.row(j) for j in block], cols=c.group.dim)))
-        off += g.dim
-    return DirectSum(c.group, tuple(injections), tuple(projections))
+    return DirectSum(c.group, groups, c)
 
 
 def stack_homs(fs: Sequence[GroupHom]) -> tuple:
     """Combine maps with a common source into one map to the direct sum.
 
-    Returns (stacked hom, DirectSum of the targets).
+    Returns (stacked hom, DirectSum of the targets). The stacked map is one
+    product, the sum's quotient times the maps' matrices stacked, which skips
+    the quotient's zero entries; no injection is built.
     """
     if not fs:
         raise ValueError("need at least one homomorphism")
     src = fs[0].source
+    if any(f.source != src for f in fs):
+        raise ValueError("stack_homs requires a common source")
     ds = direct_sum(*[f.target for f in fs])
-    m = IntMatrix.zeros(ds.group.dim, src.dim)
-    for f, inj in zip(fs, ds.injections):
-        if f.source != src:
-            raise ValueError("stack_homs requires a common source")
-        m = m + (inj.matrix * f.matrix)
-    return GroupHom(src, ds.group, m), ds
+    stacked = tuple(row for f in fs for row in f.matrix.data)
+    m = ds._canon.quotient.matrix * IntMatrix._of(len(stacked), src.dim, stacked)
+    return GroupHom._of(src, ds.group, m.data), ds
 
 
 # -- tensor, tor, hom ----------------------------------------------------
@@ -659,10 +672,13 @@ def tensor_induced(f: GroupHom, g: GroupHom,
     """
     src = source if source is not None else tensor(f.source, g.source)
     tgt = target if target is not None else tensor(f.target, g.target)
+    if (src.left, src.right, tgt.left, tgt.right) != (f.source, g.source, f.target, g.target):
+        raise ValueError("tensor_induced: source and target must be tensors of f's and g's groups")
     fm, gm = f.matrix.data, g.matrix.data
     on_pairs = IntMatrix._of(len(tgt.pairs), len(src.pairs), tuple(
         tuple(fm[ki][i] * gm[kj][j] for (i, j) in src.pairs) for (ki, kj) in tgt.pairs))
-    return GroupHom(src.group, tgt.group, tgt._canon.quotient.matrix * on_pairs * src._canon.section)
+    return GroupHom._of(src.group, tgt.group,  # f ⊗ g of two homomorphisms is one
+                        (tgt._canon.quotient.matrix * on_pairs * src._canon.section).data)
 
 
 def mod_reduction(a: FgAbGroup, n: int) -> tuple:

@@ -63,21 +63,30 @@ class GammaTildeResult:
     k: int
     _tensor: Optional[object] = field(default=None, compare=False, repr=False)
     _quad: Optional[QuadTensorResult] = field(default=None, compare=False, repr=False)
+    # Each of the tensor's coefficient generators over the named ones; None: they coincide.
+    _coeff_section: Optional[IntMatrix] = field(default=None, compare=False, repr=False)
 
     def labels(self) -> tuple:
         return tuple(g.label for g in self.generators)
 
-    def generator_hom(self) -> GroupHom:
-        """Free group on the semantic generators onto the gamma_tilde group."""
-        from .fgab import free_group
-        return GroupHom.from_columns(
-            free_group(len(self.generators)), self.group,
-            [g.element for g in self.generators])
-
     @lazy
     def spanning(self) -> Congruences:
         """Coefficients over the semantic generators: one reduction serves every element."""
-        return Congruences.spanning(self.group, self.generator_hom().matrix)
+        return Congruences.spanning(self.group, IntMatrix.from_columns(
+            [g.element for g in self.generators], rows=self.group.dim))
+
+    @lazy
+    def section(self) -> IntMatrix:
+        """Each canonical generator over the semantic generators, a column each: the quadratic
+        tensor's section, or the tensor's with each pair a_i ⊗ e_j spelled over the a_i ⊗ q_s."""
+        if self._tensor is None:  # the quadratic tensor's generators are the semantic ones
+            return self._quad._canon.section if self._quad else IntMatrix.identity(0)
+        t, c = self._tensor._canon.section, self._coeff_section
+        if c is None:
+            return t
+        zero, a = (0,) * c.cols, self._tensor.left.dim  # a_i ⊗ e_j = sum_s c[s][j]·(a_i ⊗ q_s)
+        blocks = tuple(zero * i + row + zero * (a - 1 - i) for i in range(a) for row in c.data)
+        return IntMatrix._of(len(blocks), t.rows, blocks) * t
 
 
 def _resolve_regime(n: int, k: int) -> Regime:
@@ -100,8 +109,9 @@ def _from_quad(res: QuadTensorResult, regime: Regime, n: int, k: int) -> GammaTi
 
 
 def _from_tensor(a: FgAbGroup, coeff: FgAbGroup, coeff_gens, regime: Regime,
-                 n: int, k: int) -> GammaTildeResult:
-    """Tensor regimes; coeff_gens is a list of (name, element of coeff)."""
+                 n: int, k: int, coeff_section: Optional[IntMatrix] = None) -> GammaTildeResult:
+    """Tensor regimes; coeff_gens is a list of (name, element of coeff), and coeff_section
+    spells coeff's canonical generators over them (None: they are those generators)."""
     tp = tensor(a, coeff)
     la = a.labels()
     gens = []
@@ -110,7 +120,8 @@ def _from_tensor(a: FgAbGroup, coeff: FgAbGroup, coeff_gens, regime: Regime,
             img = tp.pure(unit, elem)
             gens.append(SemanticGenerator(f"{la[i]}⊗{name}", img,
                                           tp.group.element_order(img)))
-    return GammaTildeResult(tp.group, regime, tuple(gens), n, k, _tensor=tp)
+    return GammaTildeResult(tp.group, regime, tuple(gens), n, k, _tensor=tp,
+                            _coeff_section=coeff_section)
 
 
 def _tabulated_gens(entry: TabulatedGroup):
@@ -143,7 +154,8 @@ def gamma_tilde(n: int, k: int, a: FgAbGroup, tables: StableTables) -> GammaTild
         return _from_quad(quad_tensor(a, qm), regime, n, k)
     if regime is Regime.STABLE:
         entry = tables.q_stable_entry(k)
-        return _from_tensor(a, entry.group, _tabulated_gens(entry), regime, n, k)
+        return _from_tensor(a, entry.group, _tabulated_gens(entry), regime, n, k,
+                            entry._canon.section)
     qg = tables.q_unstable_group(k, n)
     if qg is None:
         raise MissingTableData(f"Q_{{{k},{n}}} is not tabulated")

@@ -137,9 +137,7 @@ class FreeQuadTensor:
 
     @property
     def size(self) -> int:
-        ge = self.module.me.dim
-        gee = self.module.mee.dim
-        return self.s * ge + (self.s * (self.s - 1) // 2) * gee
+        return self.e_count + (self.s * (self.s - 1) // 2) * self.module.mee.dim
 
     def e_index(self, i: int, p: int) -> int:
         return i * self.module.me.dim + p
@@ -151,13 +149,9 @@ class FreeQuadTensor:
         return self.e_count + pair_pos * self.module.mee.dim + q
 
     def orders(self) -> list:
-        me, mee = self.module.me, self.module.mee
-        out = []
-        for _ in range(self.s):
-            out.extend(me.coord_order(p) for p in range(me.dim))
-        for _ in range(self.s * (self.s - 1) // 2):
-            out.extend(mee.coord_order(q) for q in range(mee.dim))
-        return out
+        me, mee, s = self.module.me, self.module.mee, self.s
+        return ([me.coord_order(p) for p in range(me.dim)] * s
+                + [mee.coord_order(q) for q in range(mee.dim)] * (s * (s - 1) // 2))
 
     # -- expansion rules -------------------------------------------------
 
@@ -254,8 +248,7 @@ def _quad_tensor(a: FgAbGroup, m: QuadraticModule, e_label: str,
     """``quad_tensor`` with a_i⊗x labelled ``e_label.format(a_i, x)`` and
     [a_i,a_j]⊗y labelled ``ee_label.format(a_i, a_j, y)``, for generators x of
     Me and y of Mee; a template may leave out trailing fields."""
-    t = len(a.torsion)
-    s = a.dim
+    t, s = len(a.torsion), a.dim
     tgt = FreeQuadTensor(s, m)
     src = FreeQuadTensor(t + s, m)
     # (f,1) and (0,1): R + F -> F for the canonical presentation R -f-> F of A.
@@ -266,7 +259,8 @@ def _quad_tensor(a: FgAbGroup, m: QuadraticModule, e_label: str,
 
     orders = tgt.orders()
     rows = [row for row, d in zip(IntMatrix.diagonal(orders).data, orders) if d]
-    rows += delta.columns()
+    # phi1 and phi0 agree on the free block, so delta's columns there are zero relations
+    rows += [col for col in delta.columns() if any(col)]
     c = canonicalize_full(Presentation(tgt.size, IntMatrix.from_rows(rows, cols=tgt.size)))
 
     # The generators are tgt's basis, in its order: e-blocks, then ee-blocks.

@@ -54,6 +54,7 @@ from .fgab import (
     from_cyclic_orders,
     group_from_json,
     group_to_json,
+    hom_from_images,
     hom_group,
     is_split_injective,
     kernel,
@@ -140,15 +141,23 @@ def build_structure_map(gt: GammaTildeResult, columns: Sequence[Sequence[int]],
     """The homomorphism sending each semantic generator to its column.
 
     Columns are target coordinates, one per generator in ``gt.generators``
-    order. Raises MalformedStructureMap when the requested values violate
-    the relations of the domain (e.g. order mismatch).
+    order. The semantic generators span gamma_tilde, so the only candidate
+    is columns · ``gt.section``; it is the answer when it is a homomorphism
+    that sends each generator back to its column. Raises
+    MalformedStructureMap otherwise: the requested values violate the
+    relations of the domain (e.g. order mismatch).
     """
     if len(columns) != len(gt.generators):
         raise MalformedStructureMap(
             f"expected {len(gt.generators)} columns ({', '.join(gt.labels())}), "
             f"got {len(columns)}")
-    h = Factorizer(gt.generator_hom(), target).solve(list(columns))
-    if h is None:
+    cols = [target.reduce(c) for c in columns]
+    try:  # GroupHom checks that each canonical generator's order kills its image
+        h = GroupHom(gt.group, target, hom_from_images(gt.group, target, cols, gt.section).matrix)
+        ok = [h.apply(g.element) for g in gt.generators] == cols
+    except ValueError:
+        ok = False
+    if not ok:
         raise MalformedStructureMap(
             "requested generator images do not define a homomorphism on "
             f"{gt.group} (generators {', '.join(gt.labels())})")
@@ -632,14 +641,17 @@ def _problem_fields(doc, int_minima: dict, group_keys: tuple, other_keys: tuple)
 
     ``int_minima`` maps each integer key to its least legal value. Raises
     ProblemFormatError when the document is not a JSON object, lacks a
-    required key, or holds an integer or group field that does not parse
-    or is out of range (for example torsion that is not a divisibility
-    chain).
+    required key, holds a key outside its form, or holds an integer or group
+    field that does not parse or is out of range (for example torsion that
+    is not a divisibility chain).
     """
+    keys = (*int_minima, *group_keys, *other_keys)
     if not isinstance(doc, dict):
         problem = f"expected a JSON object, got {type(doc).__name__}"
-    elif missing := [key for key in (*int_minima, *group_keys, *other_keys) if key not in doc]:
+    elif missing := [key for key in keys if key not in doc]:
         problem = "missing " + ", ".join(repr(key) for key in missing)
+    elif extra := [key for key in doc if key not in keys]:
+        problem = f"unknown key {extra[0]!r}; this form takes only {', '.join(keys)}"
     elif bad := [f"{key} must be an integer >= {least}, got {doc[key]!r}"
                  for key, least in int_minima.items()
                  if type(doc[key]) is not int or doc[key] < least]:
@@ -662,9 +674,10 @@ def problem_from_json(doc: dict, tables: StableTables):
 
     Two-stage files: {"n", "k", "A_n", "A_nk", "eta"} with eta columns
     indexed by the documented gamma_tilde generator order. Three-stage
-    files: {"n", "A_n", "A_n1", "A_n2", "eta1", "eta2"} with the columns
-    indexed by the mod-2 reductions of A_n and A_{n+1}. Matrix entries
-    must be JSON integers. The gamma_tilde built here is memoized on
+    files (those with an "A_n2" or "eta2" key): {"n", "A_n", "A_n1",
+    "A_n2", "eta1", "eta2"} with the columns indexed by the mod-2
+    reductions of A_n and A_{n+1}. A file takes only its form's keys.
+    Matrix entries must be JSON integers. The gamma_tilde built here is memoized on
     ``tables``, so ``check`` on the same tables object does not rebuild it.
     """
     if isinstance(doc, dict) and ("A_n2" in doc or "eta2" in doc):

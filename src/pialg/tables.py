@@ -56,13 +56,12 @@ from typing import Iterator, Mapping, Optional, Tuple
 from ._record import field, lazy, record
 from .errors import InconsistentTables, MalformedStructureMap, MissingTableData, TableFormatError
 from .fgab import (
-    Factorizer,
     FgAbGroup,
     GroupHom,
     TRIVIAL,
     _cyclic_sum,
-    free_group,
     from_cyclic_orders,
+    hom_from_images,
 )
 from .quadratic import (
     BUILTIN_QUADRATIC_MODULES,
@@ -121,10 +120,6 @@ class TabulatedGroup:
             if n == name:
                 return self.group.reduce(self._canon.quotient.matrix.col(j))
         raise KeyError(name)
-
-    def generator_hom(self) -> GroupHom:
-        """The map from the free group on the named generators onto the group."""
-        return GroupHom(free_group(len(self.summands)), self.group, self._canon.quotient.matrix)
 
     def __str__(self) -> str:
         if not self.summands:
@@ -463,7 +458,10 @@ def admissible_gamma_completions(k: int, tables: StableTables) -> list:
     """All total maps gamma consistent with every knowledge state, in a fixed order.
 
     Known entries appear unaltered in every completion. Requires a complete
-    Q_k^S table and the codomain HZ_{k+1}HZ.
+    Q_k^S table and the codomain HZ_{k+1}HZ. Each completion's hom is its
+    images on the named generators times ``entry._canon.section``: the named
+    generators span Q_k^S, so that is the one map with those images, and an
+    image killed by its generator's order respects every relation.
     """
     entry = tables.q_stable_entry(k)
     if not entry.complete:
@@ -479,13 +477,10 @@ def admissible_gamma_completions(k: int, tables: StableTables) -> list:
     for d, name in entry.summands:
         know = tables.gamma.get((k, name))
         per_gen.append(_candidate_images(know, d, cod))
-    out = []
-    solver = Factorizer(entry.generator_hom(), cod)  # only the images vary
-    for combo in itertools.product(*per_gen):
-        hom = solver.solve(list(combo))
-        assert hom is not None, "image orders divide generator orders"
-        out.append(GammaCompletion(k, tuple(zip(entry.names, combo)), hom))
-    return out
+    section = entry._canon.section
+    return [GammaCompletion(k, tuple(zip(entry.names, combo)),
+                            hom_from_images(entry.group, cod, combo, section))
+            for combo in itertools.product(*per_gen)]
 
 
 # -- text format ---------------------------------------------------------

@@ -14,10 +14,13 @@ from math import gcd, prod
 
 from pialg import FgAbGroup, GroupHom, IntMatrix, from_cyclic_orders, hom_group
 from pialg.errors import BoundExceeded
-from pialg.fgab import Congruences, factor_through
+from pialg.fgab import (Congruences, Factorizer, Presentation, direct_sum, factor_through,
+                        free_group)
 from pialg.intlinalg import (SnfResult, _identity_lists, _is_diagonal, _xgcd,
                              cokernel_invariants_sparse)
+from pialg.errors import MalformedStructureMap
 from pialg.pi_functors import gamma_tilde
+from pialg.quadratic import FreeQuadTensor
 from pialg.realizability import (Status, SurveyReport, SurveyRow, TwoStagePiAlgebra,
                                  _gamma_tilde, _gammas, check)
 
@@ -461,3 +464,54 @@ def factor_interleaved(through, target, images):
     if sol is None:
         return None
     return GroupHom._of(b, target, [sol[i * nb:(i + 1) * nb] for i in range(nc)])
+
+
+def completion_homs_by_solve(k, tables, completions):
+    """Each completion's hom solved for: ``Factorizer`` on the named generators' map.
+
+    The plain path ``admissible_gamma_completions`` read off the section instead:
+    the h with h(named generator) = its image in ``completions``' assignment.
+    """
+    entry, cod = tables.q_stable_entry(k), tables.em(k + 1)
+    named = GroupHom(free_group(len(entry.summands)), entry.group, entry._canon.quotient.matrix)
+    solver = Factorizer(named, cod)
+    return [solver.solve([image for _, image in c.assignment]) for c in completions]
+
+
+def structure_map_by_solve(gt, columns, target):
+    """``build_structure_map`` as one ``Factorizer`` solve over the semantic generators."""
+    if len(columns) != len(gt.generators):
+        raise MalformedStructureMap(
+            f"expected {len(gt.generators)} columns ({', '.join(gt.labels())}), "
+            f"got {len(columns)}")
+    semantic = GroupHom.from_columns(free_group(len(gt.generators)), gt.group,
+                                     [g.element for g in gt.generators])
+    h = Factorizer(semantic, target).solve(list(columns))
+    if h is None:
+        raise MalformedStructureMap(
+            "requested generator images do not define a homomorphism on "
+            f"{gt.group} (generators {', '.join(gt.labels())})")
+    return h
+
+
+def stacked_by_injections(fs):
+    """``stack_homs(fs)[0]`` as the validated sum of each injection times its map."""
+    ds = direct_sum(*[f.target for f in fs])
+    m = IntMatrix.zeros(ds.group.dim, fs[0].source.dim)
+    for f, inj in zip(fs, ds.injections):
+        m = m + (inj.matrix * f.matrix)
+    return GroupHom(fs[0].source, ds.group, m)
+
+
+def quad_tensor_presentation_with_zero_rows(a, m):
+    """The presentation of A ⊗q M that ``quad_tensor`` canonicalized when it kept every
+    column of delta, zero columns (those on the free block only) included."""
+    t, s = len(a.torsion), a.dim
+    tgt, src = FreeQuadTensor(s, m), FreeQuadTensor(t + s, m)
+    units = IntMatrix.identity(s).columns()
+    phi1 = IntMatrix.from_columns(IntMatrix.diagonal(a.torsion, s, t).columns() + units, rows=s)
+    phi0 = IntMatrix.from_columns([(0,) * s] * t + units, rows=s)
+    delta = src.induced_matrix(phi1, tgt) - src.induced_matrix(phi0, tgt)
+    orders = tgt.orders()
+    rows = [row for row, d in zip(IntMatrix.diagonal(orders).data, orders) if d]
+    return Presentation(tgt.size, IntMatrix.from_rows(rows + delta.columns(), cols=tgt.size))

@@ -128,13 +128,25 @@ def test_check_with_overlay(problem_file, tmp_path, capsys):
     # A misspelled key was dropped: A_n read as Z, A_n1 as an unlabelled Z/2.
     dict(SMALLEST, A_n={"rank": 1, "torsoin": [2]}),
     dict(THREE_STAGE, A_n1={"rank": 0, "torsion": [2], "lables": ["y"]}),
+    # A key outside the file's form was ignored: k and eta beside a three-stage
+    # problem (decided as three-stage), and a stray key beside a two-stage one.
+    dict(THREE_STAGE, k=3, eta=[[1]]),
+    dict(SMALLEST, etta=[[0, 0]]),
 ], ids=["missing-n", "top-level-array", "torsion-not-a-chain", "fractional-n",
         "fractional-torsion", "fractional-eta", "string-eta", "bool-eta", "fractional-eta1",
         "string-labels", "repeated-labels", "integer-label", "null-labels",
-        "misspelled-group-key", "misspelled-group-key-three-stage"])
+        "misspelled-group-key", "misspelled-group-key-three-stage",
+        "mixed-two-and-three-stage", "stray-key"])
 def test_malformed_problem_files_exit_three(problem_file, capsys, doc):
     code, _, err = run(capsys, ["check", problem_file(doc)])
     assert code == 3 and "malformed problem file" in err
+
+
+@pytest.mark.parametrize("doc, key", [(dict(THREE_STAGE, k=3, eta=[[1]]), "'k'"),
+                                      (dict(SMALLEST, etta=[[0, 0]]), "'etta'")])
+def test_problem_file_keys_outside_the_form_are_named(problem_file, capsys, doc, key):
+    code, _, err = run(capsys, ["check", problem_file(doc)])
+    assert code == 3 and f"unknown key {key}; this form takes only" in err
 
 
 def test_determinism(problem_file, capsys):

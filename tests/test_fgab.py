@@ -48,6 +48,7 @@ from helpers import (
     random_hom,
     snf_kernel,
     snf_solve,
+    stacked_by_injections,
 )
 
 
@@ -668,6 +669,21 @@ def test_subgroup_of_generators():
     assert g.element_order(incl.apply((1,))) == 3
     s, incl = subgroup(g, [])
     assert s == TRIVIAL
+
+
+@given(src=st.lists(st.sampled_from([0, 2, 3, 4, 6, 12]), max_size=3),
+       targets=st.lists(st.lists(st.sampled_from([0, 2, 3, 4, 6, 9]), max_size=2),
+                        min_size=1, max_size=3),
+       seed=st.integers(0, 2**32))
+@settings(max_examples=200, deadline=None)
+def test_stack_homs_equals_the_sum_over_injections(src, targets, seed):
+    # One product with the sum's quotient; the plain path sums inj · f per summand.
+    rng, a = random.Random(seed), from_cyclic_orders(src)
+    fs = [random_hom(rng, a, from_cyclic_orders(t)) for t in targets]
+    stacked, ds = stack_homs(fs)
+    assert "injections" not in vars(ds)  # the stacked map validates no injection
+    assert stacked == stacked_by_injections(fs)
+    assert all(proj @ stacked == f for proj, f in zip(ds.projections, fs))
 
 
 def test_direct_sum_and_stack():

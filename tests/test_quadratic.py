@@ -1,5 +1,6 @@
 """Quadratic modules and quadratic tensor products against the brute-force oracle."""
 
+import itertools
 import random
 
 import pytest
@@ -27,10 +28,14 @@ from pialg import (
     tensor,
     whitehead_gamma,
 )
+from pialg import quadratic
+from pialg.fgab import canonicalize_full
 from pialg.intlinalg import IntMatrix
-from pialg.quadratic import quadratic_module_from_json, quadratic_module_to_json
+from pialg.quadratic import (BUILTIN_QUADRATIC_MODULES, quadratic_module_from_json,
+                             quadratic_module_to_json)
 
-from helpers import all_abelian_group_orders_up_to, random_hom
+from helpers import (all_abelian_group_orders_up_to, quad_tensor_presentation_with_zero_rows,
+                     random_hom)
 
 MODULES = {"Z_Gamma": Z_GAMMA, "Z_Lambda": Z_LAMBDA, "pi5S3": PI5_S3}
 
@@ -229,3 +234,31 @@ def test_modules_with_torsion_coefficients():
             assert quad_tensor(a, m).group == brute_force_quad_tensor(a, m), (orders, m)
     # exterior square with Z/2 coefficients on a free group: one pair block
     assert quad_tensor(FgAbGroup(3, ()), lambda_mod2).group == from_cyclic_orders([2, 2, 2])
+
+
+def test_quad_tensor_presents_no_zero_relation_and_canonicalizes_as_before(monkeypatch):
+    # delta's columns on the free block alone are zero; dropping them must leave the
+    # canonical group, quotient and section of every presentation as they were.
+    presented = []
+
+    def recording(p):
+        presented.append(p)
+        return canonicalize_full(p)
+    monkeypatch.setattr(quadratic, "canonicalize_full", recording)
+    modules = [*BUILTIN_QUADRATIC_MODULES.values(), Z_GAMMA, Z_LAMBDA]
+    dropped = 0
+    for size in (1, 2, 3):
+        for orders in itertools.combinations_with_replacement([0, 2, 3, 4, 6, 8, 9, 12], size):
+            a = from_cyclic_orders(list(orders))
+            for m in modules:
+                res = quad_tensor(a, m)
+                p, old = presented.pop(), quad_tensor_presentation_with_zero_rows(a, m)
+                assert all(any(row) for row in p.relations.data)
+                dropped += old.relations.rows - p.relations.rows
+                new_c, old_c = res._canon, canonicalize_full(old)
+                assert (new_c.group, new_c.quotient, new_c.section) == (
+                    old_c.group, old_c.quotient, old_c.section)
+                assert res.generators == tuple(
+                    (label, old_c.group.reduce(old_c.quotient.matrix.col(pos)))
+                    for pos, (label, _) in enumerate(res.generators))
+    assert dropped == 5124

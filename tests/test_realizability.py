@@ -48,7 +48,8 @@ from pialg import realizability
 from pialg.realizability import format_semantic
 from pialg.tables import admissible_gamma_completions, alpha_family_overlay
 
-from helpers import forced_dead_elements, plain_status, survey_by_checks
+from helpers import (forced_dead_elements, plain_status, random_hom, structure_map_by_solve,
+                     survey_by_checks)
 
 
 def smallest_problem(tables, target=None, nu_to=1, alpha_to=0):
@@ -676,6 +677,62 @@ def test_check_status_equals_the_plain_status(problem):
     # factors through every completion, or reads the forced-dead generators.
     tables, pa = problem
     assert check(pa, tables).status is plain_status(pa, tables)
+
+
+@functools.cache
+def _regime_tables():
+    # A composite stable stem, metastable modules at n = 4 and 5, and Q_{5,3}.
+    return merge(load_defaults(), loads_tables(
+        "[q_stable]\n5 = Z/2<a> + Z/2<b> + Z/3<c>\n[em_homology]\n6 = Z/2 + Z/6\n"
+        "[metastable_qm]\n4 = pi5S3\n5 = Z_Gamma\n[q_unstable]\n5,3 = Z/2 + Z/4\n", "regimes"))
+
+
+# (n, k): stable (stems 3, 5 and 7), K1 at n = 2 and n >= 3, K2, metastable, unstable tabulated
+_REGIMES = [(5, 3), (7, 5), (9, 7), (2, 1), (3, 1), (5, 1), (3, 2), (4, 2), (4, 3), (5, 4),
+            (3, 5), (2, 3)]
+
+
+@given(n_k=st.sampled_from(_REGIMES), a=st.lists(st.sampled_from([0, 2, 3, 4, 6]), max_size=2),
+       b=st.lists(st.sampled_from([0, 2, 3, 4, 6, 12]), max_size=2), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_structure_map_equals_the_factorizer_solve(n_k, a, b, data):
+    # eta is read off gamma_tilde's semantic section and checked; the solve over
+    # the semantic generators is the plain path. Columns that are no homomorphism's
+    # images raise the same MalformedStructureMap on both.
+    tables, (n, k) = _regime_tables(), n_k
+    gt, target = gamma_tilde(n, k, from_cyclic_orders(a), tables), from_cyclic_orders(b)
+    if data.draw(st.booleans()):
+        rng = data.draw(st.randoms(use_true_random=False))
+        h = random_hom(rng, gt.group, target)
+        columns = [h.apply(g.element) for g in gt.generators]
+    else:
+        columns = [tuple(data.draw(st.integers(-13, 13)) for _ in range(target.dim))
+                   for _ in gt.generators]
+
+    def outcome(build):
+        try:
+            return build(gt, columns, target)
+        except MalformedStructureMap as exc:
+            return str(exc)
+    got = outcome(build_structure_map)
+    assert got == outcome(structure_map_by_solve)
+    assert isinstance(got, str) or [got.apply(g.element) for g in gt.generators] == [
+        target.reduce(c) for c in columns]
+
+
+def test_completions_and_structure_maps_are_not_solved_for(monkeypatch):
+    # Both are read off a section of their generators: no Congruences (the one
+    # solver, under every Factorizer) is reduced for either.
+    from pialg.fgab import Congruences
+    reduced, init = [], Congruences.__init__
+    monkeypatch.setattr(Congruences, "__init__",
+                        lambda self, *args: reduced.append(args) or init(self, *args))
+    tables = _regime_tables()
+    assert len(admissible_gamma_completions(5, tables)) == 48
+    for n, k in _REGIMES:
+        gt = gamma_tilde(n, k, from_cyclic_orders([0, 4]), tables)
+        build_structure_map(gt, [(0,)] * len(gt.generators), cyclic(2))
+    assert reduced == []
 
 
 def test_free_generator_survey_skips_infinite_rows():

@@ -1,5 +1,7 @@
 """Table defaults, the overlay format, merging, and consistency validation."""
 
+from math import gcd
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,7 +27,7 @@ from pialg import (
 )
 from pialg.tables import _candidate_images
 
-from helpers import candidate_images_by_state
+from helpers import candidate_images_by_state, completion_homs_by_solve
 
 
 def test_default_values(tables):
@@ -123,6 +125,56 @@ def test_candidate_images_equal_the_per_state_filter(orders, d, know, data):
         know = GammaKnowledge.known(data.draw(st.lists(st.integers(-30, 30), min_size=cod.dim,
                                                        max_size=cod.dim)))
     assert _candidate_images(know, d, cod) == candidate_images_by_state(know, d, cod)
+
+
+# The what-if stems of the benchmark's checks stream, and a free generator beside a
+# composite-order one: (Q_k^S, HZ_{k+1}HZ), each generator's gamma state drawn below.
+_WHAT_IF = (("Z/2<a> + Z/2<b> + Z/3<c>", "Z/2 + Z/6"), ("Z/2<a> + Z/3<c>", "Z/2 + Z/6"),
+            ("Z/6<a>", "Z/2 + Z/6"), ("Z/4<a> + Z/2<b> + Z/3<c>", "Z/6"),
+            ("Z<x> + Z/6<y>", "Z/2 + Z/6"), ("Z/4<nu> + Z/3<alpha>", "Z/2 + Z/3"))
+
+
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def _completions_match_the_solve(t):
+    stems = [k for k, entry in t.q_stable.items() if entry.complete and t.em(k + 1) is not None]
+    for k in stems:
+        comps = admissible_gamma_completions(k, t)
+        assert [c.hom for c in comps] == completion_homs_by_solve(k, t, comps)
+    return stems
+
+
+@given(case=st.sampled_from(_WHAT_IF), stem=st.sampled_from((4, 5, 6)), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_completion_homs_equal_the_factorizer_solve(tables, case, stem, data):
+    # Each completion's hom is read off Q_k^S's section; the solve it replaced must agree.
+    q_text, em_text = case
+    cod = loads_tables(f"[em_homology]\n1 = {em_text}\n", "em").em(1)
+    e = cod.exponent()
+    lines = ["[q_stable]", f"{stem} = {q_text}", "[em_homology]", f"{stem + 1} = {em_text}",
+             "[gamma]"]
+    for d, name in loads_tables(f"[q_stable]\n{stem} = {q_text}\n", "q").q_stable[stem].summands:
+        states = [None, "zero", *(f"unknown({b})" for b in _divisors(e)),
+                  *(f"nonzero({q})" for q in _divisors(gcd(d, e)) if q > 1),
+                  *(f"known [{', '.join(map(str, x))}]" for x in cod.elements_killed_by(d))]
+        state = data.draw(st.sampled_from(states))
+        if state is not None:
+            lines.append(f"{stem}.{name} = {state}")
+    t = merge(tables, loads_tables("\n".join(lines) + "\n", "what-if"))
+    assert stem in _completions_match_the_solve(t)
+
+
+def test_completion_homs_equal_the_solve_on_the_default_and_alpha_stems(tables):
+    assert _completions_match_the_solve(tables) == [3]
+    # The alpha family at p = 5 over the 3-primary one, each stem made complete over Z/15.
+    t = merge(tables, alpha_family_overlay(5, 3))
+    partial = {k: e for k, e in t.q_stable.items() if not e.complete}
+    t = merge(t, StableTables(q_stable={k: TabulatedGroup(e.summands) for k, e in partial.items()},
+                              em_homology={k + 1: from_cyclic_orders([15]) for k in partial}))
+    assert sorted(partial) == [7, 11, 15, 23]
+    assert _completions_match_the_solve(t) == [3, 7, 11, 15, 23]
 
 
 def test_round_trip(tables):
