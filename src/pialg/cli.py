@@ -244,6 +244,8 @@ def cmd_survey(args, tables: StableTables) -> tuple:
     targets = [group_from_text(s) for s in text.split("\0") if s.strip()]
     if not targets:
         raise TableFormatError(f"--targets {args.targets!r} names no group")
+    if repeated := [g for i, g in enumerate(targets) if g in targets[:i]]:
+        raise TableFormatError(f"--targets {args.targets!r} names {repeated[0]} twice")
     t0 = time.perf_counter()
     rep = survey_stem(args.stem, tables, args.max_order, args.max_summands, targets,
                       include_free=not args.no_free, max_checks=args.max_checks)

@@ -545,34 +545,46 @@ def survey_stem(k: int, tables: StableTables, max_cyclic_order: int,
 
     Each row dispatches on ``gt.regime`` as ``check`` does: at stems 1 and 2
     every map is realizable; a stable row counts each nonzero eta's status
-    from ``check_stable``'s ``_decider``, built at the row's first nonzero
-    eta and fed eta's reduced column tuples, with no ``GroupHom`` or verdict.
+    from ``check_stable``'s ``_decider``, fed eta's reduced column tuples, with
+    no ``GroupHom`` or verdict. Rows that read the same integer data (gamma_tilde's
+    and the target's invariants, and each gamma_c ⊗ A_n or the forced-dead
+    generators) have the same tally, so each distinct datum is decided once per
+    call and later rows reuse its count; the budget still counts their cases.
     """
     n = k + 2  # minimal stable dimension; stable verdicts do not depend on n
     orders = ([0] if include_free else []) + list(range(2, max_cyclic_order + 1))
     groups = (from_cyclic_orders(list(combo)) for size in range(1, max_summands + 1)
               for combo in itertools.combinations_with_replacement(orders, size))
     rows, totals, budget, seen = [], Counter(), 0, set()
+    kinds, tallies = {}, {}  # A_n's decision data -> its number; (number, target) -> counts
     # Canonicalized as the budget reaches them, so a refused survey stops early.
     for a_n in groups:
         if a_n in seen:
             continue
         seen.add(a_n)
         gt = _gamma_tilde(tables, n, k, a_n)
+        # All a stable row's decision reads of A_n, as ints: gamma_tilde, then each
+        # gamma_c ⊗ A_n (enumerating mode) or the forced-dead generators.
+        kind = functools.cache(lambda: kinds.setdefault((gt.group.rank, gt.group.torsion, tuple(
+            (g.target.rank, g.target.torsion, g.matrix.data) for g in _gammas(tables, n, k, a_n))
+            if _stem(tables, k)[0] is not None else _dead(tables, n, k, a_n)[0]), len(kinds)))
         for target in targets:
             homs = hom_group(gt.group, target)
             if not homs.is_finite:
                 continue
-            budget += homs.order()
+            budget += (size := homs.order())
             if budget > max_checks:
                 raise BoundExceeded(
                     f"survey needs more than {max_checks} checks; tighten the bounds")
-            if gt.regime in _ALWAYS_REALIZABLE:
-                counts = Counter({Status.REALIZABLE.value: homs.order()})
+            if gt.regime in _ALWAYS_REALIZABLE or size == 1:  # no nonzero eta
+                counts = Counter({Status.REALIZABLE.value: size})
+            elif (key := (kind(), target.rank, target.torsion)) in tallies:
+                counts = tallies[key]
             else:
-                decide = functools.cache(lambda: _decider(tables, n, k, a_n, target))
-                counts = Counter(decide()(cols)[0].value if any(map(any, cols)) else
-                                 Status.REALIZABLE.value for cols in homs.columns())
+                decide = _decider(tables, n, k, a_n, target)
+                counts = tallies[key] = Counter(
+                    decide(cols)[0].value if any(map(any, cols)) else Status.REALIZABLE.value
+                    for cols in homs.columns())
             totals.update(counts)
             rows.append(SurveyRow(a_n, target, tuple(sorted(counts.items()))))
     return SurveyReport(k, n, tuple(rows), tuple(sorted(totals.items())))

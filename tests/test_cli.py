@@ -309,6 +309,17 @@ def test_survey_without_targets_is_a_usage_error(capsys, targets):
     assert code == 3 and out == "" and "names no group" in err
 
 
+@pytest.mark.parametrize("targets, named", [("Z/2,Z/2", "Z/2"),
+                                            ('Z/6,{"torsion": [2, 3]}', "Z/6"),
+                                            ("Z/4,Z/2,Z/4<t>", "Z/4")])
+def test_survey_refuses_a_target_named_twice(capsys, targets, named):
+    # A repeated target would be surveyed twice: each row printed twice and
+    # its cases counted twice in the totals.
+    code, out, err = run(capsys, ["survey", "--stem", "3", "--max-order", "2",
+                                  "--max-summands", "1", "--targets", targets])
+    assert code == 3 and out == "" and f"names {named} twice" in err
+
+
 def test_survey_targets_split_outside_json_brackets(capsys):
     # the comma inside [2, 3] belongs to the literal {"torsion": [2, 3]} = Z/6
     reports = []

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import re
+import unittest.mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -655,6 +656,72 @@ def test_survey_rows_equal_the_per_eta_tallies(problem):
     tables, k, bounds = problem
     assert _outcome(survey_stem, k, tables, **bounds) == _outcome(
         survey_by_checks, k, tables, **bounds, check=lambda pa, t: Verdict(plain_status(pa, t)))
+
+
+# (tables, stem, target orders, max_cyclic_order): surveys of at most two
+# summands in which many rows read the same gamma_tilde data, so a later row
+# reuses an earlier row's tally; order 0 is a Z target summand
+_REPEATED_KEY_CASES = [("defaults", 3, (0, 2, 4, 12), 12), ("defaults", 7, (0, 3, 9), 9),
+                       ("defaults", 11, (0, 3, 9), 9), ("what-if", 5, (0, 2, 6), 4),
+                       ("free-q", 5, (0, 2, 4), 4), ("alpha", 7, (0, 3, 5, 15), 6)]
+
+
+def _nonzero_rows_and_deciders(tables, k, **bounds):
+    """(rows with a nonzero eta, ``_decider`` builds) of one survey_stem call."""
+    built, real = [], realizability._decider
+    with unittest.mock.patch.object(realizability, "_decider",
+                                    lambda *args: built.append(args) or real(*args)):
+        rep = survey_stem(k, tables, **bounds)
+    return sum(sum(c for _, c in r.counts) > 1 for r in rep.rows), len(built)
+
+
+@pytest.mark.parametrize("name, k, orders, most", _REPEATED_KEY_CASES)
+def test_repeated_key_cases_repeat_keys(name, k, orders, most):
+    # Each case's survey over all its cyclic targets decides fewer rows than it
+    # counts. Under Q_5^S = Z<x>, gamma_tilde(A_n) = A_n: no two rows share data.
+    targets = [from_cyclic_orders([d]) for d in orders] + [from_cyclic_orders([])]
+    rows, deciders = _nonzero_rows_and_deciders(_oracle_tables(name), k, targets=targets,
+                                                max_cyclic_order=most, max_summands=2)
+    assert 0 < deciders <= rows and (deciders < rows) == (name != "free-q")
+
+
+@given(case=st.sampled_from(_REPEATED_KEY_CASES), data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_shared_row_tallies_equal_the_per_eta_tallies(case, data):
+    # survey_stem tallies each distinct (gamma_tilde data, target) once and
+    # reuses the count for every later row with the same data; the per-eta
+    # loop over plain_status decides every row of its own. The trivial
+    # target (an empty orders list) and Z targets are drawn too.
+    name, k, orders, most = case
+    targets = data.draw(st.lists(st.lists(st.sampled_from(orders), max_size=2)
+                                 .map(from_cyclic_orders), min_size=1, max_size=3, unique=True))
+    tables, bounds = _oracle_tables(name), dict(
+        max_cyclic_order=most, max_summands=2, targets=targets,
+        include_free=data.draw(st.booleans()), max_checks=10**6)
+    rows, deciders = _nonzero_rows_and_deciders(tables, k, **bounds)
+    assert deciders <= rows
+    assert _outcome(survey_stem, k, tables, **bounds) == _outcome(
+        survey_by_checks, k, tables, **bounds, check=lambda pa, t: Verdict(plain_status(pa, t)))
+
+
+def test_survey_decides_each_distinct_row_once_per_call(monkeypatch):
+    # The bench's survey has 78 rows and 54 distinct (gamma_tilde data, target)
+    # keys, 7 of them rows whose only map is zero: 47 deciders are built, not
+    # one per row with a nonzero eta (66), and 154 Congruences are reduced on
+    # fresh tables, not 216. The tallies live in one call, so a warm pass
+    # decides the same 47 rows again, from the memoized factorizers.
+    from pialg.fgab import Congruences
+    built = _counting(monkeypatch, "_decider")
+    reduced, init = [], Congruences.__init__
+    monkeypatch.setattr(Congruences, "__init__",
+                        lambda self, *args: reduced.append(args) or init(self, *args))
+    tables = load_defaults()
+    survey = functools.partial(survey_stem, 3, tables, max_cyclic_order=6, max_summands=2,
+                               targets=[cyclic(4), cyclic(2), cyclic(12)])
+    rep = survey()
+    assert (len(rep.rows), len(built), len(reduced)) == (78, 47, 154)
+    built.clear(), reduced.clear()
+    assert survey() == rep and (len(built), len(reduced)) == (47, 0)
 
 
 @st.composite
